@@ -13,14 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import (
-    PropagationOptions,
-    RankScope,
-    UnknownProduct,
-    aggregate_rank,
-    transitive_credit,
-)
-from .graph import CreditGraph, CycleError, NodeKind, build_graph
+from .engine import PropagationOptions, RankScope, aggregate_rank, transitive_credit
+from .graph import CreditGraph, NodeKind, build_graph
 from .jsonld import ParseError, ParseMode, parse_creditmap
 from .model import (
     CreditLedgerError,
@@ -195,19 +189,7 @@ def cmd_credit(args: argparse.Namespace) -> int:
     product = _parse_cli_id(args.product, "--product")
     entity = _parse_cli_id(args.entity, "--entity") if args.entity else None
     options = _options(args)
-    try:
-        graph = _load_graph(args.registry)
-        allocation = transitive_credit(graph, product, options)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnknownProduct as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    allocation = transitive_credit(_load_graph(args.registry), product, options)
     if entity is not None:
         share = allocation.shares.get(entity, 0.0)
         if args.format == "json":
@@ -238,16 +220,7 @@ def cmd_credit(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     scope = RankScope.ALL_PRODUCTS if args.scope == "all" else RankScope.ROOTS_ONLY
     options = _options(args)
-    try:
-        graph = _load_graph(args.registry)
-        rows = aggregate_rank(graph, scope, options)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    rows = aggregate_rank(_load_graph(args.registry), scope, options)
     if args.format == "json":
         doc = {
             "scope": scope.value,
@@ -295,15 +268,7 @@ def _render_dot(graph: CreditGraph) -> str:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    try:
-        graph = _load_graph(args.registry)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(_render_dot(graph))
+    sys.stdout.write(_render_dot(_load_graph(args.registry)))
     return 0
 
 

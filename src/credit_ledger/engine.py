@@ -1,9 +1,14 @@
 """Credit propagation over the citation graph.
 
 Credit flows from a product to its contributors by multiplying weights
-along citation paths. Registered products are expanded recursively;
-terminals absorb their share. Allocations conserve the total: shares
-always sum to 1, at any depth limit.
+along citation paths and summing over paths. The engine computes this by
+pushing mass: unit mass starts on the root (on every product in scope,
+for a ranking) and moves down the citation DAG, citers before cited, each
+product passing its summed inflow on along its weighted edges. Registered
+products pass mass on; terminals absorb it. A depth limit pushes the mass
+in layers, one citation step at a time, and the registered products
+reached at the last step absorb theirs. Allocations conserve the total:
+shares always sum to 1, at any depth limit.
 """
 
 from __future__ import annotations
@@ -75,50 +80,56 @@ def _require_registered(graph: CreditGraph, product: EntityId) -> None:
         raise UnknownProduct(f"{product.text} is not a registered product")
 
 
-def _full_allocations(
-    graph: CreditGraph, order: list[EntityId]
-) -> dict[EntityId, dict[EntityId, float]]:
-    """Unlimited-depth shares for every product in order, bottom-up."""
-    alloc: dict[EntityId, dict[EntityId, float]] = {}
-    for pid in order:
-        buckets: dict[EntityId, list[float]] = {}
+def _sweep(graph: CreditGraph, starts: list[EntityId]) -> dict[EntityId, float]:
+    """Unit mass on each start product, pushed to the terminals in one pass.
+
+    Products are visited citers first, so a product's inflow is complete
+    before its mass moves on. Cost is linear in the reachable edges.
+    """
+    inflow: dict[EntityId, list[float]] = {pid: [1.0] for pid in starts}
+    buckets: dict[EntityId, list[float]] = {}
+    for pid in reversed(topological_order(graph, starts)):
+        mass = math.fsum(inflow[pid])
         for edge in graph.edges[pid]:
-            if edge.target in alloc:
-                for entity, share in alloc[edge.target].items():
-                    buckets.setdefault(entity, []).append(edge.weight * share)
-            else:
-                buckets.setdefault(edge.target, []).append(edge.weight)
-        alloc[pid] = _fold(buckets)
-    return alloc
+            into = inflow if edge.target in graph.edges else buckets
+            into.setdefault(edge.target, []).append(mass * edge.weight)
+    return _fold(buckets)
 
 
-def _limited_shares(
-    graph: CreditGraph,
-    pid: EntityId,
-    remaining: int,
-    memo: dict[tuple[EntityId, int], tuple[dict[EntityId, float], bool]],
+def _layered_sweep(
+    graph: CreditGraph, starts: list[EntityId], max_depth: int
 ) -> tuple[dict[EntityId, float], bool]:
-    """Depth-limited shares of pid with a budget of remaining more steps."""
-    key = (pid, remaining)
-    if key in memo:
-        return memo[key]
+    """Unit mass on each start product, pushed one citation step at a time.
+
+    Registered products reached at step max_depth absorb their mass; the
+    flag says whether any did. Stops once no mass is left in flight.
+    """
+    frontier: dict[EntityId, list[float]] = {pid: [1.0] for pid in starts}
     buckets: dict[EntityId, list[float]] = {}
     truncated = False
-    for edge in graph.edges[pid]:
-        target = edge.target
-        if target in graph.edges and remaining > 1:
-            child, child_truncated = _limited_shares(graph, target, remaining - 1, memo)
-            truncated = truncated or child_truncated
-            for entity, share in child.items():
-                buckets.setdefault(entity, []).append(edge.weight * share)
-        elif target in graph.edges:
-            truncated = True
-            buckets.setdefault(target, []).append(edge.weight)
-        else:
-            buckets.setdefault(target, []).append(edge.weight)
-    result = (_fold(buckets), truncated)
-    memo[key] = result
-    return result
+    depth = 0
+    while frontier:
+        depth += 1
+        following: dict[EntityId, list[float]] = {}
+        for pid, parts in frontier.items():
+            mass = math.fsum(parts)
+            for edge in graph.edges[pid]:
+                registered = edge.target in graph.edges
+                if registered and depth < max_depth:
+                    following.setdefault(edge.target, []).append(mass * edge.weight)
+                else:
+                    truncated = truncated or registered
+                    buckets.setdefault(edge.target, []).append(mass * edge.weight)
+        frontier = following
+    return _fold(buckets), truncated
+
+
+def _propagate(
+    graph: CreditGraph, starts: list[EntityId], options: PropagationOptions
+) -> tuple[dict[EntityId, float], bool]:
+    if options.max_depth is None:
+        return _sweep(graph, starts), False
+    return _layered_sweep(graph, starts, options.max_depth)
 
 
 def transitive_credit(
@@ -137,21 +148,7 @@ def transitive_credit(
     """
     options = options or PropagationOptions()
     _require_registered(graph, product)
-
-    if options.max_depth is None:
-        reachable = {product}
-        stack = [product]
-        while stack:
-            for edge in graph.edges[stack.pop()]:
-                if edge.target in graph.edges and edge.target not in reachable:
-                    reachable.add(edge.target)
-                    stack.append(edge.target)
-        order = [pid for pid in topological_order(graph) if pid in reachable]
-        shares = _full_allocations(graph, order)[product]
-        return Allocation(product=product, shares=shares, truncated_at=None)
-
-    memo: dict[tuple[EntityId, int], tuple[dict[EntityId, float], bool]] = {}
-    shares, truncated = _limited_shares(graph, product, options.max_depth, memo)
+    shares, truncated = _propagate(graph, [product], options)
     return Allocation(
         product=product,
         shares=shares,
@@ -182,19 +179,5 @@ def aggregate_rank(
     """
     options = options or PropagationOptions()
     in_scope = graph.registered() if scope is RankScope.ALL_PRODUCTS else graph.roots()
-
-    buckets: dict[EntityId, list[float]] = {}
-    if options.max_depth is None:
-        alloc = _full_allocations(graph, topological_order(graph))
-        for pid in in_scope:
-            for entity, share in alloc[pid].items():
-                buckets.setdefault(entity, []).append(share)
-    else:
-        memo: dict[tuple[EntityId, int], tuple[dict[EntityId, float], bool]] = {}
-        for pid in in_scope:
-            shares, _ = _limited_shares(graph, pid, options.max_depth, memo)
-            for entity, share in shares.items():
-                buckets.setdefault(entity, []).append(share)
-
-    totals = _fold(buckets)
+    totals, _ = _propagate(graph, in_scope, options)
     return sorted(totals.items(), key=lambda item: (-item[1], item[0].text))

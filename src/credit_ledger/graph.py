@@ -209,13 +209,25 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
     return CreditGraph(nodes=nodes, edges=edges, warnings=tuple(warnings))
 
 
-def topological_order(graph: CreditGraph) -> list[EntityId]:
+def topological_order(
+    graph: CreditGraph, start: Iterable[EntityId] | None = None
+) -> list[EntityId]:
     """Registered products, every product after everything it cites.
 
-    Ties are broken by canonical id text, so the order is fully
-    deterministic.
+    With start given (registered product ids), only the products reachable
+    from them, start included, are ordered. Ties are broken by canonical id
+    text, so the order is fully deterministic.
     """
-    registered = set(graph.edges)
+    if start is None:
+        registered = set(graph.edges)
+    else:
+        registered = set(start)
+        stack = list(registered)
+        while stack:
+            for edge in graph.edges[stack.pop()]:
+                if edge.target in graph.edges and edge.target not in registered:
+                    registered.add(edge.target)
+                    stack.append(edge.target)
     depends_on = {
         pid: {e.target for e in graph.edges[pid] if e.target in registered}
         for pid in registered

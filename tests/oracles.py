@@ -1,14 +1,15 @@
 """Independent reference implementations used to check the package.
 
 Everything in this module is deliberately written from scratch against the
-underlying definitions (ISO 7064 mod 11-2, exhaustive path enumeration) and
-must not import from credit_ledger. Tests compare package output against
+underlying definitions (ISO 7064 mod 11-2, exhaustive path enumeration,
+exact rational arithmetic) and must not import from credit_ledger. Tests compare package output against
 these oracles.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def orcid_check_char(base15: str) -> str:
@@ -68,3 +69,41 @@ def credit_by_paths(
 
     walk(root, 1.0, 1)
     return {target: math.fsum(parts) for target, parts in buckets.items()}
+
+
+def exact_credit_by_depth(
+    corpus: dict[str, list[tuple[str, float]]],
+    starts: list[str],
+) -> list[tuple[dict[str, Fraction], bool]]:
+    """Exact credit from unit mass on each start product, for every depth limit.
+
+    corpus is as for credit_by_paths. Every float weight is converted to a
+    Fraction exactly and no arithmetic rounds. The walk follows all citation
+    paths together, one step at a time: after step d, each target holds the
+    summed weight products of the paths of d steps that end at it.
+
+    Entry d - 1 of the result is the allocation under max_depth d: what the
+    terminals received within d steps plus what the registered products
+    reached at step d hold, and whether any such product was cut off. The
+    walk stops after the first step that reaches no registered product, so
+    the last entry is the unlimited allocation, which every larger limit
+    also gives. Runs in O(E * longest path) Fraction operations.
+    """
+    frontier: dict[str, Fraction] = {}
+    for pid in starts:
+        frontier[pid] = frontier.get(pid, Fraction(0)) + 1
+    absorbed: dict[str, Fraction] = {}
+    results: list[tuple[dict[str, Fraction], bool]] = []
+    while True:
+        following: dict[str, Fraction] = {}
+        for pid, mass in frontier.items():
+            for target, weight in corpus[pid]:
+                into = following if target in corpus else absorbed
+                into[target] = into.get(target, Fraction(0)) + mass * Fraction(weight)
+        cut_off = dict(absorbed)
+        for pid, mass in following.items():
+            cut_off[pid] = cut_off.get(pid, Fraction(0)) + mass
+        results.append((cut_off, bool(following)))
+        if not following:
+            return results
+        frontier = following

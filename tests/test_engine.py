@@ -250,3 +250,20 @@ def test_chain_credit_is_the_product_of_edge_weights() -> None:
         for hop in hops:
             want *= hop
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_deep_chain_depth_limits_need_no_recursion() -> None:
+    maps, _, _, _ = make_chain(random.Random(404), 1500)
+    graph = build_graph(maps)
+    end = maps[-1].product.id
+
+    cut = transitive_credit(graph, end, PropagationOptions(max_depth=1200))
+    assert abs(math.fsum(cut.shares.values()) - 1.0) <= 1e-9
+    assert cut.truncated_at == 1200
+
+    unlimited = transitive_credit(graph, end)
+    huge = transitive_credit(graph, end, PropagationOptions(max_depth=10**9))
+    assert huge == unlimited
+
+    ranking = aggregate_rank(graph, RankScope.ROOTS_ONLY, PropagationOptions(max_depth=1200))
+    assert dict(ranking) == cut.shares

@@ -1,0 +1,143 @@
+"""Propagation properties over random DAGs, checked against exact arithmetic.
+
+The path oracle in oracles.py enumerates every path, so it only runs on
+small corpora. The exact-Fraction oracle walks all paths together one step
+at a time and stays usable on long chains, for every depth limit at once.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from credit_ledger import (
+    Category,
+    CreditEntry,
+    CreditMap,
+    EntityId,
+    IdScheme,
+    ProductKind,
+    ProductMeta,
+    PropagationOptions,
+    RankScope,
+    aggregate_rank,
+    build_graph,
+    transitive_credit,
+)
+from corpus import as_plain
+from oracles import exact_credit_by_depth
+
+TOLERANCE = 1e-12
+
+
+def _product_id(i: int) -> EntityId:
+    return EntityId(IdScheme.DOI, f"10.7777/d{i}")
+
+
+@st.composite
+def dags(draw, max_products: int, chain: bool = False) -> list[CreditMap]:
+    """Acyclic corpus: product i cites up to 2 random earlier products (only
+    product i - 1 when chain is set) and credits 1-3 people from a pool of
+    8, so several products share terminals. Weights are positive and
+    normalized."""
+    maps: list[CreditMap] = []
+    for i in range(draw(st.integers(1, max_products))):
+        if chain:
+            cited = {i - 1} if i else set()
+        else:
+            cited = set(draw(st.lists(st.integers(0, i - 1), max_size=2))) if i else set()
+        people = draw(st.sets(st.integers(0, 7), min_size=1, max_size=3))
+        targets = [(_product_id(j), Category.ARTICLE) for j in sorted(cited)]
+        targets += [(EntityId(IdScheme.NAME, f"person {k}"), Category.AUTHOR) for k in sorted(people)]
+        raw = draw(st.lists(st.integers(1, 20), min_size=len(targets), max_size=len(targets)))
+        entries = tuple(
+            CreditEntry(entity, category, part / sum(raw))
+            for (entity, category), part in zip(targets, raw)
+        )
+        maps.append(CreditMap(ProductMeta(_product_id(i), ProductKind.CODE, f"D{i}"), entries))
+    return maps
+
+
+def _at_depth(
+    exact: list[tuple[dict[str, Fraction], bool]], depth: int | None
+) -> tuple[dict[str, Fraction], bool]:
+    return exact[-1] if depth is None else exact[min(depth, len(exact)) - 1]
+
+
+def _assert_agrees(got: dict[EntityId, float], want: dict[str, Fraction]) -> None:
+    by_text = {entity.text: value for entity, value in got.items()}
+    assert by_text.keys() == want.keys()
+    for key, exact in want.items():
+        assert math.isclose(by_text[key], exact, rel_tol=TOLERANCE, abs_tol=TOLERANCE), key
+
+
+def _check_credit(graph, plain, product: EntityId, depths) -> None:
+    exact = exact_credit_by_depth(plain, [product.text])
+    for depth in depths:
+        allocation = transitive_credit(graph, product, PropagationOptions(max_depth=depth))
+        shares, truncated = _at_depth(exact, depth)
+        _assert_agrees(allocation.shares, shares)
+        assert abs(math.fsum(allocation.shares.values()) - 1.0) <= 1e-9
+        assert allocation.truncated_at == (depth if truncated else None)
+
+
+def _check_rank(graph, plain, scope: RankScope, depths) -> None:
+    in_scope = graph.registered() if scope is RankScope.ALL_PRODUCTS else graph.roots()
+    exact = exact_credit_by_depth(plain, [pid.text for pid in in_scope])
+    for depth in depths:
+        ranking = aggregate_rank(graph, scope, PropagationOptions(max_depth=depth))
+        _assert_agrees(dict(ranking), _at_depth(exact, depth)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=dags(max_products=12))
+def test_random_dags_agree_with_exact_arithmetic_at_every_depth(maps) -> None:
+    graph = build_graph(maps)
+    plain = as_plain(maps)
+    longest = len(exact_credit_by_depth(plain, list(plain)))
+    depths = [None, *range(1, longest + 1)]
+    for creditmap in maps:
+        _check_credit(graph, plain, creditmap.product.id, depths)
+    for scope in RankScope:
+        _check_rank(graph, plain, scope, depths)
+
+
+@settings(max_examples=6, deadline=None)
+@given(maps=dags(max_products=201, chain=True), data=st.data())
+def test_long_chains_agree_with_exact_arithmetic(maps, data) -> None:
+    graph = build_graph(maps)
+    plain = as_plain(maps)
+    top = maps[-1].product.id
+    longest = len(exact_credit_by_depth(plain, [top.text]))
+    every_depth = [None, *range(1, longest + 1)]
+    _check_credit(graph, plain, top, every_depth)
+    _check_rank(graph, plain, RankScope.ROOTS_ONLY, every_depth)
+    # over all products, one depth costs O(chain length * depth): check the
+    # unlimited case, the last two limits and a few drawn ones
+    drawn = data.draw(st.lists(st.integers(1, longest), max_size=3))
+    _check_rank(graph, plain, RankScope.ALL_PRODUCTS, [None, longest - 1 or 1, longest, *drawn])
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=dags(max_products=15), data=st.data())
+def test_results_are_bit_identical_for_any_ingestion_order(maps, data) -> None:
+    def results(corpus: list[CreditMap]):
+        graph = build_graph(corpus)
+        allocations = [
+            transitive_credit(graph, m.product.id, PropagationOptions(max_depth=depth))
+            for m in maps
+            for depth in (None, 1, 2, 3)
+        ]
+        rankings = [
+            aggregate_rank(graph, scope, PropagationOptions(max_depth=depth))
+            for scope in RankScope
+            for depth in (None, 2)
+        ]
+        return allocations, rankings
+
+    baseline = results(maps)
+    for _ in range(3):
+        assert results(data.draw(st.permutations(maps))) == baseline

@@ -165,6 +165,27 @@ def test_topological_order_on_random_corpora() -> None:
                     assert position[edge.target] < position[source]
 
 
+
+def test_topological_order_from_start_products_keeps_only_the_reachable() -> None:
+    rng = random.Random(34)
+    for _ in range(20):
+        maps = make_corpus(rng, max_products=30)
+        graph = build_graph(maps)
+        registered = graph.registered()
+        start = rng.sample(registered, rng.randint(1, min(3, len(registered))))
+        reachable = set(start)
+        stack = list(start)
+        while stack:
+            for edge in graph.edges[stack.pop()]:
+                if edge.target in graph.edges and edge.target not in reachable:
+                    reachable.add(edge.target)
+                    stack.append(edge.target)
+        full = topological_order(graph)
+        assert topological_order(graph, start) == [p for p in full if p in reachable]
+        assert topological_order(graph, registered) == full
+        assert topological_order(graph, []) == []
+
+
 def _assert_valid_witness(witness: list[EntityId], maps: list[CreditMap]) -> None:
     cited = {
         (m.product.id, e.entity) for m in maps for e in m.entries
