@@ -123,39 +123,40 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     registry = Registry(args.registry)
     worst = 0
-    for path in args.files:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
-            continue
-        try:
-            product_id = registry.ingest(data, force=args.force)
-        except ValidationFailed as exc:
-            for violation in exc.violations:
-                print(f"{path}:{violation.code}:{violation.message}")
-            worst = max(worst, 1)
-            continue
-        except DuplicateProduct as exc:
-            print(f"{path}:DuplicateProduct:{exc}")
-            worst = max(worst, 1)
-            continue
-        except (ParseError, InvalidIdentifier) as exc:
-            _print_parse_failure(path, exc)
-            worst = max(worst, 1)
-            continue
-        except StorageError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
-            continue
-        if product_id.scheme is IdScheme.NAME:
-            print(
-                f"warning: {path}: product has no persistent identifier; "
-                f"registered as {product_id.text}",
-                file=sys.stderr,
-            )
-        print(f"registered {product_id.text}")
+    with registry.batch():
+        for path in args.files:
+            try:
+                data = Path(path).read_bytes()
+            except OSError as exc:
+                print(f"{path}: {exc}", file=sys.stderr)
+                worst = max(worst, 2)
+                continue
+            try:
+                product_id = registry.ingest(data, force=args.force)
+            except ValidationFailed as exc:
+                for violation in exc.violations:
+                    print(f"{path}:{violation.code}:{violation.message}")
+                worst = max(worst, 1)
+                continue
+            except DuplicateProduct as exc:
+                print(f"{path}:DuplicateProduct:{exc}")
+                worst = max(worst, 1)
+                continue
+            except (ParseError, InvalidIdentifier) as exc:
+                _print_parse_failure(path, exc)
+                worst = max(worst, 1)
+                continue
+            except StorageError as exc:
+                print(f"{path}: {exc}", file=sys.stderr)
+                worst = max(worst, 2)
+                continue
+            if product_id.scheme is IdScheme.NAME:
+                print(
+                    f"warning: {path}: product has no persistent identifier; "
+                    f"registered as {product_id.text}",
+                    file=sys.stderr,
+                )
+            print(f"registered {product_id.text}")
     return worst
 
 

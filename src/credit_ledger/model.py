@@ -151,6 +151,12 @@ class EntityId:
             raw = " ".join(raw.lower().split())
         object.__setattr__(self, "value", raw)
 
+    def __hash__(self) -> int:
+        # A str caches its hash, so an id is hashed once; hashing (scheme,
+        # value) would call Enum.__hash__ in Python on every dict operation.
+        # Ids that differ only in scheme merely collide.
+        return hash(self.value)
+
     @property
     def text(self) -> str:
         """Canonical text form, `<scheme>:<value>`."""

@@ -1,10 +1,10 @@
 """File-backed registry of ingested creditmap documents.
 
 Layout under the registry root: normalized documents live in
-objects/<sha256-of-canonical-id>.jsonld, a tab-separated index.tsv maps
-canonical product ids to object paths and headlines, and .lock is an
-advisory write lock. Writes go to a temp file first and are renamed into
-place, and the index can always be rebuilt from the object files alone.
+objects/<sha256-of-canonical-id>.jsonld, one file per product and the only
+source of truth, and .lock is an advisory write lock. A write goes to a
+temp file that is fsynced and renamed into place; each batch of writes
+then fsyncs objects/ once, so the renames are durable too.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class RegistryError(CreditLedgerError):
 
 
 class StorageError(RegistryError):
-    """The underlying files are unreadable, unwritable, locked, or drifted."""
+    """The underlying files are unreadable, unwritable, locked, or hold the wrong product."""
 
 
 class DuplicateProduct(RegistryError):
@@ -46,10 +46,6 @@ class ValidationFailed(RegistryError):
         super().__init__(f"document failed validation: {summary}")
 
 
-def _sanitize_cell(text: str) -> str:
-    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-
-
 class Registry:
     """Registry of creditmap documents rooted at a directory.
 
@@ -60,17 +56,29 @@ class Registry:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._objects = self.root / "objects"
-        self._index = self.root / "index.tsv"
+        self._in_batch = False
+        self._renamed = False
 
-    def _ensure_layout(self) -> None:
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold the write lock across several ingests.
+
+        The lock is taken once, without blocking; on exit, normal or not,
+        objects/ is fsynced once if any object was renamed into place, and
+        then the lock is released. Re-entrant: a nested batch joins the
+        open one.
+
+        Raises:
+            StorageError: the registry cannot be created or synced, or
+                another writer holds the lock.
+        """
+        if self._in_batch:
+            yield
+            return
         try:
             self._objects.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StorageError(f"cannot create registry at {self.root}: {exc}") from exc
-
-    @contextmanager
-    def _write_lock(self) -> Iterator[None]:
-        self._ensure_layout()
         lock_path = self.root / ".lock"
         try:
             fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
@@ -83,69 +91,46 @@ class Registry:
                 raise StorageError(
                     f"registry at {self.root} is locked by another writer"
                 ) from exc
-            yield
+            self._in_batch, self._renamed = True, False
+            try:
+                yield
+            finally:
+                self._in_batch = False
+                if self._renamed:
+                    self._sync_objects_dir()
         finally:
             os.close(fd)
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
+    def _sync_objects_dir(self) -> None:
         try:
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+            fd = os.open(self._objects, os.O_RDONLY)
             try:
-                os.write(fd, data)
                 os.fsync(fd)
             finally:
                 os.close(fd)
-            os.replace(tmp_name, path)
         except OSError as exc:
-            raise StorageError(f"cannot write {path}: {exc}") from exc
+            raise StorageError(f"cannot sync {self._objects}: {exc}") from exc
 
-    def _object_name(self, product_id: EntityId) -> str:
+    def _object_path(self, product_id: EntityId) -> Path:
         digest = hashlib.sha256(product_id.text.encode("utf-8")).hexdigest()
-        return f"objects/{digest}.jsonld"
+        return self._objects / f"{digest}.jsonld"
 
-    def _scan_objects(self) -> dict[str, tuple[str, str]]:
-        rows: dict[str, tuple[str, str]] = {}
-        if not self._objects.is_dir():
-            return rows
-        for path in sorted(self._objects.glob("*.jsonld")):
-            try:
-                creditmap, _ = parse_creditmap(path.read_bytes())
-            except OSError as exc:
-                raise StorageError(f"cannot read {path}: {exc}") from exc
-            except CreditLedgerError as exc:
-                raise StorageError(f"stored document {path} does not parse: {exc}") from exc
-            rows[creditmap.product.id.text] = (
-                f"objects/{path.name}",
-                _sanitize_cell(creditmap.product.headline),
-            )
-        return rows
-
-    def _load_rows(self) -> dict[str, tuple[str, str]]:
-        if self._index.is_file():
-            rows: dict[str, tuple[str, str]] = {}
-            try:
-                content = self._index.read_text("utf-8")
-            except OSError as exc:
-                raise StorageError(f"cannot read index {self._index}: {exc}") from exc
-            for line in content.splitlines():
-                if not line:
-                    continue
-                parts = line.split("\t", 2)
-                if len(parts) != 3:
-                    raise StorageError(f"malformed index row in {self._index}: {line!r}")
-                rows[parts[0]] = (parts[1], parts[2])
-            return rows
-        return self._scan_objects()
-
-    def _write_rows(self, rows: dict[str, tuple[str, str]]) -> None:
-        lines = [
-            f"{pid}\t{path}\t{headline}\n"
-            for pid, (path, headline) in sorted(rows.items())
-        ]
-        self._atomic_write(self._index, "".join(lines).encode("utf-8"))
+    def _read_object(self, path: Path) -> CreditMap:
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise StorageError(f"cannot read {path}: {exc}") from exc
+        try:
+            creditmap, _ = parse_creditmap(data)
+        except CreditLedgerError as exc:
+            raise StorageError(f"stored document {path} does not parse: {exc}") from exc
+        return creditmap
 
     def ingest(self, text: str | bytes, *, force: bool = False) -> EntityId:
         """Validate a document and store its normalized form.
+
+        Runs inside the open batch, or in a batch of its own when none is
+        open.
 
         Args:
             text: raw creditmap document.
@@ -166,17 +151,21 @@ class Registry:
             raise ValidationFailed(violations)
 
         product_id = creditmap.product.id
-        with self._write_lock():
-            rows = self._load_rows()
-            if product_id.text in rows and not force:
+        path = self._object_path(product_id)
+        with self.batch():
+            if not force and path.exists():
                 raise DuplicateProduct(f"{product_id.text} is already registered")
-            rel_path = self._object_name(product_id)
-            self._atomic_write(self.root / rel_path, serialize_creditmap(creditmap))
-            rows[product_id.text] = (
-                rel_path,
-                _sanitize_cell(creditmap.product.headline),
-            )
-            self._write_rows(rows)
+            try:
+                fd, tmp_name = tempfile.mkstemp(dir=self._objects, prefix=".tmp-")
+                try:
+                    os.write(fd, serialize_creditmap(creditmap))
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+                os.replace(tmp_name, path)
+            except OSError as exc:
+                raise StorageError(f"cannot write {path}: {exc}") from exc
+            self._renamed = True
         return product_id
 
     def get(self, product_id: EntityId) -> CreditMap:
@@ -184,23 +173,15 @@ class Registry:
 
         Raises:
             NotFound: nothing registered under this id.
-            StorageError: the index points at a missing or drifted file.
+            StorageError: the object file is unreadable or holds another product.
         """
-        rows = self._load_rows()
-        row = rows.get(product_id.text)
-        if row is None:
+        path = self._object_path(product_id)
+        if not path.exists():
             raise NotFound(f"no registered product {product_id.text}")
-        path = self.root / row[0]
-        try:
-            creditmap, _ = parse_creditmap(path.read_bytes())
-        except OSError as exc:
-            raise StorageError(
-                f"index points at unreadable {path}; run rebuild_index: {exc}"
-            ) from exc
+        creditmap = self._read_object(path)
         if creditmap.product.id != product_id:
             raise StorageError(
-                f"index drift: {path} holds {creditmap.product.id.text}, "
-                f"expected {product_id.text}; run rebuild_index"
+                f"{path} holds {creditmap.product.id.text}, expected {product_id.text}"
             )
         return creditmap
 
@@ -210,20 +191,6 @@ class Registry:
 
     def load_all(self) -> list[CreditMap]:
         """Every registered credit map, sorted by canonical product id text."""
-        rows = self._load_rows()
-        maps = []
-        for pid_text in sorted(rows):
-            path = self.root / rows[pid_text][0]
-            try:
-                creditmap, _ = parse_creditmap(path.read_bytes())
-            except OSError as exc:
-                raise StorageError(
-                    f"index points at unreadable {path}; run rebuild_index: {exc}"
-                ) from exc
-            maps.append(creditmap)
+        maps = [self._read_object(path) for path in self._objects.glob("*.jsonld")]
+        maps.sort(key=lambda m: m.product.id.text)
         return maps
-
-    def rebuild_index(self) -> None:
-        """Regenerate index.tsv from the object files, fixing any drift."""
-        with self._write_lock():
-            self._write_rows(self._scan_objects())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import fcntl
+import os
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,22 @@ def run_cli(capsys):
         return code, out, err
 
     return run
+
+
+@pytest.fixture()
+def sync_calls(monkeypatch) -> dict[str, int]:
+    """Counts of fcntl.flock and os.fsync calls made during the test."""
+    calls = {"flock": 0, "fsync": 0}
+    flock, fsync = fcntl.flock, os.fsync
+
+    def counting_flock(fd: int, operation: int) -> None:
+        calls["flock"] += 1
+        flock(fd, operation)
+
+    def counting_fsync(fd: int) -> None:
+        calls["fsync"] += 1
+        fsync(fd)
+
+    monkeypatch.setattr(fcntl, "flock", counting_flock)
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return calls

@@ -132,7 +132,7 @@ def test_acceptance_credit_conservation() -> None:
 
 
 def test_acceptance_path_oracle_equivalence() -> None:
-    """Memoized propagation matches all-paths enumeration, 200 corpora."""
+    """Mass-push propagation matches all-paths enumeration, 200 corpora."""
     ok = False
     detail = ""
     try:

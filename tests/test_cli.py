@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -169,6 +171,55 @@ def test_ingest_reports_validation_violations(registry_dir: str, run_cli, tmp_pa
     code, out, _ = run_cli("ingest", "--registry", registry_dir, str(bad))
     assert code == 1
     assert out.splitlines()[0].split(":", 2)[1] == "WeightSum"
+
+
+def test_ingest_takes_the_lock_once_and_fsyncs_each_object_then_the_directory(
+    registry_dir: str, run_cli, sync_calls: dict[str, int]
+) -> None:
+    paths = [str(fixture_path(name)) for name in CORPUS_FILES]
+    code, _, err = run_cli("ingest", "--registry", registry_dir, *paths)
+    assert code == 0, err
+    assert sync_calls == {"flock": 1, "fsync": len(paths) + 1}
+
+
+def test_ingest_under_a_held_lock_fails_once(registry_dir: str, run_cli) -> None:
+    Path(registry_dir).mkdir()
+    fd = os.open(Path(registry_dir) / ".lock", os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        paths = [str(fixture_path(name)) for name in CORPUS_FILES]
+        code, out, err = run_cli("ingest", "--registry", registry_dir, *paths)
+    finally:
+        os.close(fd)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: registry at {registry_dir} is locked by another writer\n"
+
+
+def test_tab_in_a_product_id_leaves_the_registry_readable(
+    registry_dir: str, run_cli, tmp_path: Path
+) -> None:
+    doc = tmp_path / "tab.jsonld"
+    doc.write_text(
+        json.dumps(
+            {
+                "@context": "http://schema.org",
+                "@type": "Code",
+                "url": "https://example.org/a\tb",
+                "author": [{"name": "Someone", "creditWeight": "1"}],
+            }
+        )
+    )
+    code, out, err = run_cli("ingest", "--registry", registry_dir, str(doc))
+    assert (code, out) == (0, "registered url:https://example.org/a\tb\n"), err
+    for argv in (
+        ("rank",),
+        ("graph",),
+        ("credit", "--product", "url:https://example.org/a\tb"),
+    ):
+        code, out, err = run_cli(argv[0], "--registry", registry_dir, *argv[1:])
+        assert code == 0, err
+        assert "name:someone" in out
 
 
 def test_credit_entity_prints_a_bare_fraction(loaded_registry: str, run_cli) -> None:

@@ -222,7 +222,7 @@ def test_conservation_on_random_corpora() -> None:
                 assert abs(total - 1.0) <= 1e-9
 
 
-def test_memoized_propagation_matches_path_enumeration() -> None:
+def test_mass_push_propagation_matches_path_enumeration() -> None:
     rng = random.Random(202)
     for _ in range(30):
         maps = make_corpus(rng, max_products=10)

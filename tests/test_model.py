@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import credit_ledger
 from credit_ledger import (
     Category,
     CategoryWeights,
@@ -142,6 +147,32 @@ def test_from_text_requires_a_known_scheme() -> None:
         EntityId.from_text("10.5334/jors.be")
     with pytest.raises(InvalidIdentifier):
         EntityId.from_text("handle:10.5334/jors.be")
+
+
+def test_unpickled_id_is_found_as_a_key_under_another_hash_seed() -> None:
+    src = str(Path(credit_ledger.__file__).resolve().parents[1])
+
+    def run(code: str, seed: str, stdin: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, env=env,
+            capture_output=True, timeout=60, check=True,
+        )
+        return done.stdout
+
+    pickled = run(
+        "import pickle, sys; from credit_ledger import EntityId; "
+        "sys.stdout.buffer.write(pickle.dumps(EntityId.from_text('doi:10.1/x')))",
+        seed="1",
+    )
+    found = run(
+        "import pickle, sys; from credit_ledger import EntityId; "
+        "eid = pickle.loads(sys.stdin.buffer.read()); "
+        "print({EntityId.from_text('doi:10.1/x'): 'found'}.get(eid))",
+        seed="2",
+        stdin=pickled,
+    )
+    assert found == b"found\n"
 
 
 def _entry(text: str, category: Category, weight: float) -> CreditEntry:

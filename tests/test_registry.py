@@ -1,4 +1,4 @@
-"""File-backed registry: storage layout, locking, index recovery."""
+"""File-backed registry: storage layout, locking, batched durable writes."""
 
 from __future__ import annotations
 
@@ -107,52 +107,75 @@ def test_load_all_returns_maps_in_id_order(registry: Registry) -> None:
     assert ids == sorted(ids)
 
 
-def test_missing_index_falls_back_to_scanning_objects(registry: Registry) -> None:
+def _object_file(registry: Registry, product_id: EntityId) -> Path:
+    digest = hashlib.sha256(product_id.text.encode()).hexdigest()
+    return registry.root / "objects" / f"{digest}.jsonld"
+
+
+def test_get_after_its_object_file_is_deleted_is_not_found(registry: Registry) -> None:
     product_id = registry.ingest(_doc("alpha"))
-    (registry.root / "index.tsv").unlink()
-    assert registry.get(product_id).product.headline == "Package alpha"
+    _object_file(registry, product_id).unlink()
+    with pytest.raises(NotFound):
+        registry.get(product_id)
+    assert registry.list() == []
+
+
+def test_object_file_holding_another_product_is_reported(registry: Registry) -> None:
+    alpha = registry.ingest(_doc("alpha"))
+    beta = registry.ingest(_doc("beta"))
+    _object_file(registry, beta).replace(_object_file(registry, alpha))
+    with pytest.raises(StorageError, match="holds doi:10.1000/beta"):
+        registry.get(alpha)
+
+
+def test_unparseable_object_file_is_a_storage_error(registry: Registry) -> None:
+    product_id = registry.ingest(_doc("alpha"))
+    _object_file(registry, product_id).write_text("{ not json")
+    with pytest.raises(StorageError, match="does not parse"):
+        registry.load_all()
+
+
+def test_leftover_temp_file_is_ignored(registry: Registry) -> None:
+    registry.ingest(_doc("alpha"))
+    (registry.root / "objects" / ".tmp-interrupted").write_bytes(_doc("beta")[:40])
+    assert [m.product.id.text for m in registry.load_all()] == ["doi:10.1000/alpha"]
     assert [pid.text for pid, _ in registry.list()] == ["doi:10.1000/alpha"]
 
 
-def test_rebuild_index_restores_the_file(registry: Registry) -> None:
+def test_ingest_writes_only_objects_and_the_lock(registry: Registry) -> None:
+    registry.ingest(_doc("alpha"))
+    registry.ingest(_doc("alpha", author_weight="0.9", dep_weight="0.1"), force=True)
     registry.ingest(_doc("beta"))
-    registry.ingest(_doc("alpha"))
-    index = registry.root / "index.tsv"
-    index.unlink()
-    registry.rebuild_index()
-    lines = index.read_text().splitlines()
-    assert len(lines) == 2
-    assert [line.split("\t")[0] for line in lines] == [
-        "doi:10.1000/alpha",
-        "doi:10.1000/beta",
-    ]
-
-
-def test_drifted_index_row_is_reported(registry: Registry) -> None:
-    registry.ingest(_doc("alpha"))
-    other_id = registry.ingest(_doc("beta"))
-    index = registry.root / "index.tsv"
-    rows = dict(
-        line.split("\t", 2)[:2] for line in index.read_text().splitlines()
-    )
-    rows["doi:10.1000/alpha"] = rows[other_id.text]
-    index.write_text(
-        "".join(f"{pid}\t{path}\t\n" for pid, path in sorted(rows.items()))
-    )
-    with pytest.raises(StorageError, match="drift"):
-        registry.get(EntityId.from_text("doi:10.1000/alpha"))
-    registry.rebuild_index()
-    assert registry.get(EntityId.from_text("doi:10.1000/alpha")).product.headline == (
-        "Package alpha"
+    assert sorted(p.name for p in registry.root.iterdir()) == [".lock", "objects"]
+    assert sorted(p.name for p in (registry.root / "objects").iterdir()) == sorted(
+        _object_file(registry, EntityId.from_text(f"doi:10.1000/{s}")).name
+        for s in ("alpha", "beta")
     )
 
 
-def test_index_row_pointing_nowhere_is_reported(registry: Registry) -> None:
-    product_id = registry.ingest(_doc("alpha"))
-    digest = hashlib.sha256(product_id.text.encode()).hexdigest()
-    (registry.root / "objects" / f"{digest}.jsonld").unlink()
-    with pytest.raises(StorageError, match="rebuild_index"):
-        registry.get(product_id)
+def test_nested_batches_take_the_lock_once_and_sync_the_directory_once(
+    registry: Registry, sync_calls: dict[str, int]
+) -> None:
+    with registry.batch():
+        registry.ingest(_doc("alpha"))
+        with registry.batch():
+            registry.ingest(_doc("beta"))
+        with pytest.raises(DuplicateProduct):
+            registry.ingest(_doc("alpha"))
+    assert sync_calls == {"flock": 1, "fsync": 3}
+
+
+def test_batch_that_ends_in_an_error_still_syncs_the_directory(
+    registry: Registry, sync_calls: dict[str, int]
+) -> None:
+    with pytest.raises(ZeroDivisionError):
+        with registry.batch():
+            registry.ingest(_doc("alpha"))
+            1 / 0
+    assert sync_calls == {"flock": 1, "fsync": 2}
+    with registry.batch():
+        pass
+    assert sync_calls == {"flock": 2, "fsync": 2}
 
 
 def test_concurrent_writer_fails_fast(registry: Registry) -> None:
