@@ -11,7 +11,6 @@ from .engine import (
     RankScope,
     UnknownProduct,
     aggregate_rank,
-    direct_credit,
     entity_credit,
     transitive_credit,
 )
@@ -21,14 +20,12 @@ from .graph import (
     DuplicateProductId,
     GraphEdge,
     GraphError,
-    GraphNode,
     NodeKind,
     build_graph,
     dangling_references,
     topological_order,
 )
 from .jsonld import (
-    CreditmapDocument,
     ParseError,
     ParseMode,
     ParseWarning,
@@ -38,7 +35,6 @@ from .jsonld import (
 from .model import (
     CATEGORY_ORDER,
     Category,
-    CategoryWeights,
     CreditEntry,
     CreditLedgerError,
     CreditMap,
@@ -51,7 +47,6 @@ from .model import (
     Violation,
     WEIGHT_SUM_TOLERANCE,
     canonicalize_id,
-    expand_category_weights,
     validate_creditmap,
     validate_orcid_checksum,
 )
@@ -68,12 +63,10 @@ __all__ = [
     "Allocation",
     "CATEGORY_ORDER",
     "Category",
-    "CategoryWeights",
     "CreditEntry",
     "CreditGraph",
     "CreditLedgerError",
     "CreditMap",
-    "CreditmapDocument",
     "CycleError",
     "DuplicateProduct",
     "DuplicateProductId",
@@ -81,7 +74,6 @@ __all__ = [
     "EntryDisplay",
     "GraphEdge",
     "GraphError",
-    "GraphNode",
     "IdScheme",
     "InvalidIdentifier",
     "NodeKind",
@@ -104,9 +96,7 @@ __all__ = [
     "build_graph",
     "canonicalize_id",
     "dangling_references",
-    "direct_credit",
     "entity_credit",
-    "expand_category_weights",
     "parse_creditmap",
     "serialize_creditmap",
     "topological_order",

@@ -249,7 +249,7 @@ def _render_dot(graph: CreditGraph) -> str:
         return "digraph creditmap {}\n"
     lines = ["digraph creditmap {"]
     for eid in sorted(graph.nodes, key=lambda e: e.text):
-        kind = graph.nodes[eid].kind
+        kind = graph.nodes[eid]
         if kind is NodeKind.REGISTERED_PRODUCT:
             attrs = "[shape=box]"
         elif kind is NodeKind.TERMINAL_PERSON:
@@ -257,13 +257,10 @@ def _render_dot(graph: CreditGraph) -> str:
         else:
             attrs = "[shape=box, style=dashed]"
         lines.append(f"  {_quote(eid.text)} {attrs};")
-    all_edges = [edge for out in graph.edges.values() for edge in out]
-    all_edges.sort(key=lambda e: (e.source.text, e.target.text, e.weight))
-    for edge in all_edges:
-        lines.append(
-            f"  {_quote(edge.source.text)} -> {_quote(edge.target.text)} "
-            f'[label="{edge.weight:.4f}"];'
-        )
+    for source in sorted(graph.edges, key=lambda e: e.text):
+        quoted = _quote(source.text)
+        for target, weight in sorted((e.target.text, e.weight) for e in graph.edges[source]):
+            lines.append(f'  {quoted} -> {_quote(target)} [label="{weight:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,6 +9,9 @@ products pass mass on; terminals absorb it. A depth limit pushes the mass
 in layers, one citation step at a time, and the registered products
 reached at the last step absorb theirs. Allocations conserve the total:
 shares always sum to 1, at any depth limit.
+
+The engine reads only the graph's edges: a product is registered exactly
+when it has an edge list, and any other target is a terminal.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .graph import CreditGraph, GraphError, NodeKind, topological_order
-from .model import CreditMap, EntityId
+from .graph import CreditGraph, GraphError, topological_order
+from .model import EntityId
 
 
 class UnknownProduct(GraphError):
@@ -66,17 +69,8 @@ def _fold(buckets: dict[EntityId, list[float]]) -> dict[EntityId, float]:
     return {entity: math.fsum(parts) for entity, parts in buckets.items()}
 
 
-def direct_credit(creditmap: CreditMap) -> Allocation:
-    """First-level allocation: the map's own entries, nothing expanded."""
-    buckets: dict[EntityId, list[float]] = {}
-    for entry in creditmap.entries:
-        buckets.setdefault(entry.entity, []).append(entry.weight)
-    return Allocation(product=creditmap.product.id, shares=_fold(buckets))
-
-
 def _require_registered(graph: CreditGraph, product: EntityId) -> None:
-    node = graph.nodes.get(product)
-    if node is None or node.kind is not NodeKind.REGISTERED_PRODUCT:
+    if product not in graph.edges:
         raise UnknownProduct(f"{product.text} is not a registered product")
 
 

@@ -1,9 +1,11 @@
 """Weighted citation graph built from a corpus of credit maps.
 
-Nodes are registered products, terminal people, or terminal products;
-edges carry the credit weight of one entry. The build is deterministic for
-a given corpus regardless of input order, and any directed cycle among
-registered products is rejected with a witness path.
+The graph keeps what propagation needs: each registered product's
+outgoing edges (target and weight, in entry order) and the kind of every
+node, which tells a registered product from a terminal person or terminal
+product. The build is deterministic for a given corpus regardless of input
+order, and any directed cycle among registered products is rejected with a
+witness path, so every CreditGraph is acyclic.
 """
 
 from __future__ import annotations
@@ -11,16 +13,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
-    Category,
     CreditLedgerError,
     CreditMap,
     EntityId,
     IdScheme,
     PERSON_CATEGORIES,
-    ProductMeta,
 )
 
 
@@ -51,40 +51,29 @@ class NodeKind(Enum):
     TERMINAL_PRODUCT = "terminal_product"
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    id: EntityId
-    kind: NodeKind
-    label: str | None = None
-    meta: ProductMeta | None = None
+class GraphEdge(NamedTuple):
+    """One weighted citation; its source is the key it is stored under."""
 
-
-@dataclass(frozen=True)
-class GraphEdge:
-    source: EntityId
     target: EntityId
     weight: float
-    category: Category
 
 
 @dataclass(frozen=True)
 class CreditGraph:
-    """Immutable citation graph: nodes by id, outgoing edges by source id.
+    """Immutable citation graph: node kinds by id, outgoing edges by product.
 
-    Edge tuples preserve each map's entry order. warnings records non-fatal
-    classification anomalies found during the build.
+    edges has one key per registered product, and its tuples preserve each
+    map's entry order. warnings records non-fatal classification anomalies
+    found during the build.
     """
 
-    nodes: Mapping[EntityId, GraphNode]
+    nodes: Mapping[EntityId, NodeKind]
     edges: Mapping[EntityId, tuple[GraphEdge, ...]]
     warnings: tuple[str, ...] = ()
 
     def registered(self) -> list[EntityId]:
         """Registered product ids, sorted by canonical text."""
-        return sorted(
-            (i for i, n in self.nodes.items() if n.kind is NodeKind.REGISTERED_PRODUCT),
-            key=lambda e: e.text,
-        )
+        return sorted(self.edges, key=lambda e: e.text)
 
     def roots(self) -> list[EntityId]:
         """Registered products no other registered product cites, sorted."""
@@ -138,71 +127,47 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
     Entries whose id matches a registered product become internal edges.
     Everything else becomes a terminal node: author and acknowledgment
     entries are people, other categories are products, and an ORCID in a
-    product category is treated as a person (recorded as a warning).
+    product category is treated as a person (recorded as a warning). An id
+    cited both ways is kept as a person (also a warning).
 
     Raises:
         DuplicateProductId: two maps share one canonical product id.
         CycleError: the registered products cite each other in a cycle.
     """
-    corpus = sorted(maps, key=lambda m: m.product.id.text)
     registered: dict[EntityId, CreditMap] = {}
-    for creditmap in corpus:
+    for creditmap in sorted(maps, key=lambda m: m.product.id.text):
         pid = creditmap.product.id
         if pid in registered:
             raise DuplicateProductId(f"duplicate product id {pid.text}")
         registered[pid] = creditmap
 
-    nodes: dict[EntityId, GraphNode] = {}
+    nodes = dict.fromkeys(registered, NodeKind.REGISTERED_PRODUCT)
     edges: dict[EntityId, tuple[GraphEdge, ...]] = {}
     warnings: list[str] = []
-
     for pid, creditmap in registered.items():
-        nodes[pid] = GraphNode(
-            id=pid,
-            kind=NodeKind.REGISTERED_PRODUCT,
-            label=creditmap.product.headline or None,
-            meta=creditmap.product,
-        )
-
-    for pid, creditmap in registered.items():
-        out = []
+        edges[pid] = tuple(GraphEdge(e.entity, e.weight) for e in creditmap.entries)
         for entry in creditmap.entries:
             target = entry.entity
-            out.append(GraphEdge(pid, target, entry.weight, entry.category))
             if target in registered:
                 continue
-            is_person = entry.category in PERSON_CATEGORIES
-            if not is_person and target.scheme is IdScheme.ORCID:
-                is_person = True
+            if entry.category in PERSON_CATEGORIES:
+                kind = NodeKind.TERMINAL_PERSON
+            elif target.scheme is IdScheme.ORCID:
+                kind = NodeKind.TERMINAL_PERSON
                 warnings.append(
                     f"{pid.text}: ORCID {target.text} cited in product category "
                     f"{entry.category.value!r}; treating it as a person"
                 )
-            kind = NodeKind.TERMINAL_PERSON if is_person else NodeKind.TERMINAL_PRODUCT
-            label = entry.display.name or entry.display.headline
-            existing = nodes.get(target)
-            if existing is None:
-                nodes[target] = GraphNode(id=target, kind=kind, label=label)
             else:
-                if existing.kind is not kind:
-                    warnings.append(
-                        f"{target.text} is referenced both as a person and as a "
-                        f"product; keeping the person classification"
-                    )
-                merged_kind = (
-                    NodeKind.TERMINAL_PERSON
-                    if NodeKind.TERMINAL_PERSON in (existing.kind, kind)
-                    else existing.kind
+                kind = NodeKind.TERMINAL_PRODUCT
+            if nodes.setdefault(target, kind) is not kind:
+                warnings.append(
+                    f"{target.text} is referenced both as a person and as a "
+                    f"product; keeping the person classification"
                 )
-                nodes[target] = GraphNode(
-                    id=target,
-                    kind=merged_kind,
-                    label=existing.label or label,
-                )
-        edges[pid] = tuple(out)
+                nodes[target] = NodeKind.TERMINAL_PERSON
 
-    order = sorted(registered, key=lambda e: e.text)
-    witness = _find_cycle(order, edges)
+    witness = _find_cycle(list(registered), edges)
     if witness is not None:
         raise CycleError(witness)
 
@@ -216,7 +181,9 @@ def topological_order(
 
     With start given (registered product ids), only the products reachable
     from them, start included, are ordered. Ties are broken by canonical id
-    text, so the order is fully deterministic.
+    text, so the order is fully deterministic. The graph must be acyclic,
+    as every graph from build_graph is (it refuses cycles), so there is no
+    cycle check here.
     """
     if start is None:
         registered = set(graph.edges)
@@ -249,12 +216,6 @@ def topological_order(
             remaining[dependent] -= 1
             if remaining[dependent] == 0:
                 heapq.heappush(ready, dependent.text)
-    if len(order) != len(registered):
-        leftover = sorted(
-            (pid for pid in registered if remaining[pid] > 0), key=lambda e: e.text
-        )
-        witness = _find_cycle(leftover, graph.edges)
-        raise CycleError(witness or leftover + leftover[:1])
     return order
 
 
@@ -268,8 +229,7 @@ def dangling_references(graph: CreditGraph) -> list[tuple[EntityId, list[EntityI
     citers: dict[EntityId, set[EntityId]] = {}
     for pid, out in graph.edges.items():
         for edge in out:
-            node = graph.nodes[edge.target]
-            if node.kind is NodeKind.TERMINAL_PRODUCT:
+            if graph.nodes[edge.target] is NodeKind.TERMINAL_PRODUCT:
                 citers.setdefault(edge.target, set()).add(pid)
     return [
         (target, sorted(citers[target], key=lambda e: e.text))

@@ -33,10 +33,6 @@ from .model import (
 #: The only @context this profile accepts.
 SCHEMA_ORG_CONTEXT = "http://schema.org"
 
-#: Raw parsed document tree, before profile interpretation.
-CreditmapDocument = dict[str, Any]
-
-
 class ParseMode(Enum):
     """Strict rejects anything outside the profile; lenient preserves and warns."""
 
@@ -166,6 +162,32 @@ def _entity_from_doi(raw: str, where: str) -> EntityId:
     return entity
 
 
+#: Entry keys that name the entity directly, after @id and doi, strongest first.
+_ENTRY_ID_KEYS = (
+    ("codeRepository", IdScheme.URL),
+    ("url", IdScheme.URL),
+    ("email", IdScheme.EMAIL),
+    ("name", IdScheme.NAME),
+    ("headline", IdScheme.NAME),
+)
+
+
+def _entry_identity(obj: dict[str, Any], where: str) -> tuple[EntityId, str]:
+    """The entity an entry object names, and the key that names it.
+
+    Precedence: @id, doi, codeRepository, url, email, name, headline. The
+    caller has checked that the values under the other keys are strings.
+    """
+    if "@id" in obj:
+        return canonicalize_id(_require_str(obj["@id"], f"{where}.@id")), "@id"
+    if "doi" in obj:
+        return _entity_from_doi(_require_str(obj["doi"], f"{where}.doi"), where), "doi"
+    for key, scheme in _ENTRY_ID_KEYS:
+        if key in obj:
+            return EntityId(scheme, obj[key]), key
+    raise MissingIdentifier(f"{where} has no identifying key")
+
+
 def _parse_entry(
     obj: Any,
     category: Category,
@@ -204,25 +226,7 @@ def _parse_entry(
         repository_raw = _require_str(obj["codeRepository"], f"{where}.codeRepository")
     url_raw = _require_str(obj["url"], f"{where}.url") if "url" in obj else None
 
-    repository_is_entity = url_is_entity = False
-    if "@id" in obj:
-        entity = canonicalize_id(_require_str(obj["@id"], f"{where}.@id"), hint=category)
-    elif "doi" in obj:
-        entity = _entity_from_doi(_require_str(obj["doi"], f"{where}.doi"), where)
-    elif repository_raw is not None:
-        entity = EntityId(IdScheme.URL, repository_raw)
-        repository_is_entity = True
-    elif url_raw is not None:
-        entity = EntityId(IdScheme.URL, url_raw)
-        url_is_entity = True
-    elif email is not None:
-        entity = EntityId(IdScheme.EMAIL, email)
-    elif name is not None:
-        entity = EntityId(IdScheme.NAME, name)
-    elif headline is not None:
-        entity = EntityId(IdScheme.NAME, headline)
-    else:
-        raise MissingIdentifier(f"{where} has no identifying key")
+    entity, id_key = _entry_identity(obj, where)
 
     if "creditWeight" not in obj:
         raise MissingCreditWeight(f"{where} has no creditWeight")
@@ -234,8 +238,8 @@ def _parse_entry(
         headline=headline,
         email=email,
         license=license_,
-        repository=None if repository_is_entity else repository_raw,
-        url=None if url_is_entity else url_raw,
+        repository=None if id_key == "codeRepository" else repository_raw,
+        url=None if id_key == "url" else url_raw,
         extra=extra,
     )
     return CreditEntry(entity, category, weight, display)
@@ -253,6 +257,20 @@ def _parse_entry_group(
         _parse_entry(item, category, mode, warnings, f"{where}[{i}]")
         for i, item in enumerate(items)
     ]
+
+
+def _product_identity(doc: dict[str, Any]) -> EntityId:
+    """The product a document names. Precedence: @id, doi, url, headline."""
+    if "@id" in doc:
+        return canonicalize_id(_require_str(doc["@id"], "@id"))
+    if "doi" in doc:
+        return _entity_from_doi(_require_str(doc["doi"], "doi"), "doi")
+    if "url" in doc:
+        return EntityId(IdScheme.URL, _require_str(doc["url"], "url"))
+    headline = _require_str(doc.get("headline", ""), "headline")
+    if headline.strip():
+        return EntityId(IdScheme.NAME, headline)
+    raise MissingProductId("document has no @id, doi, or url key and no headline")
 
 
 def parse_creditmap(
@@ -368,19 +386,8 @@ def parse_creditmap(
                     )
                 )
 
-    if "@id" in doc:
-        product_id = canonicalize_id(_require_str(doc["@id"], "@id"))
-    elif "doi" in doc:
-        product_id = _entity_from_doi(_require_str(doc["doi"], "doi"), "doi")
-    elif "url" in doc:
-        product_id = EntityId(IdScheme.URL, _require_str(doc["url"], "url"))
-    elif headline.strip():
-        product_id = EntityId(IdScheme.NAME, headline)
-    else:
-        raise MissingProductId("document has no @id, doi, or url key and no headline")
-
     product = ProductMeta(
-        id=product_id,
+        id=_product_identity(doc),
         kind=kind,
         headline=headline,
         date_created=date_created,
@@ -424,6 +431,15 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
         obj["license"] = d.license
     for key, val in d.extra.items():
         obj[key] = val
+    # An ORCID or DOI sits under @id or doi, the two strongest keys; any
+    # other id may be hidden behind a descriptive key written above.
+    if scheme is not IdScheme.ORCID and scheme is not IdScheme.DOI:
+        try:
+            rederived = _entry_identity(obj, "entry")[0]
+        except CreditLedgerError:
+            rederived = None
+        if rederived != entry.entity:
+            obj = {"@id": entry.entity.text, **obj}
     obj["creditWeight"] = _render_weight(entry.weight)
     return obj
 
@@ -434,10 +450,13 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
     Output is UTF-8, two-space indented, newline-terminated, with keys in a
     fixed order, so equal CreditMaps serialize to equal bytes. Weights are
     written as the shortest decimal strings that parse back to the same
-    float. Limitations of the profile: keywords containing commas are not
-    representable (they are joined with ", "), and name-scheme identities
-    are re-derived from name or headline text on parse rather than written
-    as an explicit key.
+    float. Identities are written as the key parsing derives them from;
+    where the keys written would derive another id (a name-scheme id that
+    differs from the name or headline, or one hidden behind a descriptive
+    codeRepository, url or email), an explicit "@id" holding the canonical
+    text is written too, so every map parses back to the same ids.
+    Limitation of the profile: keywords containing commas are not
+    representable (they are joined with ", ").
     """
     meta = creditmap.product
     doc: dict[str, Any] = {"@context": SCHEMA_ORG_CONTEXT}
@@ -452,6 +471,13 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
         doc["url"] = meta.id.value
     elif scheme is IdScheme.EMAIL:
         doc["@id"] = meta.id.value
+    else:
+        try:
+            rederived = _product_identity({"headline": meta.headline})
+        except CreditLedgerError:
+            rederived = None
+        if rederived != meta.id:
+            doc["@id"] = meta.id.text
 
     if meta.headline:
         doc["headline"] = meta.headline

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 
 class CreditLedgerError(Exception):
@@ -36,14 +36,6 @@ class MalformedDoi(InvalidIdentifier):
     """The value was declared a DOI but is not one."""
 
 
-class CategorySumError(CreditLedgerError):
-    """Category totals do not form a valid distribution."""
-
-
-class WithinSumError(CreditLedgerError):
-    """Weights inside one category do not form a valid distribution."""
-
-
 class IdScheme(Enum):
     """Identifier schemes, strongest first: orcid, doi, url, email, name."""
 
@@ -64,7 +56,7 @@ class Category(Enum):
     OTHER = "other"
 
 
-#: Serialization and expansion order for categories.
+#: Serialization order for categories.
 CATEGORY_ORDER: tuple[Category, ...] = (
     Category.AUTHOR,
     Category.ARTICLE,
@@ -178,7 +170,7 @@ class EntityId:
         return self.text
 
 
-def canonicalize_id(raw: str, hint: Category | None = None) -> EntityId:
+def canonicalize_id(raw: str) -> EntityId:
     """Detect the identifier scheme of a raw string and canonicalize it.
 
     Detection precedence: ORCID (URI, orcid: prefix, or bare), DOI (URI,
@@ -187,15 +179,12 @@ def canonicalize_id(raw: str, hint: Category | None = None) -> EntityId:
 
     Args:
         raw: identifier as found in a document.
-        hint: category context of the reference. Accepted for callers that
-            have it; scheme detection does not currently depend on it.
 
     Raises:
         EmptyIdentifier: raw is empty or whitespace.
         MalformedOrcid: ORCID shape with a bad pattern or checksum.
         MalformedDoi: doi-prefixed value that is not a DOI.
     """
-    del hint
     text = raw.strip()
     if not text:
         raise EmptyIdentifier(f"empty identifier: {raw!r}")
@@ -248,7 +237,7 @@ class CreditEntry:
     """One weighted contribution: who or what, in which category, how much.
 
     The weight invariant (0 < weight <= 1) is enforced at system boundaries
-    (parsing, expansion) and reported by validate_creditmap, not raised here,
+    (parsing) and reported by validate_creditmap, not raised here,
     so that broken states remain representable as violation values.
     """
 
@@ -337,65 +326,3 @@ def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
     if not any(e.category is Category.AUTHOR for e in creditmap.entries):
         violations.append(Violation(NO_AUTHOR, "no author entry"))
     return violations
-
-
-@dataclass(frozen=True)
-class CategoryWeights:
-    """Two-level weighting: a total per category, then weights within each.
-
-    within maps a category to (entity, weight) pairs in presentation order.
-    """
-
-    totals: Mapping[Category, float]
-    within: Mapping[Category, Sequence[tuple[EntityId, float]]]
-
-
-def expand_category_weights(weights: CategoryWeights) -> list[CreditEntry]:
-    """Flatten two-level category weights into per-entity credit entries.
-
-    Each entry weight is total(category) * within-weight, so the output sums
-    to 1 whenever both levels do. Categories come out in CATEGORY_ORDER and
-    members keep their within-category order.
-
-    Raises:
-        CategorySumError: category totals are missing, non-positive, or do
-            not sum to 1 within tolerance.
-        WithinSumError: a category's member weights are missing,
-            non-positive, or do not sum to 1 within tolerance.
-    """
-    totals = dict(weights.totals)
-    for category in weights.within:
-        if category not in totals:
-            raise CategorySumError(
-                f"category {category.value!r} has member weights but no total"
-            )
-
-    grand = math.fsum(totals.values())
-    if abs(grand - 1.0) > WEIGHT_SUM_TOLERANCE:
-        raise CategorySumError(f"category totals sum to {grand!r}, not 1")
-
-    entries: list[CreditEntry] = []
-    for category in CATEGORY_ORDER:
-        if category not in totals:
-            continue
-        total = totals[category]
-        if not (0.0 < total <= 1.0):
-            raise CategorySumError(
-                f"category {category.value!r} total {total!r} outside (0, 1]"
-            )
-        members = list(weights.within.get(category, ()))
-        if not members:
-            raise WithinSumError(f"category {category.value!r} has no member weights")
-        inner = math.fsum(w for _, w in members)
-        if abs(inner - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise WithinSumError(
-                f"weights within {category.value!r} sum to {inner!r}, not 1"
-            )
-        for entity, w in members:
-            if not (0.0 < w <= 1.0):
-                raise WithinSumError(
-                    f"weight {w!r} for {entity.text} in {category.value!r} "
-                    f"outside (0, 1]"
-                )
-            entries.append(CreditEntry(entity, category, total * w))
-    return entries

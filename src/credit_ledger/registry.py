@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .jsonld import parse_creditmap, serialize_creditmap
-from .model import CreditLedgerError, CreditMap, EntityId, ProductMeta, Violation, validate_creditmap
+from .model import CreditLedgerError, CreditMap, EntityId, Violation, validate_creditmap
 
 
 class RegistryError(CreditLedgerError):
@@ -184,10 +184,6 @@ class Registry:
                 f"{path} holds {creditmap.product.id.text}, expected {product_id.text}"
             )
         return creditmap
-
-    def list(self) -> list[tuple[EntityId, ProductMeta]]:
-        """All registered products, sorted by canonical id text."""
-        return [(m.product.id, m.product) for m in self.load_all()]
 
     def load_all(self) -> list[CreditMap]:
         """Every registered credit map, sorted by canonical product id text."""

@@ -222,6 +222,72 @@ def test_tab_in_a_product_id_leaves_the_registry_readable(
         assert "name:someone" in out
 
 
+SOMEONE = {"name": "Someone", "creditWeight": "0.5"}
+
+# Each document names an entity (or itself) by a key its descriptive keys
+# would not re-derive; the stored object must still parse to the same ids.
+ROUND_TRIP_CASES = {
+    "free-text-author-id": (
+        {"doi": "10.1/p", "author": [{"@id": "Jane Doe", "creditWeight": "1"}]},
+        "doi:10.1/p",
+        "name:jane doe",
+    ),
+    "free-text-product-id-with-another-headline": (
+        {"@id": "My Tool", "headline": "Other Title", "author": [SOMEONE | {"creditWeight": "1"}]},
+        "name:my tool",
+        "name:someone",
+    ),
+    "free-text-author-id-with-another-name": (
+        {"doi": "10.1/p", "author": [{"@id": "Jane Doe", "name": "J. Doe", "creditWeight": "1"}]},
+        "doi:10.1/p",
+        "name:jane doe",
+    ),
+    "email-id-with-another-email": (
+        {"doi": "10.1/p", "author": [{"@id": "a@b.org", "email": "c@d.org", "creditWeight": "1"}]},
+        "doi:10.1/p",
+        "email:a@b.org",
+    ),
+    "url-id-with-another-repository": (
+        {
+            "doi": "10.1/p",
+            "author": [SOMEONE],
+            "citation": {
+                "software": [
+                    {
+                        "@type": "Code",
+                        "@id": "https://x.org/a",
+                        "codeRepository": "https://y.org/b",
+                        "creditWeight": "0.5",
+                    }
+                ]
+            },
+        },
+        "doi:10.1/p",
+        "url:https://x.org/a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_CASES))
+def test_stored_identity_parses_back_to_the_ingested_id(
+    case: str, registry_dir: str, run_cli, tmp_path: Path
+) -> None:
+    fields, product, entity = ROUND_TRIP_CASES[case]
+    doc = tmp_path / "doc.jsonld"
+    doc.write_text(json.dumps({"@context": "http://schema.org", "@type": "Code", **fields}))
+    code, out, err = run_cli("ingest", "--registry", registry_dir, str(doc))
+    assert (code, out) == (0, f"registered {product}\n"), err
+
+    code, out, err = run_cli(
+        "credit", "--registry", registry_dir, "--product", product, "--format", "json"
+    )
+    assert code == 0, err
+    assert entity in json.loads(out)["shares"]
+    code, out, err = run_cli("rank", "--registry", registry_dir, "--format", "json")
+    assert code == 0, err
+    assert entity in [row["entity"] for row in json.loads(out)["totals"]]
+
+
 def test_credit_entity_prints_a_bare_fraction(loaded_registry: str, run_cli) -> None:
     code, out, _ = run_cli(
         "credit",

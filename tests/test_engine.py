@@ -14,7 +14,6 @@ from credit_ledger import (
     RankScope,
     aggregate_rank,
     build_graph,
-    direct_credit,
     entity_credit,
     transitive_credit,
 )
@@ -51,15 +50,6 @@ def _assert_shares(allocation: Allocation, expected: dict[str, float]) -> None:
     assert got.keys() == expected.keys()
     for key, value in expected.items():
         assert got[key] == pytest.approx(value, abs=1e-12), key
-
-
-def test_direct_credit_repeats_the_entry_weights(corpus_maps) -> None:
-    allocation = direct_credit(corpus_maps[0])
-    _assert_shares(
-        allocation,
-        {DEV1: 0.5, DEV2: 0.2, DEV3: 0.1, **{lib: 0.05 for lib in LIBS}},
-    )
-    assert allocation.truncated_at is None
 
 
 def test_one_hop_allocation(corpus_maps) -> None:
@@ -110,7 +100,7 @@ def test_depth_one_equals_direct_credit(corpus_maps) -> None:
     options = PropagationOptions(max_depth=1)
     for creditmap in corpus_maps:
         limited = transitive_credit(graph, creditmap.product.id, options)
-        assert limited.shares == direct_credit(creditmap).shares
+        assert limited.shares == {e.entity: e.weight for e in creditmap.entries}
 
 
 def test_truncation_marker_is_set_only_when_a_product_was_cut(corpus_maps) -> None:

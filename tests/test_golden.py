@@ -1,0 +1,88 @@
+"""Golden CLI outputs: stdout of every read command on the fixture corpus.
+
+Each file under fixtures/golden/ is the exact stdout of one
+`credit-ledger` command run on a registry holding the three corpus
+fixtures. A change that alters any byte of `credit`, `rank` or `graph`
+output fails here. To rewrite the files after an intended output change,
+run `PYTHONPATH=src python tests/test_golden.py` from the repository root.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from conftest import CORPUS_FILES, DEV1, PRODUCT_A, PRODUCT_B, PRODUCT_C, fixture_path
+from credit_ledger.cli import main as cli_main
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
+
+def _cases() -> dict[str, tuple[str, ...]]:
+    cases: dict[str, tuple[str, ...]] = {}
+    for tag, product in (("a", PRODUCT_A), ("b", PRODUCT_B), ("c", PRODUCT_C)):
+        for depth in (None, 1, 2):
+            limit = () if depth is None else ("--max-depth", str(depth))
+            suffix = "" if depth is None else f"-depth{depth}"
+            for fmt in ("table", "json"):
+                name = f"credit-{tag}{suffix}.{'json' if fmt == 'json' else 'txt'}"
+                cases[name] = ("credit", "--product", product, *limit, "--format", fmt)
+    cases["credit-c-entity-dev1.txt"] = ("credit", "--product", PRODUCT_C, "--entity", DEV1)
+    for scope in ("all", "roots"):
+        cases[f"rank-{scope}.txt"] = ("rank", "--scope", scope)
+        cases[f"rank-{scope}.json"] = ("rank", "--scope", scope, "--format", "json")
+    cases["rank-all-depth1.txt"] = ("rank", "--max-depth", "1")
+    cases["graph.dot"] = ("graph",)
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return code, out.getvalue()
+
+
+def _ingest_corpus(registry: str) -> None:
+    paths = [str(fixture_path(name)) for name in CORPUS_FILES]
+    code, out = _run(["ingest", "--registry", registry, *paths])
+    assert code == 0, out
+
+
+@pytest.fixture(scope="module")
+def corpus_registry(tmp_path_factory) -> str:
+    registry = str(tmp_path_factory.mktemp("golden") / "reg")
+    _ingest_corpus(registry)
+    return registry
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_file(name: str, corpus_registry: str) -> None:
+    argv = CASES[name]
+    code, out = _run([argv[0], "--registry", corpus_registry, *argv[1:]])
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_every_golden_file_has_a_case() -> None:
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        registry = str(Path(scratch) / "reg")
+        _ingest_corpus(registry)
+        GOLDEN.mkdir(exist_ok=True)
+        for name, argv in CASES.items():
+            code, out = _run([argv[0], "--registry", registry, *argv[1:]])
+            if code != 0:
+                sys.exit(f"{name}: exit {code}")
+            (GOLDEN / name).write_text(out, encoding="utf-8")

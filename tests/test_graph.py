@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credit_ledger import (
     Category,
@@ -45,7 +47,7 @@ def _map(pid: str, *entries: tuple[str, Category, float]) -> CreditMap:
 
 def test_fixture_corpus_node_classification(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    kinds = {pid.text: node.kind for pid, node in graph.nodes.items()}
+    kinds = {pid.text: kind for pid, kind in graph.nodes.items()}
     assert kinds[PRODUCT_A] is NodeKind.REGISTERED_PRODUCT
     assert kinds[PRODUCT_B] is NodeKind.REGISTERED_PRODUCT
     assert kinds[PRODUCT_C] is NodeKind.REGISTERED_PRODUCT
@@ -66,7 +68,6 @@ def test_edges_preserve_entry_order_and_weights(corpus_maps) -> None:
     out = graph.edges[_pid(PRODUCT_A)]
     assert [e.weight for e in out] == [0.5, 0.2, 0.1, 0.05, 0.05, 0.05, 0.05]
     assert out[0].target.text == DEV1
-    assert all(e.source.text == PRODUCT_A for e in out)
 
 
 def test_build_is_independent_of_input_order(corpus_maps) -> None:
@@ -101,8 +102,7 @@ def test_orcid_cited_as_software_is_classified_as_person() -> None:
         ("orcid:0000-0002-1825-0097", Category.SOFTWARE, 0.5),
     )
     graph = build_graph([m])
-    node = graph.nodes[_pid("orcid:0000-0002-1825-0097")]
-    assert node.kind is NodeKind.TERMINAL_PERSON
+    assert graph.nodes[_pid("orcid:0000-0002-1825-0097")] is NodeKind.TERMINAL_PERSON
     assert len(graph.warnings) == 1
     assert "person" in graph.warnings[0]
 
@@ -121,7 +121,7 @@ def test_person_classification_wins_over_product() -> None:
     )
     for ordering in ([a, b], [b, a]):
         graph = build_graph(ordering)
-        assert graph.nodes[_pid(shared)].kind is NodeKind.TERMINAL_PERSON
+        assert graph.nodes[_pid(shared)] is NodeKind.TERMINAL_PERSON
         assert any("person" in w for w in graph.warnings)
 
 
@@ -194,6 +194,64 @@ def _assert_valid_witness(witness: list[EntityId], maps: list[CreditMap]) -> Non
     assert witness[0] == witness[-1]
     for source, target in zip(witness, witness[1:]):
         assert (source, target) in cited
+
+
+def _has_cycle(maps: list[CreditMap]) -> bool:
+    """Brute force: does some product reach itself through registered products?"""
+    cites = {
+        m.product.id: [e.entity for e in m.entries] for m in maps
+    }
+    for start in cites:
+        seen: set[EntityId] = set()
+        stack = [t for t in cites[start] if t in cites]
+        while stack:
+            node = stack.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(t for t in cites[node] if t in cites)
+    return False
+
+
+def _with_back_edges(rng: random.Random, maps: list[CreditMap], count: int) -> list[CreditMap]:
+    """The corpus with count citations from a product to itself or a later one."""
+    added: dict[int, set[int]] = {}
+    for _ in range(count):
+        i = rng.randrange(len(maps))
+        added.setdefault(i, set()).add(rng.randrange(i, len(maps)))
+    result = list(maps)
+    for i, targets in added.items():
+        extra = tuple(
+            CreditEntry(maps[j].product.id, Category.ARTICLE, 0.01) for j in sorted(targets)
+        )
+        result[i] = CreditMap(maps[i].product, maps[i].entries + extra)
+    return result
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2))
+def test_build_refuses_exactly_the_cyclic_corpora(seed: int, back_edges: int) -> None:
+    rng = random.Random(seed)
+    maps = _with_back_edges(rng, make_corpus(rng, max_products=15), back_edges)
+    shuffled = list(maps)
+    rng.shuffle(shuffled)
+    if _has_cycle(maps):
+        with pytest.raises(CycleError) as first:
+            build_graph(maps)
+        _assert_valid_witness(first.value.witness, maps)
+        with pytest.raises(CycleError) as again:
+            build_graph(shuffled)
+        assert again.value.witness == first.value.witness
+    else:
+        graph = build_graph(shuffled)
+        order = topological_order(graph)
+        assert sorted(order, key=lambda e: e.text) == graph.registered()
+        position = {pid: i for i, pid in enumerate(order)}
+        for source, out in graph.edges.items():
+            for edge in out:
+                if edge.target in graph.edges:
+                    assert position[edge.target] < position[source]
 
 
 def test_two_product_cycle_is_detected_with_witness() -> None:

@@ -1,8 +1,7 @@
-"""Identifier canonicalization, checksums, validation, category expansion."""
+"""Identifier canonicalization, checksums, validation."""
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 import credit_ledger
 from credit_ledger import (
     Category,
-    CategoryWeights,
     CreditEntry,
     CreditMap,
     EntityId,
@@ -24,17 +22,14 @@ from credit_ledger import (
     ProductMeta,
     Violation,
     canonicalize_id,
-    expand_category_weights,
     validate_creditmap,
     validate_orcid_checksum,
 )
 from credit_ledger.model import (
-    CategorySumError,
     EmptyIdentifier,
     InvalidIdentifier,
     MalformedDoi,
     MalformedOrcid,
-    WithinSumError,
 )
 from oracles import mint_orcid, orcid_check_char, orcid_is_valid
 
@@ -251,137 +246,3 @@ def test_weight_sum_tolerance_admits_rounding_noise() -> None:
         _entry("name:B", Category.AUTHOR, 0.7),
     )
     assert validate_creditmap(m) == []
-
-
-ARTICLE_SPLIT = CategoryWeights(
-    totals={
-        Category.AUTHOR: 0.5,
-        Category.ARTICLE: 0.3,
-        Category.SOFTWARE: 0.04,
-        Category.ACKNOWLEDGMENT: 0.01,
-        Category.OTHER: 0.15,
-    },
-    within={
-        Category.AUTHOR: [
-            (EntityId.from_text("orcid:0000-0001-5934-7525"), 0.5),
-            (EntityId.from_text("orcid:0000-0002-7217-4494"), 0.5),
-        ],
-        Category.ARTICLE: [(EntityId.from_text("doi:10.5334/jors.be"), 1.0)],
-        Category.SOFTWARE: [
-            (canonicalize_id("https://github.com/arfon/fidgit"), 1.0)
-        ],
-        Category.ACKNOWLEDGMENT: [(EntityId.from_text("name:James Howison"), 1.0)],
-        Category.OTHER: [(EntityId.from_text("email:d.katz@ieee.org"), 1.0)],
-    },
-)
-
-
-def test_category_expansion_reproduces_flat_weights() -> None:
-    entries = expand_category_weights(ARTICLE_SPLIT)
-    flat = [(e.entity.text, e.category, e.weight) for e in entries]
-    assert flat == [
-        ("orcid:0000-0001-5934-7525", Category.AUTHOR, 0.25),
-        ("orcid:0000-0002-7217-4494", Category.AUTHOR, 0.25),
-        ("doi:10.5334/jors.be", Category.ARTICLE, 0.3),
-        ("url:https://github.com/arfon/fidgit", Category.SOFTWARE, 0.04),
-        ("name:james howison", Category.ACKNOWLEDGMENT, 0.01),
-        ("email:d.katz@ieee.org", Category.OTHER, 0.15),
-    ]
-    assert math.fsum(e.weight for e in entries) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_category_totals_must_sum_to_one() -> None:
-    bad = CategoryWeights(
-        totals={Category.AUTHOR: 0.5, Category.OTHER: 0.4},
-        within={
-            Category.AUTHOR: [(EntityId.from_text("name:A"), 1.0)],
-            Category.OTHER: [(EntityId.from_text("name:B"), 1.0)],
-        },
-    )
-    with pytest.raises(CategorySumError):
-        expand_category_weights(bad)
-
-
-def test_category_total_out_of_range_is_rejected() -> None:
-    bad = CategoryWeights(
-        totals={Category.AUTHOR: 0.0, Category.OTHER: 1.0},
-        within={
-            Category.AUTHOR: [(EntityId.from_text("name:A"), 1.0)],
-            Category.OTHER: [(EntityId.from_text("name:B"), 1.0)],
-        },
-    )
-    with pytest.raises(CategorySumError):
-        expand_category_weights(bad)
-
-
-def test_within_split_without_matching_total_is_rejected() -> None:
-    bad = CategoryWeights(
-        totals={Category.AUTHOR: 1.0},
-        within={
-            Category.AUTHOR: [(EntityId.from_text("name:A"), 1.0)],
-            Category.OTHER: [(EntityId.from_text("name:B"), 1.0)],
-        },
-    )
-    with pytest.raises(CategorySumError):
-        expand_category_weights(bad)
-
-
-def test_within_weights_must_sum_to_one() -> None:
-    bad = CategoryWeights(
-        totals={Category.AUTHOR: 1.0},
-        within={
-            Category.AUTHOR: [
-                (EntityId.from_text("name:A"), 0.5),
-                (EntityId.from_text("name:B"), 0.4),
-            ]
-        },
-    )
-    with pytest.raises(WithinSumError):
-        expand_category_weights(bad)
-
-
-def test_within_member_weight_must_be_positive() -> None:
-    bad = CategoryWeights(
-        totals={Category.AUTHOR: 1.0},
-        within={
-            Category.AUTHOR: [
-                (EntityId.from_text("name:A"), 1.0),
-                (EntityId.from_text("name:B"), 0.0),
-            ]
-        },
-    )
-    with pytest.raises(WithinSumError):
-        expand_category_weights(bad)
-
-
-def test_missing_within_split_is_rejected() -> None:
-    bad = CategoryWeights(totals={Category.AUTHOR: 1.0}, within={})
-    with pytest.raises(WithinSumError):
-        expand_category_weights(bad)
-
-
-@given(
-    st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
-    st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
-)
-def test_expansion_output_always_passes_weight_checks(
-    category_parts: list[float], author_parts: list[float]
-) -> None:
-    categories = list(Category)[: len(category_parts)]
-    cat_total = sum(category_parts)
-    totals = {
-        c: p / cat_total for c, p in zip(categories, category_parts)
-    }
-    within: dict[Category, list[tuple[EntityId, float]]] = {}
-    for c in categories:
-        if c is Category.AUTHOR:
-            member_total = sum(author_parts)
-            within[c] = [
-                (EntityId.from_text(f"name:author {i}"), p / member_total)
-                for i, p in enumerate(author_parts)
-            ]
-        else:
-            within[c] = [(EntityId.from_text(f"name:member {c.value}"), 1.0)]
-    entries = expand_category_weights(CategoryWeights(totals=totals, within=within))
-    assert abs(math.fsum(e.weight for e in entries) - 1.0) <= 1e-9
-    assert all(0.0 < e.weight <= 1.0 for e in entries)

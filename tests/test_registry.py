@@ -94,9 +94,10 @@ def test_listing_is_sorted_and_survives_restart(registry: Registry) -> None:
     registry.ingest(_doc("zeta"))
     registry.ingest(_doc("alpha"))
     reopened = Registry(registry.root)
-    ids = [pid.text for pid, _ in reopened.list()]
+    maps = reopened.load_all()
+    ids = [m.product.id.text for m in maps]
     assert ids == ["doi:10.1000/alpha", "doi:10.1000/zeta"]
-    headlines = [meta.headline for _, meta in reopened.list()]
+    headlines = [m.product.headline for m in maps]
     assert headlines == ["Package alpha", "Package zeta"]
 
 
@@ -117,7 +118,7 @@ def test_get_after_its_object_file_is_deleted_is_not_found(registry: Registry) -
     _object_file(registry, product_id).unlink()
     with pytest.raises(NotFound):
         registry.get(product_id)
-    assert registry.list() == []
+    assert registry.load_all() == []
 
 
 def test_object_file_holding_another_product_is_reported(registry: Registry) -> None:
@@ -139,7 +140,6 @@ def test_leftover_temp_file_is_ignored(registry: Registry) -> None:
     registry.ingest(_doc("alpha"))
     (registry.root / "objects" / ".tmp-interrupted").write_bytes(_doc("beta")[:40])
     assert [m.product.id.text for m in registry.load_all()] == ["doi:10.1000/alpha"]
-    assert [pid.text for pid, _ in registry.list()] == ["doi:10.1000/alpha"]
 
 
 def test_ingest_writes_only_objects_and_the_lock(registry: Registry) -> None:
@@ -194,6 +194,6 @@ def test_concurrent_writer_fails_fast(registry: Registry) -> None:
 def test_registry_layout_is_created_lazily(tmp_path: Path) -> None:
     registry = Registry(tmp_path / "deep" / "nested" / "reg")
     assert not registry.root.exists()
-    assert registry.list() == []
+    assert registry.load_all() == []
     registry.ingest(_doc("alpha"))
     assert (registry.root / "objects").is_dir()
