@@ -160,8 +160,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return worst
 
 
-def _load_graph(registry_dir: str) -> CreditGraph:
-    graph = build_graph(Registry(registry_dir).load_all())
+def _warn(graph: CreditGraph) -> CreditGraph:
     for warning in graph.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return graph
@@ -190,7 +189,9 @@ def cmd_credit(args: argparse.Namespace) -> int:
     product = _parse_cli_id(args.product, "--product")
     entity = _parse_cli_id(args.entity, "--entity") if args.entity else None
     options = _options(args)
-    allocation = transitive_credit(_load_graph(args.registry), product, options)
+    allocation = transitive_credit(
+        _warn(build_graph(Registry(args.registry).load_all())), product, options
+    )
     if entity is not None:
         share = allocation.shares.get(entity, 0.0)
         if args.format == "json":
@@ -221,7 +222,7 @@ def cmd_credit(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     scope = RankScope.ALL_PRODUCTS if args.scope == "all" else RankScope.ROOTS_ONLY
     options = _options(args)
-    rows = aggregate_rank(_load_graph(args.registry), scope, options)
+    rows = aggregate_rank(_warn(Registry(args.registry).load_graph()), scope, options)
     if args.format == "json":
         doc = {
             "scope": scope.value,
@@ -266,7 +267,7 @@ def _render_dot(graph: CreditGraph) -> str:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    sys.stdout.write(_render_dot(_load_graph(args.registry)))
+    sys.stdout.write(_render_dot(_warn(Registry(args.registry).load_graph())))
     return 0
 
 

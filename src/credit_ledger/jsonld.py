@@ -119,6 +119,9 @@ _ENTRY_KEYS = frozenset(
      "email", "license", "creditWeight"}
 )
 
+#: Deepest nesting of an unrecognized value that parsing preserves.
+_MAX_KEPT_DEPTH = 100
+
 _CITATION_KEY_TO_CATEGORY = {
     "articles": Category.ARTICLE,
     "software": Category.SOFTWARE,
@@ -126,6 +129,26 @@ _CITATION_KEY_TO_CATEGORY = {
     "other": Category.OTHER,
 }
 _CATEGORY_TO_CITATION_KEY = {v: k for k, v in _CITATION_KEY_TO_CATEGORY.items()}
+
+
+def _kept(value: Any, where: str) -> Any:
+    """An unrecognized value, preserved as it is if it nests at most
+    _MAX_KEPT_DEPTH levels.
+
+    The bound keeps every stored document far shallower than the stack
+    depth that json.loads needs, wherever a later reader calls it from.
+    """
+    level = [value]
+    for _ in range(_MAX_KEPT_DEPTH):
+        level = [
+            child
+            for v in level
+            if isinstance(v, (dict, list))
+            for child in (v.values() if isinstance(v, dict) else v)
+        ]
+        if not level:
+            return value
+    raise CreditmapSyntaxError(f"{where} nests more than {_MAX_KEPT_DEPTH} levels deep")
 
 
 def _require_str(value: Any, where: str) -> str:
@@ -143,7 +166,10 @@ def _parse_weight(raw: Any, where: str) -> float:
         except ValueError:
             raise WeightParseError(f"{where}: non-numeric creditWeight {raw!r}") from None
     else:
-        weight = float(raw)
+        try:
+            weight = float(raw)
+        except OverflowError:
+            raise WeightParseError(f"{where}: creditWeight is too large a number") from None
     if not (0.0 < weight <= 1.0):
         raise WeightParseError(f"{where}: creditWeight {raw!r} outside (0, 1]")
     return weight
@@ -203,7 +229,7 @@ def _parse_entry(
         if key not in _ENTRY_KEYS:
             if mode is ParseMode.STRICT:
                 raise UnknownKey(f"unrecognized key {where}.{key}")
-            extra[key] = obj[key]
+            extra[key] = _kept(obj[key], f"{where}.{key}")
             warnings.append(ParseWarning(UNKNOWN_KEY, f"unrecognized key {where}.{key}"))
 
     type_tag = None
@@ -296,6 +322,15 @@ def parse_creditmap(
         MissingProductId: no way to identify the product.
         UnknownKey, UnknownType: strict-mode profile violations.
     """
+    try:
+        return _parse_document(text, mode)
+    except RecursionError:  # json.loads and repr recurse once per level of nesting
+        raise CreditmapSyntaxError("document nests too deeply") from None
+
+
+def _parse_document(
+    text: str | bytes, mode: ParseMode
+) -> tuple[CreditMap, list[ParseWarning]]:
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -303,7 +338,11 @@ def parse_creditmap(
             raise CreditmapSyntaxError(f"document is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        if "\\u" in text:
+            # An escaped surrogate without its partner decodes to a str
+            # that cannot be written back as UTF-8.
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except ValueError as exc:  # also an integer too long to convert, or a lone surrogate
         raise CreditmapSyntaxError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CreditmapSyntaxError("top-level value must be an object")
@@ -357,7 +396,7 @@ def parse_creditmap(
         if key not in _TOP_KEYS:
             if mode is ParseMode.STRICT:
                 raise UnknownKey(f"unrecognized key {key}")
-            extra[key] = doc[key]
+            extra[key] = _kept(doc[key], key)
             warnings.append(ParseWarning(UNKNOWN_KEY, f"unrecognized key {key}"))
 
     entries: list[CreditEntry] = []
@@ -374,7 +413,7 @@ def parse_creditmap(
             if key not in _CITATION_KEY_TO_CATEGORY:
                 if mode is ParseMode.STRICT:
                     raise UnknownKey(f"unrecognized key citation.{key}")
-                extra[f"citation.{key}"] = citation[key]
+                extra[f"citation.{key}"] = _kept(citation[key], f"citation.{key}")
                 warnings.append(
                     ParseWarning(UNKNOWN_KEY, f"unrecognized key citation.{key}")
                 )

@@ -215,7 +215,7 @@ def canonicalize_id(raw: str) -> EntityId:
     return EntityId(IdScheme.NAME, text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntryDisplay:
     """Descriptive metadata carried alongside an entry, never used for identity.
 
@@ -232,7 +232,7 @@ class EntryDisplay:
     extra: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreditEntry:
     """One weighted contribution: who or what, in which category, how much.
 
@@ -247,7 +247,7 @@ class CreditEntry:
     display: EntryDisplay = field(default_factory=EntryDisplay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductMeta:
     """Identity and descriptive fields of the product a map belongs to."""
 
@@ -259,7 +259,7 @@ class ProductMeta:
     extra: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreditMap:
     """A product plus its complete, conserving credit distribution."""
 

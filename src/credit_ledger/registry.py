@@ -5,20 +5,41 @@ objects/<sha256-of-canonical-id>.jsonld, one file per product and the only
 source of truth, and .lock is an advisory write lock. A write goes to a
 temp file that is fsynced and renamed into place; each batch of writes
 then fsyncs objects/ once, so the renames are durable too.
+
+graph.json is a derived snapshot of the citation graph, keyed to the bytes
+of every object file (see Registry.load_graph). It is never trusted stale,
+never fsynced, and safe to delete.
 """
 
 from __future__ import annotations
 
 import fcntl
 import hashlib
+import json
 import os
 import tempfile
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from .graph import CreditGraph, GraphEdge, NodeKind, build_graph
 from .jsonld import parse_creditmap, serialize_creditmap
 from .model import CreditLedgerError, CreditMap, EntityId, Violation, validate_creditmap
+
+
+#: Leads the stamp, so a snapshot of another layout never matches.
+_SNAPSHOT_FORMAT = b"credit-ledger graph snapshot 1\n"
+_KIND_CODES = {
+    NodeKind.REGISTERED_PRODUCT: "r",
+    NodeKind.TERMINAL_PERSON: "p",
+    NodeKind.TERMINAL_PRODUCT: "t",
+}
+_KINDS_BY_CODE = {code: kind for kind, code in _KIND_CODES.items()}
+
+
+def _object_name(product_id: EntityId) -> str:
+    return hashlib.sha256(product_id.text.encode("utf-8")).hexdigest() + ".jsonld"
 
 
 class RegistryError(CreditLedgerError):
@@ -112,19 +133,47 @@ class Registry:
             raise StorageError(f"cannot sync {self._objects}: {exc}") from exc
 
     def _object_path(self, product_id: EntityId) -> Path:
-        digest = hashlib.sha256(product_id.text.encode("utf-8")).hexdigest()
-        return self._objects / f"{digest}.jsonld"
+        return self._objects / _object_name(product_id)
 
-    def _read_object(self, path: Path) -> CreditMap:
+    def _read_bytes(self, path: Path) -> bytes:
         try:
-            data = path.read_bytes()
+            return path.read_bytes()
         except OSError as exc:
             raise StorageError(f"cannot read {path}: {exc}") from exc
+
+    def _parse_object(self, path: Path, data: bytes) -> CreditMap:
         try:
             creditmap, _ = parse_creditmap(data)
         except CreditLedgerError as exc:
             raise StorageError(f"stored document {path} does not parse: {exc}") from exc
         return creditmap
+
+    def _object_files(self) -> Iterator[tuple[Path, bytes]]:
+        """(path, bytes) of every objects/*.jsonld file, in name order."""
+        try:
+            names = sorted(n for n in os.listdir(self._objects) if n.endswith(".jsonld"))
+        except (FileNotFoundError, NotADirectoryError):
+            return
+        except OSError as exc:
+            raise StorageError(f"cannot list {self._objects}: {exc}") from exc
+        for name in names:
+            path = self._objects / name
+            yield path, self._read_bytes(path)
+
+    def _registered_maps(self, files: Iterable[tuple[Path, bytes]]) -> list[CreditMap]:
+        """The maps the object files hold, sorted by product id text.
+
+        A stray file (a copy or a hand-made file) holds a map whose id does
+        not hash to the file's name; get() would never read it, so whole
+        registry reads skip it too.
+        """
+        maps = []
+        for path, data in files:
+            creditmap = self._parse_object(path, data)
+            if _object_name(creditmap.product.id) == path.name:
+                maps.append(creditmap)
+        maps.sort(key=lambda m: m.product.id.text)
+        return maps
 
     def ingest(self, text: str | bytes, *, force: bool = False) -> EntityId:
         """Validate a document and store its normalized form.
@@ -178,7 +227,7 @@ class Registry:
         path = self._object_path(product_id)
         if not path.exists():
             raise NotFound(f"no registered product {product_id.text}")
-        creditmap = self._read_object(path)
+        creditmap = self._parse_object(path, self._read_bytes(path))
         if creditmap.product.id != product_id:
             raise StorageError(
                 f"{path} holds {creditmap.product.id.text}, expected {product_id.text}"
@@ -186,7 +235,97 @@ class Registry:
         return creditmap
 
     def load_all(self) -> list[CreditMap]:
-        """Every registered credit map, sorted by canonical product id text."""
-        maps = [self._read_object(path) for path in self._objects.glob("*.jsonld")]
-        maps.sort(key=lambda m: m.product.id.text)
-        return maps
+        """Every registered credit map, sorted by canonical product id text.
+
+        Object files whose name is not the digest of the id they hold are
+        skipped.
+        """
+        return self._registered_maps(self._object_files())
+
+    def load_graph(self) -> CreditGraph:
+        """The citation graph of every registered map, from the snapshot if fresh.
+
+        Reads every object file once and hashes the bytes. When graph.json
+        carries that stamp, the graph stored there is returned and nothing
+        is parsed. Otherwise the same bytes are parsed (stray files skipped
+        as in load_all), the graph is built, and the snapshot is rewritten
+        under their stamp before the graph is returned. A failed build
+        (a cycle, an object that does not parse) raises as build_graph and
+        load_all do and writes nothing; a failed snapshot write is ignored.
+
+        Raises:
+            StorageError: an object file cannot be read or does not parse.
+            GraphError: the maps do not form a valid graph.
+        """
+        files = deque(self._object_files())
+        digest = hashlib.sha256(_SNAPSHOT_FORMAT)
+        for path, data in files:
+            digest.update(f"{path.name}\0{len(data)}\0".encode())
+            digest.update(data)
+        stamp = digest.hexdigest().encode() + b"\n"
+        graph = self._read_snapshot(stamp)
+        if graph is not None:
+            return graph
+        # Each blob is dropped once parsed, and the maps once the graph is
+        # built: bytes, maps and snapshot text are never all held at once.
+        maps = self._registered_maps(files.popleft() for _ in range(len(files)))
+        graph = build_graph(maps)
+        del maps
+        if graph.edges:  # an empty registry, or a missing one, gets no file
+            self._write_snapshot(stamp, graph)
+        return graph
+
+    def _read_snapshot(self, stamp: bytes) -> CreditGraph | None:
+        """The graph in graph.json if its first line is stamp, else None."""
+        try:
+            with open(self.root / "graph.json", "rb") as f:
+                if f.readline() != stamp:
+                    return None
+                id_texts, kinds, products, warnings = json.loads(f.read())
+            ids = [EntityId.from_text(text) for text in id_texts]
+            nodes = {eid: _KINDS_BY_CODE[code] for eid, code in zip(ids, kinds, strict=True)}
+            edges = {
+                ids[row[0]]: tuple(
+                    GraphEdge(ids[target], float(weight))
+                    for target, weight in zip(row[1::2], row[2::2], strict=True)
+                )
+                for row in products
+            }
+            if not all(isinstance(w, str) for w in warnings):
+                return None
+            return CreditGraph(nodes=nodes, edges=edges, warnings=tuple(warnings))
+        except (OSError, ValueError, TypeError, KeyError, IndexError, AttributeError,
+                RecursionError, CreditLedgerError):
+            return None  # a missing, torn or hand-edited snapshot is rebuilt
+
+    def _write_snapshot(self, stamp: bytes, graph: CreditGraph) -> None:
+        """Replace graph.json; on any OSError leave no temp file and go on.
+
+        The file is derived, so it is not fsynced: a torn or lost write
+        fails the stamp or the parse on the next read and is rebuilt.
+        """
+        index = {eid: i for i, eid in enumerate(graph.nodes)}
+        # json writes each weight as repr(weight), which reads back exactly.
+        body = json.dumps(
+            [
+                [eid.text for eid in graph.nodes],
+                "".join(_KIND_CODES[kind] for kind in graph.nodes.values()),
+                [
+                    [index[pid], *(x for e in out for x in (index[e.target], e.weight))]
+                    for pid, out in graph.edges.items()
+                ],
+                list(graph.warnings),
+            ],
+            separators=(",", ":"),
+        )
+        tmp_name = None
+        try:
+            fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
+            with os.fdopen(fd, "wb") as f:
+                f.write(stamp)
+                f.write(body.encode())
+            os.replace(tmp_name, self.root / "graph.json")
+        except OSError:
+            if tmp_name is not None:
+                with suppress(OSError):
+                    os.unlink(tmp_name)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -287,6 +289,63 @@ def test_stored_identity_parses_back_to_the_ingested_id(
     assert code == 0, err
     assert entity in [row["entity"] for row in json.loads(out)["totals"]]
 
+
+
+def _with_paper_c(tail: str) -> bytes:
+    """paper_c.jsonld with tail spliced in as its last top-level member."""
+    text = fixture_path("paper_c.jsonld").read_text().rstrip()
+    return (text[:-1].rstrip() + ", " + tail + "}\n").encode()
+
+
+# Documents that once escaped main() as a traceback from float(), json.loads
+# or the serializer; each must be one `path:Code:message` line and exit 1.
+HOSTILE_DOCUMENTS = {
+    "400-digit-integer-weight": (
+        fixture_path("paper_c.jsonld").read_bytes().replace(
+            b'"creditWeight": "0.9"', b'"creditWeight": ' + b"9" * 400, 1
+        ),
+        "WeightParseError",
+    ),
+    "100000-nested-arrays": (b"[" * 100_000, "CreditmapSyntaxError"),
+    "5000-digit-integer": (_with_paper_c('"x": ' + "1" * 5000), "CreditmapSyntaxError"),
+    "unpaired-surrogate-escape": (_with_paper_c('"x": "\\ud800"'), "CreditmapSyntaxError"),
+    "unknown-value-nested-900-deep": (
+        _with_paper_c('"x": ' + "[" * 900 + "]" * 900), "CreditmapSyntaxError"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_DOCUMENTS))
+def test_hostile_document_is_reported_not_raised(
+    case: str, registry_dir: str, run_cli, tmp_path: Path
+) -> None:
+    data, error = HOSTILE_DOCUMENTS[case]
+    doc = tmp_path / "hostile.jsonld"
+    doc.write_bytes(data)
+    for argv in (("validate",), ("ingest", "--registry", registry_dir)):
+        code, out, err = run_cli(*argv, str(doc))
+        assert code == 1, err
+        assert out.startswith(f"{doc}:{error}:")
+        assert len(out.splitlines()) == 1
+    assert not list(Path(registry_dir).glob("objects/*"))
+
+
+def test_stray_copy_of_an_object_does_not_change_any_read(
+    loaded_registry: str, run_cli
+) -> None:
+    reads = [
+        ("credit", "--product", PRODUCT_C),
+        ("rank",),
+        ("rank", "--scope", "roots", "--format", "json"),
+        ("graph",),
+    ]
+    before = [run_cli(argv[0], "--registry", loaded_registry, *argv[1:]) for argv in reads]
+    objects = Path(loaded_registry) / "objects"
+    digest = hashlib.sha256(PRODUCT_A.encode()).hexdigest()
+    shutil.copyfile(objects / f"{digest}.jsonld", objects / "backup.jsonld")
+    after = [run_cli(argv[0], "--registry", loaded_registry, *argv[1:]) for argv in reads]
+    assert after == before
+    assert all(code == 0 for code, _, _ in after)
 
 def test_credit_entity_prints_a_bare_fraction(loaded_registry: str, run_cli) -> None:
     code, out, _ = run_cli(
