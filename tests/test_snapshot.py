@@ -260,3 +260,281 @@ def test_build_warnings_print_the_same_on_a_hit_and_a_miss(root: Path, parses) -
         "warning: doi:10.1000/p3: ORCID orcid:0000-0002-1825-0097 cited in product "
         "category 'software'; treating it as a person\n"
     )
+
+
+def _objects_line(root: Path) -> dict:
+    """The per-object line of graph.json, decoded."""
+    return json.loads((root / "graph.json").read_bytes().split(b"\n")[2])
+
+
+def _replace_objects_line(root: Path, text: str) -> None:
+    """Keep the stamp and graph lines of graph.json and replace what follows."""
+    stamp, graph_line, _ = (root / "graph.json").read_bytes().split(b"\n", 2)
+    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + text.encode())
+
+
+def _force(root: Path, products: range) -> None:
+    """Re-ingest each product with the next weights: other bytes, same size."""
+    _ingest(root, {i: _doc(i, WEIGHTS[(i + 1) % len(WEIGHTS)]) for i in products}, "--force")
+
+
+def _stray_copy(root: Path) -> None:
+    shutil.copy(_object(root, 1), root / "objects" / "backup.jsonld")
+
+
+def _truncate_objects_line(root: Path) -> None:
+    os.truncate(root / "graph.json", (root / "graph.json").stat().st_size - 9)
+
+
+# Each change to a registry whose snapshot is current, and how many object
+# files the next read must parse.
+CHANGES = {
+    "nothing": (lambda root: None, 0),
+    "one object rewritten in place": (lambda root: _rewrite_in_place(_object(root, 2)), 1),
+    "three objects rewritten in place": (
+        lambda root: [_rewrite_in_place(_object(root, i)) for i in (0, 3, 5)],
+        3,
+    ),
+    "two objects forced": (lambda root: _force(root, range(2, 4)), 2),
+    "a new product": (lambda root: _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])}), 1),
+    "a stray copy": (_stray_copy, 1),
+    "one object deleted": (lambda root: _object(root, 4).unlink(), 0),
+    "the snapshot deleted": (lambda root: (root / "graph.json").unlink(), PRODUCTS),
+    # A hit never reads the per-object line; a refresh that cannot decode it
+    # parses every object file.
+    "the per-object line truncated": (_truncate_objects_line, 0),
+    "an object rewritten and the per-object line truncated": (
+        lambda root: (_rewrite_in_place(_object(root, 0)), _truncate_objects_line(root)),
+        PRODUCTS,
+    ),
+}
+
+
+@pytest.mark.parametrize("change", CHANGES)
+def test_a_refresh_parses_only_the_objects_that_changed(root: Path, parses, change) -> None:
+    _reads(root)
+    apply, expected = CHANGES[change]
+    apply(root)
+    parses.clear()  # ingest parses its input documents too
+    reads = _reads(root)
+    assert len(parses) == expected
+    assert reads == _fresh_reads(root)
+
+
+def test_a_stray_file_is_recorded_and_not_parsed_again(root: Path, parses) -> None:
+    _stray_copy(root)
+    _reads(root)
+    assert _objects_line(root)["backup.jsonld"][1:] == [None, ""]
+    _rewrite_in_place(_object(root, 3))
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == 1
+    assert reads == _fresh_reads(root)
+
+
+def _edit_record(edit):
+    """Damage that replaces object 1's record in the per-object line by
+    edit(record, record of object 2)."""
+
+    def damage(root: Path) -> None:
+        objects = _objects_line(root)
+        name = _object(root, 1).name
+        objects[name] = edit(objects[name], objects[_object(root, 2).name])
+        _replace_objects_line(root, json.dumps(objects) + "\n")
+
+    return damage
+
+
+def _target_out_of_range(root: Path, target: int) -> None:
+    """Point the first citation target in the graph line outside the id table."""
+    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
+    ids, kinds, products, warnings = json.loads(graph_line)
+    products[0][1] = len(ids) if target >= 0 else target
+    graph_line = json.dumps([ids, kinds, products, warnings]).encode()
+    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + objects_line)
+
+
+# Damage to the per-object line of a stale snapshot. Each must fall back to
+# parsing every object file.
+DAMAGE = {
+    "truncated to nothing": lambda root: _replace_objects_line(root, ""),
+    "truncated mid-record": lambda root: _replace_objects_line(
+        root, (root / "graph.json").read_bytes().split(b"\n")[2][:150].decode()
+    ),
+    "a list": lambda root: _replace_objects_line(root, "[]\n"),
+    "null": lambda root: _replace_objects_line(root, "null\n"),
+    "a record of two fields": _edit_record(lambda record, other: record[:2]),
+    "a category code too few": _edit_record(
+        lambda record, other: [record[0], record[1], record[2][:-1]]
+    ),
+    "an unknown category code": _edit_record(lambda record, other: [record[0], record[1], "zz"]),
+    "a product index that is text": _edit_record(
+        lambda record, other: [record[0], "0", record[2]]
+    ),
+    "a product index past the id table": _edit_record(
+        lambda record, other: [record[0], 10_000, record[2]]
+    ),
+    "a negative product index": _edit_record(lambda record, other: [record[0], -1, record[2]]),
+    "a record naming another product": _edit_record(
+        lambda record, other: [record[0], other[1], record[2]]
+    ),
+    "a target index past the id table": lambda root: _target_out_of_range(root, 1),
+    "a negative target index": lambda root: _target_out_of_range(root, -1),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_per_object_line_falls_back_to_a_full_parse(
+    root: Path, parses, damage
+) -> None:
+    _reads(root)
+    _rewrite_in_place(_object(root, 5))
+    DAMAGE[damage](root)
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == PRODUCTS
+    assert reads == _fresh_reads(root)
+
+
+def test_records_of_files_that_no_longer_exist_are_ignored(root: Path, parses) -> None:
+    _reads(root)
+    _object(root, 4).unlink()
+    _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])})
+    objects = _objects_line(root)
+    assert _object(root, 4).name in objects
+    objects["gone.jsonld"] = ["0" * 64, None, ""]
+    _replace_objects_line(root, json.dumps(objects) + "\n")
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == 1  # the new product
+    assert _object(root, 4).name not in _objects_line(root)
+    assert "gone.jsonld" not in _objects_line(root)
+    assert reads == _fresh_reads(root)
+
+
+def test_a_snapshot_of_the_first_format_is_rebuilt(root: Path, parses) -> None:
+    """A graph.json written before the per-object line existed (a stamp and
+    a graph line only) never matches, and is replaced by a full parse."""
+    _reads(root)
+    stamp, graph_line, _ = (root / "graph.json").read_bytes().split(b"\n", 2)
+    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line)
+    _rewrite_in_place(_object(root, 1))
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == PRODUCTS
+    assert reads == _fresh_reads(root)
+    assert len(_objects_line(root)) == PRODUCTS
+
+
+# Citations whose terminal classification a refresh must keep: each is
+# (citation key, entry) and weighs 0.1 in the citing map.
+CITATIONS = {
+    "unregistered doi as article": ("articles", {"doi": "10.3000/unregistered"}),
+    "email as acknowledgment": ("acknowledgment", {"email": "helper@example.org"}),
+    "url as software": ("software", {"codeRepository": "https://example.org/tool"}),
+    "orcid as software": ("software", {"@id": "http://orcid.org/0000-0002-1825-0097"}),
+    "url as other": ("other", {"url": "http://example.org/post"}),
+    "shared id as person": ("acknowledgment", {"url": "https://example.org/shared"}),
+    "shared id as product": ("software", {"codeRepository": "https://example.org/shared"}),
+    "the previous product": ("articles", None),
+}
+CLASSIFIED = 4
+
+
+def _classified_doc(i: int, cited: frozenset[str]) -> bytes:
+    """Product r<i>: one author and a citation of 0.1 for each name in cited
+    (a map cannot cite the shared id both ways, so the product side goes)."""
+    if {"shared id as person", "shared id as product"} <= cited:
+        cited = cited - {"shared id as product"}
+    citation: dict[str, list] = {}
+    for name in sorted(cited):
+        key, entry = CITATIONS[name]
+        if entry is None:
+            entry = {"doi": f"10.3000/r{i - 1}"}  # r-1 is never registered
+        citation.setdefault(key, []).append({**entry, "creditWeight": "0.1"})
+    return json.dumps(
+        {
+            "@context": "http://schema.org",
+            "@type": "Code",
+            "doi": f"10.3000/r{i}",
+            "author": [{"name": f"Author {i}", "creditWeight": f"{1 - 0.1 * len(cited):.1f}"}],
+            "citation": citation,
+        }
+    ).encode()
+
+
+CLASSIFY_STEPS = st.one_of(
+    st.tuples(
+        st.just("force"),
+        st.integers(0, CLASSIFIED - 1),
+        st.frozensets(st.sampled_from(sorted(CITATIONS))),
+    ),
+    st.tuples(st.just("delete-object"), st.integers(0, CLASSIFIED - 1)),
+)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(steps=st.lists(CLASSIFY_STEPS, min_size=1, max_size=6))
+def test_terminal_classification_survives_a_refresh(steps, tmp_path) -> None:
+    """Node shapes and warnings of `graph` equal a fresh copy's after every
+    change, while the maps of unchanged objects come from the snapshot."""
+    names = sorted(CITATIONS)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        root = Path(tmp) / "reg"
+        # Every citation kind is in the registry before the first change.
+        _ingest(root, {i: _classified_doc(i, frozenset(names[i::2])) for i in range(CLASSIFIED)})
+        for step in steps:
+            _run("graph", "--registry", str(root))  # writes the snapshot
+            if step[0] == "force":
+                _ingest(root, {step[1]: _classified_doc(step[1], step[2])}, "--force")
+            else:
+                (root / "objects" / _classified_name(step[1])).unlink(missing_ok=True)
+            graph = _run("graph", "--registry", str(root))
+            with tempfile.TemporaryDirectory() as fresh:
+                shutil.copytree(root / "objects", Path(fresh) / "objects")
+                assert graph == _run("graph", "--registry", fresh), steps
+
+
+def _classified_name(i: int) -> str:
+    return hashlib.sha256(f"doi:10.3000/r{i}".encode()).hexdigest() + ".jsonld"
+
+
+def test_a_stray_file_whose_name_is_not_utf8_changes_no_read(root: Path) -> None:
+    expected = _fresh_reads(root)
+    try:
+        shutil.copy(_object(root, 1), os.fsencode(root / "objects") + b"/copy\xff.jsonld")
+    except OSError:
+        pytest.skip("this filesystem refuses names that are not UTF-8")
+    for _ in range(2):  # a full parse, then a hit
+        assert _reads(root) == expected
+    _rewrite_in_place(_object(root, 1))
+    assert _reads(root) == _fresh_reads(root)
+
+
+def _close_a_cycle(root: Path) -> None:
+    """Force product 0 to cite product 2, which cites product 1, which cites 0."""
+    doc = json.loads(_doc(0, WEIGHTS[0]))
+    doc["citation"] = {"software": [{"doi": "10.1000/p2", "creditWeight": "0.4"}]}
+    _ingest(root, {0: json.dumps(doc).encode()}, "--force")
+
+
+@pytest.mark.parametrize(
+    ("change", "exit_code"),
+    [
+        (_close_a_cycle, 1),
+        (lambda root: _object(root, 2).write_bytes(b"{"), 2),
+    ],
+    ids=["a cycle", "an object that does not parse"],
+)
+def test_a_refresh_that_fails_leaves_the_snapshot_as_it_was(root: Path, change, exit_code) -> None:
+    _reads(root)
+    before = (root / "graph.json").read_bytes()
+    change(root)
+    for _ in range(2):
+        assert [code for code, _, _ in _reads(root)] == [exit_code] * len(READS)
+    assert [code for code, _, _ in _fresh_reads(root)] == [exit_code] * len(READS)
+    assert (root / "graph.json").read_bytes() == before
