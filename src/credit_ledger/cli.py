@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .engine import PropagationOptions, RankScope, aggregate_rank, transitive_credit
 from .graph import CreditGraph, NodeKind, build_graph
@@ -90,74 +91,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_parse_failure(path: str, exc: CreditLedgerError) -> None:
-    print(f"{path}:{type(exc).__name__}:{exc}")
+def _each_file(paths: list[str], handle: Callable[[str, bytes], None]) -> int:
+    """Call handle(path, bytes) for each file, report each failure, and
+    return the worst exit code."""
+    worst = 0
+    for path in paths:
+        try:
+            handle(path, Path(path).read_bytes())
+        except BrokenPipeError:
+            raise  # stdout closed early: main() ends the run
+        except (OSError, StorageError) as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            worst = 2
+        except ValidationFailed as exc:
+            for violation in exc.violations:
+                print(f"{path}:{violation.code}:{violation.message}")
+            worst = max(worst, 1)
+        except (ParseError, InvalidIdentifier, DuplicateProduct) as exc:
+            print(f"{path}:{type(exc).__name__}:{exc}")
+            worst = max(worst, 1)
+    return worst
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     mode = ParseMode.STRICT if args.strict else ParseMode.LENIENT
-    worst = 0
-    for path in args.files:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
-            continue
-        try:
-            creditmap, warnings = parse_creditmap(data, mode)
-        except (ParseError, InvalidIdentifier) as exc:
-            _print_parse_failure(path, exc)
-            worst = max(worst, 1)
-            continue
+
+    def check(path: str, data: bytes) -> None:
+        creditmap, warnings = parse_creditmap(data, mode)
         for warning in warnings:
             print(f"{path}:{warning.code}:{warning.message}")
         violations = validate_creditmap(creditmap)
-        for violation in violations:
-            print(f"{path}:{violation.code}:{violation.message}")
         if violations:
-            worst = max(worst, 1)
-    return worst
+            raise ValidationFailed(violations)
+
+    return _each_file(args.files, check)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     registry = Registry(args.registry)
-    worst = 0
+
+    def store(path: str, data: bytes) -> None:
+        product_id = registry.ingest(data, force=args.force)
+        if product_id.scheme is IdScheme.NAME:
+            print(
+                f"warning: {path}: product has no persistent identifier; "
+                f"registered as {product_id.text}",
+                file=sys.stderr,
+            )
+        print(f"registered {product_id.text}")
+
     with registry.batch():
-        for path in args.files:
-            try:
-                data = Path(path).read_bytes()
-            except OSError as exc:
-                print(f"{path}: {exc}", file=sys.stderr)
-                worst = max(worst, 2)
-                continue
-            try:
-                product_id = registry.ingest(data, force=args.force)
-            except ValidationFailed as exc:
-                for violation in exc.violations:
-                    print(f"{path}:{violation.code}:{violation.message}")
-                worst = max(worst, 1)
-                continue
-            except DuplicateProduct as exc:
-                print(f"{path}:DuplicateProduct:{exc}")
-                worst = max(worst, 1)
-                continue
-            except (ParseError, InvalidIdentifier) as exc:
-                _print_parse_failure(path, exc)
-                worst = max(worst, 1)
-                continue
-            except StorageError as exc:
-                print(f"{path}: {exc}", file=sys.stderr)
-                worst = max(worst, 2)
-                continue
-            if product_id.scheme is IdScheme.NAME:
-                print(
-                    f"warning: {path}: product has no persistent identifier; "
-                    f"registered as {product_id.text}",
-                    file=sys.stderr,
-                )
-            print(f"registered {product_id.text}")
-    return worst
+        return _each_file(args.files, store)
 
 
 def _warn(graph: CreditGraph) -> CreditGraph:
@@ -283,7 +267,14 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Stdout closed early (as with | head). What is left in its buffer
+        # goes to devnull, so the interpreter's last flush does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except StorageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,16 +99,8 @@ _PRODUCT_TYPE_TO_KIND = {
     "BlogPosting": ProductKind.BLOG_POSTING,
     "CreativeWork": ProductKind.OTHER,
 }
-_KIND_TO_PRODUCT_TYPE = {
-    ProductKind.SCHOLARLY_ARTICLE: "ScholarlyArticle",
-    ProductKind.CODE: "Code",
-    ProductKind.DATASET: "Dataset",
-    ProductKind.BLOG_POSTING: "BlogPosting",
-    ProductKind.OTHER: "CreativeWork",
-}
-_ENTRY_TYPE_TAGS = frozenset(
-    {"Person", "ScholarlyArticle", "Code", "Dataset", "BlogPosting", "CreativeWork"}
-)
+_KIND_TO_PRODUCT_TYPE = {v: k for k, v in _PRODUCT_TYPE_TO_KIND.items()}
+_ENTRY_TYPE_TAGS = frozenset({"Person", *_PRODUCT_TYPE_TO_KIND})
 
 _TOP_KEYS = frozenset(
     {"@context", "@type", "@id", "doi", "url", "headline", "dateCreated",
@@ -129,6 +121,20 @@ _CITATION_KEY_TO_CATEGORY = {
     "other": Category.OTHER,
 }
 _CATEGORY_TO_CITATION_KEY = {v: k for k, v in _CITATION_KEY_TO_CATEGORY.items()}
+
+
+def _outside_profile(
+    mode: ParseMode,
+    warnings: list[ParseWarning],
+    error: type[ParseError],
+    code: str,
+    message: str,
+) -> None:
+    """Something outside the profile: strict mode raises error(message),
+    lenient mode records a warning under code."""
+    if mode is ParseMode.STRICT:
+        raise error(message) from None
+    warnings.append(ParseWarning(code, message))
 
 
 def _kept(value: Any, where: str) -> Any:
@@ -227,20 +233,16 @@ def _parse_entry(
     extra: dict[str, Any] = {}
     for key in obj:
         if key not in _ENTRY_KEYS:
-            if mode is ParseMode.STRICT:
-                raise UnknownKey(f"unrecognized key {where}.{key}")
+            message = f"unrecognized key {where}.{key}"
+            _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
             extra[key] = _kept(obj[key], f"{where}.{key}")
-            warnings.append(ParseWarning(UNKNOWN_KEY, f"unrecognized key {where}.{key}"))
 
     type_tag = None
     if "@type" in obj:
         type_tag = _require_str(obj["@type"], f"{where}.@type")
         if type_tag not in _ENTRY_TYPE_TAGS:
-            if mode is ParseMode.STRICT:
-                raise UnknownType(f"{where}: unrecognized @type {type_tag!r}")
-            warnings.append(
-                ParseWarning(UNKNOWN_TYPE, f"{where}: unrecognized @type {type_tag!r}")
-            )
+            message = f"{where}: unrecognized @type {type_tag!r}"
+            _outside_profile(mode, warnings, UnknownType, UNKNOWN_TYPE, message)
 
     name = _require_str(obj["name"], f"{where}.name") if "name" in obj else None
     headline = _require_str(obj["headline"], f"{where}.headline") if "headline" in obj else None
@@ -358,12 +360,9 @@ def _parse_document(
     raw_type = doc.get("@type")
     if isinstance(raw_type, str) and raw_type in _PRODUCT_TYPE_TO_KIND:
         kind = _PRODUCT_TYPE_TO_KIND[raw_type]
-    elif mode is ParseMode.STRICT:
-        raise UnknownType(f"unrecognized product @type {raw_type!r}")
     else:
-        warnings.append(
-            ParseWarning(UNKNOWN_TYPE, f"unrecognized product @type {raw_type!r}")
-        )
+        message = f"unrecognized product @type {raw_type!r}"
+        _outside_profile(mode, warnings, UnknownType, UNKNOWN_TYPE, message)
 
     headline = _require_str(doc["headline"], "headline") if "headline" in doc else ""
 
@@ -373,13 +372,8 @@ def _parse_document(
         try:
             date_created = date.fromisoformat(_require_str(raw_date, "dateCreated"))
         except (CreditmapSyntaxError, ValueError):
-            if mode is ParseMode.STRICT:
-                raise CreditmapSyntaxError(
-                    f"dateCreated {raw_date!r} is not an ISO-8601 date"
-                ) from None
-            warnings.append(
-                ParseWarning(INVALID_DATE, f"dateCreated {raw_date!r} is not an ISO-8601 date")
-            )
+            message = f"dateCreated {raw_date!r} is not an ISO-8601 date"
+            _outside_profile(mode, warnings, CreditmapSyntaxError, INVALID_DATE, message)
 
     keywords: tuple[str, ...] = ()
     if "keywords" in doc:
@@ -394,10 +388,8 @@ def _parse_document(
     extra: dict[str, Any] = {}
     for key in doc:
         if key not in _TOP_KEYS:
-            if mode is ParseMode.STRICT:
-                raise UnknownKey(f"unrecognized key {key}")
+            _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, f"unrecognized key {key}")
             extra[key] = _kept(doc[key], key)
-            warnings.append(ParseWarning(UNKNOWN_KEY, f"unrecognized key {key}"))
 
     entries: list[CreditEntry] = []
     if "author" in doc:
@@ -411,12 +403,9 @@ def _parse_document(
             raise CreditmapSyntaxError("citation must be an object")
         for key in citation:
             if key not in _CITATION_KEY_TO_CATEGORY:
-                if mode is ParseMode.STRICT:
-                    raise UnknownKey(f"unrecognized key citation.{key}")
+                message = f"unrecognized key citation.{key}"
+                _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
                 extra[f"citation.{key}"] = _kept(citation[key], f"citation.{key}")
-                warnings.append(
-                    ParseWarning(UNKNOWN_KEY, f"unrecognized key citation.{key}")
-                )
         for key, category in _CITATION_KEY_TO_CATEGORY.items():
             if key in citation:
                 entries.extend(

@@ -392,8 +392,9 @@ def _decode_graph(graph_line: bytes) -> CreditGraph | None:
     """The graph a snapshot's graph line holds, or None if it does not decode."""
     try:
         id_texts, kinds, products, warnings = json.loads(graph_line)
-        ids = [EntityId.from_text(text) for text in id_texts]
-        nodes = {eid: _KINDS_BY_CODE[code] for eid, code in zip(ids, kinds, strict=True)}
+        # A dict, not a list, so that a negative index is refused too.
+        ids = dict(enumerate(EntityId.from_text(text) for text in id_texts))
+        nodes = {eid: _KINDS_BY_CODE[code] for eid, code in zip(ids.values(), kinds, strict=True)}
         edges = {
             ids[row[0]]: tuple(
                 GraphEdge(ids[target], float(weight))

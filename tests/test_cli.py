@@ -7,6 +7,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from conftest import (
     PRODUCT_C,
     fixture_path,
 )
+from credit_ledger import cli
 
 EXPECTED_DOT = """digraph creditmap {
   "doi:10.9999/a" [shape=box];
@@ -196,6 +199,86 @@ def test_ingest_under_a_held_lock_fails_once(registry_dir: str, run_cli) -> None
     assert code == 2
     assert out == ""
     assert err == f"error: registry at {registry_dir} is locked by another writer\n"
+
+
+def test_mixed_batch_reports_each_file_exactly(
+    registry_dir: str, run_cli, tmp_path: Path
+) -> None:
+    missing = tmp_path / "missing.jsonld"
+    not_json = tmp_path / "not-json.jsonld"
+    not_json.write_text("not json\n")
+    short = tmp_path / "short.jsonld"
+    short.write_text(
+        json.dumps(
+            {
+                "@context": "http://schema.org",
+                "@type": "Code",
+                "doi": "10.1/short",
+                "author": [
+                    {"name": "A", "creditWeight": "0.5"},
+                    {"name": "B", "creditWeight": "0.4"},
+                ],
+            }
+        )
+    )
+    unknown = tmp_path / "unknown.jsonld"
+    unknown.write_text(
+        json.dumps(
+            {
+                "@context": "http://schema.org",
+                "@type": "Code",
+                "doi": "10.1/unknown",
+                "publisher": "Example Press",
+                "author": [{"@type": "Robot", "name": "R2", "creditWeight": "1"}],
+            }
+        )
+    )
+    article = fixture_path("article_creditmap.jsonld")
+    good = fixture_path("software_a.jsonld")
+    paths = [str(p) for p in (missing, not_json, short, unknown, article, good)]
+    article_id = "name:implementing transitive credit with json-ld"
+
+    not_found = f"{missing}: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    not_json_line = (
+        f"{not_json}:CreditmapSyntaxError:document is not valid JSON: "
+        "Expecting value: line 1 column 1 (char 0)\n"
+    )
+    short_line = f"{short}:WeightSum:credit weights sum to 0.9, not 1\n"
+    unknown_key_line = f"{unknown}:UnknownKey:unrecognized key publisher\n"
+
+    assert run_cli("validate", *paths) == (
+        2,
+        not_json_line
+        + short_line
+        + unknown_key_line
+        + f"{unknown}:UnknownType:author[0]: unrecognized @type 'Robot'\n",
+        not_found,
+    )
+    assert run_cli("validate", "--strict", *paths) == (
+        2,
+        not_json_line + short_line + unknown_key_line,
+        not_found,
+    )
+    assert run_cli("ingest", "--registry", registry_dir, *paths) == (
+        2,
+        not_json_line
+        + short_line
+        + "registered doi:10.1/unknown\n"
+        + f"registered {article_id}\n"
+        + f"registered {PRODUCT_A}\n",
+        not_found
+        + f"warning: {article}: product has no persistent identifier; "
+        f"registered as {article_id}\n",
+    )
+    assert run_cli("ingest", "--registry", registry_dir, *paths) == (
+        2,
+        not_json_line
+        + short_line
+        + f"{unknown}:DuplicateProduct:doi:10.1/unknown is already registered\n"
+        + f"{article}:DuplicateProduct:{article_id} is already registered\n"
+        + f"{good}:DuplicateProduct:{PRODUCT_A} is already registered\n",
+        not_found,
+    )
 
 
 def test_tab_in_a_product_id_leaves_the_registry_readable(
@@ -522,6 +605,48 @@ def test_cycle_is_ingestable_but_blocks_graph_commands(
         assert code == 1
         assert "citation cycle" in err
         assert " -> " in err
+
+
+# Run as its own process: the CLI points a closed stdout's file descriptor
+# at os.devnull, which in-process would replace the test runner's.
+CLOSED_STDOUT_RUN = "import sys; from credit_ledger.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize(
+    "command", ["rank", "rank --format json", "graph", f"credit --product {PRODUCT_C}", "validate"]
+)
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_2_without_a_traceback(
+    command: str, buffering: str, loaded_registry: str, tmp_path: Path
+) -> None:
+    if command == "validate":
+        # More warning lines than one stdout buffer holds, so the failed
+        # write comes from inside the per-file loop.
+        doc = json.loads(fixture_path("paper_c.jsonld").read_text())
+        doc.update({f"x{i}": i for i in range(2000)})
+        warnings = tmp_path / "warnings.jsonld"
+        warnings.write_text(json.dumps(doc))
+        argv = ["validate", str(warnings)]
+    else:
+        argv = [*command.split(), "--registry", loaded_registry]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so every write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CLOSED_STDOUT_RUN, *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 def test_missing_subcommand_is_a_usage_error(run_cli) -> None:

@@ -224,6 +224,26 @@ def test_unknown_entry_key_is_preserved_in_lenient_mode() -> None:
     assert creditmap.entries[0].display.extra == {"affiliation": "Lab"}
 
 
+TOO_DEEP = json.loads("[" * 200 + "]" * 200)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"x": TOO_DEEP},
+        {"author": {"name": "Solo Author", "creditWeight": "1", "x": TOO_DEEP}},
+        {"citation": {"x": TOO_DEEP}},
+    ],
+    ids=["top level", "entry", "citation"],
+)
+def test_strict_mode_rejects_an_unknown_key_before_measuring_its_value(overrides) -> None:
+    data = _doc(**overrides)
+    with pytest.raises(UnknownKey):
+        parse_creditmap(data, mode=ParseMode.STRICT)
+    with pytest.raises(CreditmapSyntaxError, match="nests more than"):
+        parse_creditmap(data)
+
+
 def test_unknown_type_strict_vs_lenient() -> None:
     data = _doc(**{"@type": "Sculpture"})
     with pytest.raises(UnknownType):

@@ -396,6 +396,35 @@ def test_a_damaged_per_object_line_falls_back_to_a_full_parse(
     assert reads == _fresh_reads(root)
 
 
+def _negative_product_index(root: Path) -> None:
+    """Point the first product row of the graph line at id -1."""
+    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
+    ids, kinds, products, warnings = json.loads(graph_line)
+    products[0][0] = -1
+    graph_line = json.dumps([ids, kinds, products, warnings]).encode()
+    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + objects_line)
+
+
+# Damage to the graph line of a current snapshot that a list index would
+# still accept, naming the wrong entity.
+NEGATIVE_INDEXES = {
+    "a negative target index": lambda root: _target_out_of_range(root, -1),
+    "a negative product index": _negative_product_index,
+}
+
+
+@pytest.mark.parametrize("damage", NEGATIVE_INDEXES)
+def test_a_negative_index_in_a_current_snapshot_falls_back_to_a_full_parse(
+    root: Path, parses, damage
+) -> None:
+    _reads(root)
+    NEGATIVE_INDEXES[damage](root)
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == PRODUCTS
+    assert reads == _fresh_reads(root)
+
+
 def test_records_of_files_that_no_longer_exist_are_ignored(root: Path, parses) -> None:
     _reads(root)
     _object(root, 4).unlink()
