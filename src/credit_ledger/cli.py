@@ -150,23 +150,22 @@ def _warn(graph: CreditGraph) -> CreditGraph:
     return graph
 
 
+class UsageError(CreditLedgerError):
+    """An option value the command cannot use (exit 2)."""
+
+
 def _parse_cli_id(text: str, what: str) -> EntityId:
     try:
         return EntityId.from_text(text)
     except InvalidIdentifier as exc:
-        raise SystemExit(_usage_error(f"bad {what} {text!r}: {exc}"))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+        raise UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _options(args: argparse.Namespace) -> PropagationOptions:
     try:
         return PropagationOptions(max_depth=args.max_depth)
     except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_credit(args: argparse.Namespace) -> int:
@@ -275,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         # goes to devnull, so the interpreter's last flush does not fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except StorageError as exc:
+    except (StorageError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CreditLedgerError as exc:

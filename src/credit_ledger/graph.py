@@ -6,14 +6,17 @@ node, which tells a registered product from a terminal person or terminal
 product. The build is deterministic for a given corpus regardless of input
 order, and any directed cycle among registered products is rejected with a
 witness path, so every CreditGraph is acyclic.
+
+One depth-first search serves both the cycle check and the order in which
+propagation visits products: its post-order puts every product after the
+products it cites, in time linear in the edges it follows.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
     CreditLedgerError,
@@ -86,39 +89,44 @@ class CreditGraph:
         return [pid for pid in self.registered() if pid not in cited]
 
 
-def _find_cycle(
-    order: list[EntityId], edges: Mapping[EntityId, tuple[GraphEdge, ...]]
-) -> list[EntityId] | None:
-    """First cycle among registered products in deterministic DFS order."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {pid: WHITE for pid in order}
-    for start in order:
-        if color[start] != WHITE:
+def _depth_first(
+    edges: Mapping[EntityId, tuple[GraphEdge, ...]], starts: Iterable[EntityId]
+) -> tuple[list[EntityId], list[EntityId] | None]:
+    """Registered products reachable from starts, and the first cycle met.
+
+    One iterative depth-first search from each start in turn, following
+    each product's edges in entry order and skipping terminals. A product
+    enters the order once all its edges are done (post-order), so it comes
+    after every product it cites. The cycle, or None, is the search path
+    from the product an edge leads back to, closed by that product again.
+    """
+    done: dict[EntityId, None] = {}  # finished products, in post-order
+    path: list[EntityId] = []
+    on_path: set[EntityId] = set()
+    pending: list[Iterator[GraphEdge]] = []  # per path product, edges left
+    for start in starts:
+        if start in done:
             continue
-        stack: list[tuple[EntityId, Iterable[GraphEdge]]] = [(start, iter(edges[start]))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for edge in it:
+        path.append(start)
+        on_path.add(start)
+        pending.append(iter(edges[start]))
+        while pending:
+            for edge in pending[-1]:
                 target = edge.target
-                if target not in color:
+                if target not in edges or target in done:
                     continue
-                if color[target] == GRAY:
-                    loop_start = path.index(target)
-                    return path[loop_start:] + [target]
-                if color[target] == WHITE:
-                    color[target] = GRAY
-                    path.append(target)
-                    stack.append((target, iter(edges[target])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
+                if target in on_path:
+                    return list(done), path[path.index(target):] + [target]
+                path.append(target)
+                on_path.add(target)
+                pending.append(iter(edges[target]))
+                break
+            else:
+                pid = path.pop()
+                pending.pop()
+                on_path.remove(pid)
+                done[pid] = None
+    return list(done), None
 
 
 def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
@@ -167,7 +175,7 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
                 )
                 nodes[target] = NodeKind.TERMINAL_PERSON
 
-    witness = _find_cycle(list(registered), edges)
+    _, witness = _depth_first(edges, registered)
     if witness is not None:
         raise CycleError(witness)
 
@@ -180,42 +188,15 @@ def topological_order(
     """Registered products, every product after everything it cites.
 
     With start given (registered product ids), only the products reachable
-    from them, start included, are ordered. Ties are broken by canonical id
-    text, so the order is fully deterministic. The graph must be acyclic,
-    as every graph from build_graph is (it refuses cycles), so there is no
-    cycle check here.
+    from them, start included, are ordered; without it, every registered
+    product, searched from in the graph's edge order. The order is the
+    depth-first post-order: each product's edges are followed in entry
+    order, and no tie is broken by id text. It is deterministic for a given
+    graph, and build_graph builds the same graph for any input order. The
+    graph must be acyclic, as every graph from build_graph is (it refuses
+    cycles).
     """
-    if start is None:
-        registered = set(graph.edges)
-    else:
-        registered = set(start)
-        stack = list(registered)
-        while stack:
-            for edge in graph.edges[stack.pop()]:
-                if edge.target in graph.edges and edge.target not in registered:
-                    registered.add(edge.target)
-                    stack.append(edge.target)
-    depends_on = {
-        pid: {e.target for e in graph.edges[pid] if e.target in registered}
-        for pid in registered
-    }
-    dependents: dict[EntityId, list[EntityId]] = {pid: [] for pid in registered}
-    for pid, deps in depends_on.items():
-        for dep in deps:
-            dependents[dep].append(pid)
-
-    ready = [pid.text for pid, deps in depends_on.items() if not deps]
-    heapq.heapify(ready)
-    by_text = {pid.text: pid for pid in registered}
-    remaining = {pid: len(deps) for pid, deps in depends_on.items()}
-    order: list[EntityId] = []
-    while ready:
-        pid = by_text[heapq.heappop(ready)]
-        order.append(pid)
-        for dependent in dependents[pid]:
-            remaining[dependent] -= 1
-            if remaining[dependent] == 0:
-                heapq.heappush(ready, dependent.text)
+    order, _ = _depth_first(graph.edges, graph.edges if start is None else start)
     return order
 
 

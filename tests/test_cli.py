@@ -92,6 +92,30 @@ def test_validate_reports_violations_one_per_line(run_cli, tmp_path: Path) -> No
     assert "0.5" in message
 
 
+def test_validate_prints_warnings_before_violations(run_cli, tmp_path: Path) -> None:
+    doc = tmp_path / "both.jsonld"
+    doc.write_text(
+        json.dumps(
+            {
+                "@context": "http://schema.org",
+                "@type": "Code",
+                "doi": "10.1/both",
+                "publisher": "Example Press",
+                "author": [
+                    {"name": "A", "creditWeight": "0.5"},
+                    {"name": "B", "creditWeight": "0.4"},
+                ],
+            }
+        )
+    )
+    assert run_cli("validate", str(doc)) == (
+        1,
+        f"{doc}:UnknownKey:unrecognized key publisher\n"
+        f"{doc}:WeightSum:credit weights sum to 0.9, not 1\n",
+        "",
+    )
+
+
 def test_validate_unreadable_file_is_an_io_error(run_cli, tmp_path: Path) -> None:
     code, out, err = run_cli("validate", str(tmp_path / "missing.jsonld"))
     assert code == 2
@@ -522,6 +546,23 @@ def test_credit_rejects_a_zero_depth_limit(loaded_registry: str, run_cli) -> Non
     )
     assert code == 2
     assert "max_depth" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--product", "notanid", "bad --product 'notanid': missing scheme prefix: 'notanid'"),
+        ("--entity", "bad", "bad --entity 'bad': missing scheme prefix: 'bad'"),
+        ("--max-depth", "0", "max_depth must be >= 1, got 0"),
+    ],
+    ids=["product", "entity", "max-depth"],
+)
+def test_a_bad_option_value_makes_main_return_2(
+    option: str, value: str, message: str, loaded_registry: str, capsys
+) -> None:
+    argv = ["credit", "--registry", loaded_registry, "--product", PRODUCT_B, option, value]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_rank_table_lists_every_entity_once(loaded_registry: str, run_cli) -> None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from credit_ledger import (
     Category,
     CreditEntry,
+    CreditGraph,
     CreditMap,
     EntityId,
     IdScheme,
@@ -38,17 +39,17 @@ def _product_id(i: int) -> EntityId:
 
 
 @st.composite
-def dags(draw, max_products: int, chain: bool = False) -> list[CreditMap]:
-    """Acyclic corpus: product i cites up to 2 random earlier products (only
-    product i - 1 when chain is set) and credits 1-3 people from a pool of
-    8, so several products share terminals. Weights are positive and
-    normalized."""
+def dags(draw, max_products: int, chain: bool = False, max_cites: int = 2) -> list[CreditMap]:
+    """Acyclic corpus: product i cites up to max_cites random earlier
+    products (only product i - 1 when chain is set) and credits 1-3 people
+    from a pool of 8, so several products share terminals. Weights are
+    positive and normalized."""
     maps: list[CreditMap] = []
     for i in range(draw(st.integers(1, max_products))):
         if chain:
             cited = {i - 1} if i else set()
         else:
-            cited = set(draw(st.lists(st.integers(0, i - 1), max_size=2))) if i else set()
+            cited = set(draw(st.lists(st.integers(0, i - 1), max_size=max_cites))) if i else set()
         people = draw(st.sets(st.integers(0, 7), min_size=1, max_size=3))
         targets = [(_product_id(j), Category.ARTICLE) for j in sorted(cited)]
         targets += [(EntityId(IdScheme.NAME, f"person {k}"), Category.AUTHOR) for k in sorted(people)]
@@ -141,3 +142,29 @@ def test_results_are_bit_identical_for_any_ingestion_order(maps, data) -> None:
     baseline = results(maps)
     for _ in range(3):
         assert results(data.draw(st.permutations(maps))) == baseline
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=dags(max_products=20, max_cites=6))
+def test_results_are_bit_identical_for_any_visiting_order(maps) -> None:
+    # Reversing the edge dict and every edge tuple changes the order in
+    # which propagation visits products and sums their parts, not the graph.
+    # Many citations per product give inflows of many parts, whose plain
+    # float sum would depend on that order.
+    graph = build_graph(maps)
+    reversed_graph = CreditGraph(
+        nodes=graph.nodes,
+        edges={pid: graph.edges[pid][::-1] for pid in reversed(graph.edges)},
+        warnings=graph.warnings,
+    )
+    for depth in (None, 1, 3):
+        options = PropagationOptions(max_depth=depth)
+        for creditmap in maps:
+            pid = creditmap.product.id
+            assert transitive_credit(reversed_graph, pid, options) == transitive_credit(
+                graph, pid, options
+            )
+        for scope in RankScope:
+            assert aggregate_rank(reversed_graph, scope, options) == aggregate_rank(
+                graph, scope, options
+            )
