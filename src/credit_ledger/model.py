@@ -85,6 +85,7 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 _ORCID_RE = re.compile(r"\d{4}-\d{4}-\d{4}-\d{3}[\dX]")
 _ORCID_URI_RE = re.compile(r"https?://(?:www\.)?orcid\.org/(.+)", re.IGNORECASE)
 _DOI_URI_RE = re.compile(r"https?://(?:dx\.)?doi\.org/(.+)", re.IGNORECASE)
+_SPACE_OR_CONTROL = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
 
 def validate_orcid_checksum(digits: str) -> bool:
@@ -129,11 +130,11 @@ class EntityId:
                 raise MalformedOrcid(f"ORCID checksum failure: {raw!r}")
         elif self.scheme is IdScheme.DOI:
             raw = raw.lower()
-            if not raw.startswith("10.") or "/" not in raw:
+            if not raw.startswith("10.") or "/" not in raw or _SPACE_OR_CONTROL.search(raw):
                 raise MalformedDoi(f"not a DOI: {raw!r}")
         elif self.scheme is IdScheme.URL:
             raw = raw.rstrip("/")
-            if not raw.lower().startswith(("http://", "https://")):
+            if not raw.lower().startswith(("http://", "https://")) or _SPACE_OR_CONTROL.search(raw):
                 raise InvalidIdentifier(f"not an absolute http(s) URL: {raw!r}")
         elif self.scheme is IdScheme.EMAIL:
             raw = raw.lower()

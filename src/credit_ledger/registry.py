@@ -6,11 +6,13 @@ source of truth, and .lock is an advisory write lock. A write goes to a
 temp file that is fsynced and renamed into place; each batch of writes
 then fsyncs objects/ once, so the renames are durable too.
 
-graph.json is a derived snapshot of the citation graph, keyed to the bytes
-of every object file, with a digest and the graph entries of each object
-file so that a stale snapshot is refreshed by parsing only the files that
-changed (see Registry.load_graph). It is never trusted stale, never
-fsynced, and safe to delete.
+graph.json is a derived snapshot of the citation graph. Its stamp line
+records each object file's stat and digest, so that a read sees at stat
+cost which files changed, and the digests of the two lines after it: the
+graph line, which a read trusts without validating it again, and the
+per-object line, which lets a stale snapshot be refreshed by parsing only
+the files that changed (see Registry.load_graph). It is never trusted
+stale, never fsynced, and safe to delete.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import deque
+import time
 from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -34,6 +37,7 @@ from .model import (
     CreditMap,
     EntityId,
     EntryDisplay,
+    IdScheme,
     ProductKind,
     ProductMeta,
     Violation,
@@ -41,8 +45,12 @@ from .model import (
 )
 
 
-#: Leads the stamp, so a snapshot of another layout never matches.
-_SNAPSHOT_FORMAT = b"credit-ledger graph snapshot 2\n"
+#: Leads the stamp line, so a snapshot of another layout never matches.
+_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 3"
+#: How far a file timestamp may lag the clock: two ticks of the kernel's
+#: coarse clock where files have sub-second times, and FAT's 2 s where an
+#: mtime in whole seconds shows a filesystem that may keep only seconds.
+_FINE_TICK_NS, _COARSE_TICK_NS = 20_000_000, 2_000_000_000
 _KIND_CODES = {
     NodeKind.REGISTERED_PRODUCT: "r",
     NodeKind.TERMINAL_PERSON: "p",
@@ -58,9 +66,10 @@ _CATEGORY_CODES = {
 }
 _CATEGORIES_BY_CODE = {code: category for category, code in _CATEGORY_CODES.items()}
 _NO_DISPLAY = EntryDisplay()
-#: What decoding a torn or hand-edited snapshot line can raise.
+_SCHEMES = {scheme.value: scheme for scheme in IdScheme}
+#: What decoding a torn or foreign snapshot line can raise.
 _SNAPSHOT_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError,
-                    RecursionError, CreditLedgerError)
+                    RecursionError)
 
 
 def _object_name(product_id: EntityId) -> str:
@@ -160,9 +169,10 @@ class Registry:
     def _object_path(self, product_id: EntityId) -> Path:
         return self._objects / _object_name(product_id)
 
-    def _read_bytes(self, path: Path) -> bytes:
+    def _read_bytes(self, path: Path | str) -> bytes:
         try:
-            return path.read_bytes()
+            with open(path, "rb") as f:
+                return f.read()
         except OSError as exc:
             raise StorageError(f"cannot read {path}: {exc}") from exc
 
@@ -173,17 +183,14 @@ class Registry:
             raise StorageError(f"stored document {path} does not parse: {exc}") from exc
         return creditmap
 
-    def _object_files(self) -> Iterator[tuple[Path, bytes]]:
-        """(path, bytes) of every objects/*.jsonld file, in name order."""
+    def _object_names(self) -> list[str]:
+        """The name of every objects/*.jsonld file, in name order."""
         try:
-            names = sorted(n for n in os.listdir(self._objects) if n.endswith(".jsonld"))
+            return sorted(n for n in os.listdir(self._objects) if n.endswith(".jsonld"))
         except (FileNotFoundError, NotADirectoryError):
-            return
+            return []
         except OSError as exc:
             raise StorageError(f"cannot list {self._objects}: {exc}") from exc
-        for name in names:
-            path = self._objects / name
-            yield path, self._read_bytes(path)
 
     def _registered_map(self, path: Path, data: bytes) -> CreditMap | None:
         """The map an object file holds, or None for a stray file.
@@ -260,7 +267,8 @@ class Registry:
         Object files whose name is not the digest of the id they hold are
         skipped.
         """
-        maps = [self._registered_map(path, data) for path, data in self._object_files()]
+        paths = [self._objects / name for name in self._object_names()]
+        maps = [self._registered_map(path, self._read_bytes(path)) for path in paths]
         registered = [m for m in maps if m is not None]
         registered.sort(key=lambda m: m.product.id.text)
         return registered
@@ -268,119 +276,118 @@ class Registry:
     def load_graph(self) -> CreditGraph:
         """The citation graph of every registered map, from the snapshot if fresh.
 
-        Reads every object file once and hashes the bytes. When graph.json
-        carries that stamp, the graph stored there is returned and nothing
-        is parsed. Otherwise the snapshot is refreshed: a file whose bytes
-        have the digest graph.json records for its name keeps the entries
-        recorded with it (or stays stray), every other file is parsed
-        (stray files skipped as in load_all), build_graph runs over the
-        merged maps, and the snapshot is rewritten under the new stamp
-        before the graph is returned. A missing snapshot, or one whose
-        graph or per-object line does not decode, records nothing, so every
-        file is parsed. A failed build (a cycle, an object that does not
-        parse) raises as build_graph and load_all do and writes nothing; a
-        failed snapshot write is ignored.
+        Stats every object file. A file whose (size, mtime, ctime, inode)
+        is the one graph.json records for its name, and whose mtime and
+        ctime were older than that snapshot's scan start by one timestamp
+        tick, is unchanged unread: a later write would have moved its ctime.
+        Every other file is read, and is unchanged if its digest is the
+        recorded one. If all are unchanged and none is gone, the stored
+        graph is returned, and the stamp line is rewritten when a file had
+        to be hashed. Otherwise a refresh keeps the recorded entries of
+        unchanged files, parses the rest (skipping stray files as load_all
+        does), runs build_graph and rewrites the snapshot. A line that fails
+        its digest counts as missing. A failed build raises as build_graph
+        and load_all do and writes nothing; a failed write is ignored.
 
         Raises:
             StorageError: an object file cannot be read or does not parse.
             GraphError: the maps do not form a valid graph.
         """
-        files = deque(self._object_files())
-        digest = hashlib.sha256(_SNAPSHOT_FORMAT)
-        for path, data in files:
-            # A name that is not UTF-8 comes from listdir with surrogate escapes.
-            digest.update(f"{path.name}\0{len(data)}\0".encode(errors="surrogateescape"))
-            digest.update(data)
-        stamp = digest.hexdigest().encode() + b"\n"
-        fresh, graph_line, objects_line = self._read_snapshot(stamp)
-        if fresh:
-            graph = _decode_graph(graph_line)
-            if graph is not None:
-                return graph
-        recorded = {} if fresh else _decode_objects(graph_line, objects_line)
-        del graph_line, objects_line
+        scan_start = time.time_ns()
+        trusted, graph_line, objects_line = self._read_snapshot()
+        stats: dict[str, list] = {}  # name: size, mtime, ctime, inode, digest
+        changed: dict[str, bytes] = {}  # name: bytes, when not the recorded ones
+        hashed = False
+        for name in self._object_names():
+            path = f"{self._objects}/{name}"  # no Path: 2,000 of them cost 12 ms
+            try:
+                st = os.stat(path)
+            except OSError as exc:
+                raise StorageError(f"cannot stat {path}: {exc}") from exc
+            stat = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+            trusted_stat, digest = trusted.get(name, (None, None))
+            if stat != trusted_stat:
+                recorded_digest, hashed = digest, True
+                data = self._read_bytes(path)
+                digest = hashlib.sha256(data).hexdigest()
+                if digest != recorded_digest:
+                    changed[name] = data
+            stats[name] = [*stat, digest]
+        graph = _decode_graph(graph_line)
+        if graph is not None and not changed and len(stats) == len(trusted):
+            if hashed:
+                self._write_snapshot(scan_start, stats, graph_line, objects_line)
+            return graph
+        recorded = {} if graph is None else _decode_objects(graph, objects_line)
+        del graph, graph_line, objects_line
         # Each blob is dropped once parsed, and the maps once the graph is
         # built: bytes, maps and snapshot text are never all held at once.
         maps: list[CreditMap] = []
         records: list[tuple[str, str, EntityId | None, str]] = []
-        while files:
-            path, data = files.popleft()
-            data_digest = hashlib.sha256(data).hexdigest()
-            digest_and_map = recorded.get(path.name)
-            if digest_and_map is not None and digest_and_map[0] == data_digest:
-                creditmap = digest_and_map[1]
-            else:
-                creditmap = self._registered_map(path, data)
+        for name, stat in stats.items():
+            data = changed.pop(name, None)
+            recorded_digest, creditmap = recorded.get(name, (None, None))
+            if data is not None or recorded_digest != stat[4]:
+                object_path = self._objects / name
+                if data is None:  # unchanged, but the per-object line is missing
+                    data = self._read_bytes(object_path)
+                    stat[4] = hashlib.sha256(data).hexdigest()
+                creditmap = self._registered_map(object_path, data)
             if creditmap is None:
-                records.append((path.name, data_digest, None, ""))
+                records.append((name, stat[4], None, ""))
                 continue
             maps.append(creditmap)
             codes = "".join(_CATEGORY_CODES[e.category] for e in creditmap.entries)
-            records.append((path.name, data_digest, creditmap.product.id, codes))
+            records.append((name, stat[4], creditmap.product.id, codes))
         del recorded
         graph = build_graph(maps)
         del maps
         if graph.edges:  # an empty registry, or a missing one, gets no file
-            self._write_snapshot(stamp, graph, records)
+            self._write_snapshot(scan_start, stats, *_encode_snapshot(graph, records))
         return graph
 
-    def _read_snapshot(self, stamp: bytes) -> tuple[bool, bytes, bytes]:
-        """Whether graph.json's first line is stamp, then its graph line and
-        its per-object line; the per-object line is read only when the
-        stamp differs, and a missing file gives empty lines."""
+    def _read_snapshot(self) -> tuple[dict[str, tuple[list | None, str]], bytes, bytes]:
+        """graph.json's records, by object file name, of the stat that lets a
+        file go unread (None for a file changed within a tick of the scan)
+        and of its digest; then its graph and per-object lines, each empty
+        if it fails its digest. A missing or foreign graph.json gives no
+        records and two empty lines."""
         try:
             with open(self.root / "graph.json", "rb") as f:
-                fresh = f.readline() == stamp
-                graph_line = f.readline()
-                return fresh, graph_line, b"" if fresh else f.readline()
-        except OSError:
-            return False, b"", b""
+                tag, scan_start, *digests, stats = json.loads(f.readline())
+                lines = [f.readline(), f.readline()]
+            if tag != _SNAPSHOT_FORMAT:
+                return {}, b"", b""
+            trusted = {}
+            for name, (size, mtime, ctime, inode, data_digest) in stats.items():
+                tick = _FINE_TICK_NS if mtime % 1_000_000_000 else _COARSE_TICK_NS
+                settled = max(mtime, ctime) + tick < scan_start
+                trusted[name] = ([size, mtime, ctime, inode] if settled else None, data_digest)
+            graph_line, objects_line = (
+                line if hashlib.sha256(line).hexdigest() == line_digest else b""
+                for line, line_digest in zip(lines, digests, strict=True)
+            )
+        except (OSError, *_SNAPSHOT_ERRORS):
+            return {}, b"", b""
+        return trusted, graph_line, objects_line
 
     def _write_snapshot(
-        self,
-        stamp: bytes,
-        graph: CreditGraph,
-        records: list[tuple[str, str, EntityId | None, str]],
+        self, scan_start: int, stats: dict[str, list], graph_line: bytes, objects_line: bytes
     ) -> None:
         """Replace graph.json; on any OSError leave no temp file and go on.
 
-        records holds, per object file in name order, its name, the digest
-        of its bytes, the product it registers (None for a stray file) and
-        one category code per entry of that product's map.
-
+        The stamp line holds the format tag, when the scan began, the
+        digests of the graph and per-object lines, and stats by file name.
         The file is derived, so it is not fsynced: a torn or lost write
-        fails the stamp or the parse on the next read and is rebuilt.
+        fails a digest or the parse on the next read and is rebuilt.
         """
-        index = {eid: i for i, eid in enumerate(graph.nodes)}
-        # json writes each weight as repr(weight), which reads back exactly.
-        graph_line = json.dumps(
-            [
-                [eid.text for eid in graph.nodes],
-                "".join(_KIND_CODES[kind] for kind in graph.nodes.values()),
-                [
-                    [index[pid], *(x for e in out for x in (index[e.target], e.weight))]
-                    for pid, out in graph.edges.items()
-                ],
-                list(graph.warnings),
-            ],
-            separators=(",", ":"),
-        )
-        # A product's targets and weights are its row in the graph line,
-        # in entry order; its record adds only the categories.
-        objects_line = json.dumps(
-            {
-                name: [data_digest, None if pid is None else index[pid], codes]
-                for name, data_digest, pid, codes in records
-            },
-            separators=(",", ":"),
-        )
+        digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
+        stamp = json.dumps([_SNAPSHOT_FORMAT, scan_start, *digests, stats], separators=(",", ":"))
         tmp_name = None
         try:
             fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
             with os.fdopen(fd, "wb") as f:
-                f.write(stamp)
-                f.write(graph_line.encode() + b"\n")
-                f.write(objects_line.encode() + b"\n")
+                f.write(stamp.encode() + b"\n" + graph_line + objects_line)
             os.replace(tmp_name, self.root / "graph.json")
         except OSError:
             if tmp_name is not None:
@@ -388,55 +395,94 @@ class Registry:
                     os.unlink(tmp_name)
 
 
+def _encode_snapshot(
+    graph: CreditGraph, records: list[tuple[str, str, EntityId | None, str]]
+) -> tuple[bytes, bytes]:
+    """The graph line and the per-object line of a snapshot of graph.
+
+    records holds, per object file in name order, its name, the digest of
+    its bytes, the product it registers (None for a stray file) and one
+    category code per entry of that product's map.
+    """
+    index = {eid: i for i, eid in enumerate(graph.nodes)}
+    # json writes each weight as repr(weight), which reads back exactly.
+    graph_line = json.dumps(
+        [
+            [eid.text for eid in graph.nodes],
+            "".join(_KIND_CODES[kind] for kind in graph.nodes.values()),
+            [
+                [index[pid], *(x for e in out for x in (index[e.target], e.weight))]
+                for pid, out in graph.edges.items()
+            ],
+            list(graph.warnings),
+        ],
+        separators=(",", ":"),
+    )
+    # A product's targets and weights are its row in the graph line,
+    # in entry order; its record adds only the categories.
+    objects_line = json.dumps(
+        {
+            name: [data_digest, None if pid is None else index[pid], codes]
+            for name, data_digest, pid, codes in records
+        },
+        separators=(",", ":"),
+    )
+    return graph_line.encode() + b"\n", objects_line.encode() + b"\n"
+
+
+# The lines below passed their digests, so they are this program's output:
+# ids are rebuilt without EntityId's canonicalization and checks, and edges
+# without the Python-level __new__ of GraphEdge.
+_new_edge = partial(tuple.__new__, GraphEdge)
+
+
+def _trusted_id(text: str) -> EntityId:
+    scheme, _, value = text.partition(":")
+    eid = object.__new__(EntityId)
+    object.__setattr__(eid, "scheme", _SCHEMES[scheme])
+    object.__setattr__(eid, "value", value)
+    return eid
+
+
 def _decode_graph(graph_line: bytes) -> CreditGraph | None:
     """The graph a snapshot's graph line holds, or None if it does not decode."""
     try:
         id_texts, kinds, products, warnings = json.loads(graph_line)
-        # A dict, not a list, so that a negative index is refused too.
-        ids = dict(enumerate(EntityId.from_text(text) for text in id_texts))
-        nodes = {eid: _KINDS_BY_CODE[code] for eid, code in zip(ids.values(), kinds, strict=True)}
+        ids = [_trusted_id(text) for text in id_texts]
+        nodes = dict(zip(ids, map(_KINDS_BY_CODE.__getitem__, kinds)))
         edges = {
-            ids[row[0]]: tuple(
-                GraphEdge(ids[target], float(weight))
-                for target, weight in zip(row[1::2], row[2::2], strict=True)
-            )
+            ids[row[0]]: tuple(map(_new_edge, zip(map(ids.__getitem__, row[1::2]), row[2::2])))
             for row in products
         }
-        if not all(isinstance(w, str) for w in warnings):
-            return None
         return CreditGraph(nodes=nodes, edges=edges, warnings=tuple(warnings))
     except _SNAPSHOT_ERRORS:
-        return None  # a missing, torn or hand-edited snapshot is rebuilt
+        return None
 
 
 def _decode_objects(
-    graph_line: bytes, objects_line: bytes
+    graph: CreditGraph, objects_line: bytes
 ) -> dict[str, tuple[str, CreditMap | None]]:
     """Per object file name, the digest a snapshot recorded and the map then
-    registered under that name (None for a stray file); {} if either line
-    does not decode.
+    registered under that name (None for a stray file); {} if the
+    per-object line does not decode.
 
-    A map keeps only what build_graph reads: its product id and its
-    entries' ids, categories and weights.
+    graph is the snapshot's decoded graph line, whose id table the
+    per-object line indexes. A map keeps only what build_graph reads: its
+    product id and its entries' ids, categories and weights.
     """
     try:
-        id_texts, _, products, _ = json.loads(graph_line)
-        # A dict, not a list, so that a negative index is refused too.
-        ids = dict(enumerate(EntityId.from_text(text) for text in id_texts))
-        rows = {row[0]: row for row in products}
+        ids = list(graph.nodes)
         recorded: dict[str, tuple[str, CreditMap | None]] = {}
         for name, (data_digest, index, codes) in json.loads(objects_line).items():
             if index is None:
                 recorded[name] = (data_digest, None)
                 continue
-            pid, row = ids[index], rows[index]
-            if _object_name(pid) != name:
-                return {}
+            pid = ids[index]
             entries = tuple(
-                CreditEntry(ids[target], _CATEGORIES_BY_CODE[code], float(weight), _NO_DISPLAY)
-                for code, target, weight in zip(codes, row[1::2], row[2::2], strict=True)
+                CreditEntry(e.target, _CATEGORIES_BY_CODE[code], e.weight, _NO_DISPLAY)
+                for code, e in zip(codes, graph.edges[pid])
             )
             recorded[name] = (data_digest, CreditMap(ProductMeta(pid, ProductKind.OTHER), entries))
         return recorded
     except _SNAPSHOT_ERRORS:
-        return {}  # a missing, torn or hand-edited section: parse every file
+        return {}

@@ -137,6 +137,19 @@ def test_explicit_scheme_values_are_validated() -> None:
         EntityId(IdScheme.ORCID, "0000")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    ["10.1/a\nb", "10.1/a b", "10.1/a\x00b", "http://x.org/a\tb", "https://x.org/a b",
+     "https://x.org/\x00", "https://x.org/a\x7fb", "https://doi.org/10.1/a\u2028b"],
+)
+def test_doi_and_url_values_refuse_whitespace_and_control_characters(raw: str) -> None:
+    scheme = IdScheme.DOI if raw.startswith("10.") else IdScheme.URL
+    with pytest.raises(InvalidIdentifier):
+        EntityId(scheme, raw)
+    with pytest.raises(InvalidIdentifier):
+        canonicalize_id(raw)
+
+
 def test_from_text_requires_a_known_scheme() -> None:
     with pytest.raises(InvalidIdentifier):
         EntityId.from_text("10.5334/jors.be")

@@ -1,7 +1,8 @@
 """The graph snapshot behind `rank` and `graph`: never stale, never required.
 
 `rank` and `graph` read the citation graph through Registry.load_graph,
-which keeps a derived graph.json keyed to the bytes of every object file.
+which keeps a derived graph.json keyed to the stat and the digest of every
+object file.
 Whatever happens to the objects or to that file, both commands must print
 exactly what they print for a fresh copy of objects/ with no snapshot.
 """
@@ -16,7 +17,9 @@ import os
 import re
 import shutil
 import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -429,15 +432,11 @@ def test_records_of_files_that_no_longer_exist_are_ignored(root: Path, parses) -
     _reads(root)
     _object(root, 4).unlink()
     _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])})
-    objects = _objects_line(root)
-    assert _object(root, 4).name in objects
-    objects["gone.jsonld"] = ["0" * 64, None, ""]
-    _replace_objects_line(root, json.dumps(objects) + "\n")
+    assert _object(root, 4).name in _objects_line(root)
     parses.clear()
     reads = _reads(root)
     assert len(parses) == 1  # the new product
     assert _object(root, 4).name not in _objects_line(root)
-    assert "gone.jsonld" not in _objects_line(root)
     assert reads == _fresh_reads(root)
 
 
@@ -567,3 +566,148 @@ def test_a_refresh_that_fails_leaves_the_snapshot_as_it_was(root: Path, change, 
         assert [code for code, _, _ in _reads(root)] == [exit_code] * len(READS)
     assert [code for code, _, _ in _fresh_reads(root)] == [exit_code] * len(READS)
     assert (root / "graph.json").read_bytes() == before
+
+
+def _edit_graph_line(root: Path, edit) -> None:
+    """Replace the decoded graph line of graph.json by edit(graph line),
+    keeping the stamp line and the per-object line as they are."""
+    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
+    graph_line = json.dumps(edit(json.loads(graph_line))).encode()
+    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + objects_line)
+
+
+def _add_edge(source: str, target: str):
+    def edit(graph_line: list) -> list:
+        ids, _, products, _ = graph_line
+        row = next(row for row in products if ids[row[0]] == source)
+        row += [ids.index(target), 0.0]
+        return graph_line
+
+    return edit
+
+
+def test_an_edge_added_to_the_graph_line_under_a_valid_stamp_is_not_trusted(root: Path) -> None:
+    """p2 cites p1, so the added p1 -> p2 closes a cycle that only a rebuild sees."""
+    _reads(root)
+    _edit_graph_line(root, _add_edge("doi:10.1000/p1", "doi:10.1000/p2"))
+    assert _reads(root) == _fresh_reads(root)
+
+
+def test_a_category_flipped_in_the_per_object_line_is_not_trusted(root: Path) -> None:
+    _reads(root)
+    _rewrite_in_place(_object(root, 5))  # the next read refreshes
+    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
+    objects = json.loads(objects_line)
+    record = objects[_object(root, 1).name]
+    record[2] = "r" + record[2][1:]  # the author becomes an article
+    (root / "graph.json").write_bytes(
+        stamp + b"\n" + graph_line + b"\n" + json.dumps(objects).encode() + b"\n"
+    )
+    assert _reads(root) == _fresh_reads(root)
+
+
+@pytest.fixture()
+def reads(monkeypatch) -> list[str]:
+    """Names of the object files the registry reads."""
+    names: list[str] = []
+    read_bytes = registry_module.Registry._read_bytes
+
+    def counting(self, path):
+        names.append(Path(path).name)
+        return read_bytes(self, path)
+
+    monkeypatch.setattr(registry_module.Registry, "_read_bytes", counting)
+    return names
+
+
+def _clock(monkeypatch, seconds: int) -> None:
+    """Run the registry's clock the given seconds ahead of the file times."""
+    monkeypatch.setattr(
+        registry_module, "time", SimpleNamespace(time_ns=lambda: time.time_ns() + seconds * 10**9)
+    )
+
+
+@pytest.fixture()
+def settled(monkeypatch) -> None:
+    """Every object file is older than a scan by more than a timestamp tick."""
+    _clock(monkeypatch, 60)
+
+
+def test_a_hit_on_a_settled_registry_reads_no_object_file(root: Path, parses, reads, settled):
+    graph = _run("graph", "--registry", str(root))
+    assert (len(parses), len(reads)) == (PRODUCTS, PRODUCTS)
+    del parses[:], reads[:]
+    assert _run("graph", "--registry", str(root)) == graph
+    assert (parses, reads) == ([], [])
+
+
+def test_a_hit_hashes_racily_clean_files_and_parses_none(
+    root: Path, parses, reads, monkeypatch
+) -> None:
+    """Files changed within a tick of the scan that recorded them are read
+    by the next hit, since a same-tick change could keep their stat."""
+    _clock(monkeypatch, -60)
+    _run("graph", "--registry", str(root))
+    del parses[:], reads[:]
+    _run("graph", "--registry", str(root))
+    assert (len(parses), len(reads)) == (0, PRODUCTS)
+
+
+def _fresh_graph(root: Path) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as fresh:
+        shutil.copytree(root / "objects", Path(fresh) / "objects")
+        return _run("graph", "--registry", fresh)
+
+
+def _touch(path: Path) -> None:
+    """A new mtime, the same bytes."""
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+
+
+# A change to one object file of a settled registry, and whether the next
+# read parses it after reading it.
+STAT_CHANGES = {
+    "touched to a new mtime": (_touch, 0),
+    # Size, inode and mtime stay; the ctime moves.
+    "rewritten in place with the same size": (_rewrite_in_place, 1),
+}
+
+
+@pytest.mark.parametrize("change", STAT_CHANGES)
+def test_a_file_whose_stat_changed_is_read_and_hashed(
+    root: Path, parses, reads, settled, change
+) -> None:
+    _run("graph", "--registry", str(root))
+    apply, parsed = STAT_CHANGES[change]
+    apply(_object(root, 2))
+    del parses[:], reads[:]
+    graph = _run("graph", "--registry", str(root))
+    assert (len(parses), reads) == (parsed, [_object(root, 2).name])
+    assert graph == _fresh_graph(root)
+    del parses[:], reads[:]
+    assert _run("graph", "--registry", str(root)) == graph  # recorded anew
+    assert (parses, reads) == ([], [])
+
+
+def test_a_refresh_after_an_ingest_reads_only_the_new_file(root: Path, parses, reads, settled):
+    _run("graph", "--registry", str(root))
+    _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])})
+    del parses[:], reads[:]
+    graph = _run("graph", "--registry", str(root))
+    assert (len(parses), reads) == (1, [_object(root, PRODUCTS).name])
+    assert graph == _fresh_graph(root)
+
+
+def test_a_whole_second_mtime_is_given_a_filesystem_tick_of_two_seconds(
+    root: Path, reads, monkeypatch
+) -> None:
+    """An mtime in whole seconds may come from a filesystem that keeps only
+    seconds, where a file can change a second after its recorded mtime."""
+    _clock(monkeypatch, 1)  # past the 20 ms tick of sub-second times
+    stat = _object(root, 2).stat()
+    os.utime(_object(root, 2), ns=(stat.st_atime_ns, stat.st_mtime_ns // 10**9 * 10**9))
+    _run("graph", "--registry", str(root))
+    del reads[:]
+    _run("graph", "--registry", str(root))
+    assert reads == [_object(root, 2).name]
