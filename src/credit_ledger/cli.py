@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from .engine import PropagationOptions, RankScope, aggregate_rank, transitive_credit
-from .graph import CreditGraph, NodeKind, build_graph
+from .graph import CreditGraph, build_graph
 from .jsonld import ParseError, ParseMode, parse_creditmap
 from .model import (
     CreditLedgerError,
@@ -46,8 +46,20 @@ def _fraction(value: float) -> str:
     return format(value, "#.12g")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose failed writes of help or usage raise.
+
+    argparse drops an OSError from those writes, so unbuffered help into a
+    closed stdout would exit 0 while every other command exits 2.
+    """
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="credit-ledger",
         description="Register weighted credit maps and propagate credit "
         "through citation chains.",
@@ -228,23 +240,22 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+_SHAPES = {"r": "[shape=box]", "p": "[shape=ellipse]", "t": "[shape=box, style=dashed]"}
+
+
 def _render_dot(graph: CreditGraph) -> str:
-    if not graph.nodes:
+    ids = graph.ids
+    if not ids:
         return "digraph creditmap {}\n"
+    quoted = [_quote(text) for text in ids]
     lines = ["digraph creditmap {"]
-    for eid in sorted(graph.nodes, key=lambda e: e.text):
-        kind = graph.nodes[eid]
-        if kind is NodeKind.REGISTERED_PRODUCT:
-            attrs = "[shape=box]"
-        elif kind is NodeKind.TERMINAL_PERSON:
-            attrs = "[shape=ellipse]"
-        else:
-            attrs = "[shape=box, style=dashed]"
-        lines.append(f"  {_quote(eid.text)} {attrs};")
-    for source in sorted(graph.edges, key=lambda e: e.text):
-        quoted = _quote(source.text)
-        for target, weight in sorted((e.target.text, e.weight) for e in graph.edges[source]):
-            lines.append(f'  {quoted} -> {_quote(target)} [label="{weight:.4f}"];')
+    for i in sorted(range(len(ids)), key=ids.__getitem__):
+        lines.append(f"  {quoted[i]} {_SHAPES[graph.kinds[i]]};")
+    # Products come in id-text order, and each one's edges are sorted by
+    # target text, then weight.
+    for source, row in zip(quoted, graph.products):
+        for _, weight, target in sorted(zip(map(ids.__getitem__, row[1::2]), row[2::2], row[1::2])):
+            lines.append(f'  {source} -> {quoted[target]} [label="{weight:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -264,8 +275,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # argparse printed help or usage and exits
+            raise
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code

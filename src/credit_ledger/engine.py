@@ -10,8 +10,9 @@ in layers, one citation step at a time, and the registered products
 reached at the last step absorb theirs. Allocations conserve the total:
 shares always sum to 1, at any depth limit.
 
-The engine reads only the graph's edges: a product is registered exactly
-when it has an edge list, and any other target is a terminal.
+The engine works on the graph's node indexes: a node is a registered
+product exactly when it has a row of edges, and any other target is a
+terminal. Ids are built only for the entities a result names.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .graph import CreditGraph, GraphError, topological_order
 from .model import EntityId
@@ -65,62 +66,63 @@ class RankScope(Enum):
     ROOTS_ONLY = "roots"
 
 
-def _fold(buckets: dict[EntityId, list[float]]) -> dict[EntityId, float]:
-    return {entity: math.fsum(parts) for entity, parts in buckets.items()}
+def _fold(buckets: dict[int, list[float]]) -> dict[int, float]:
+    return {node: math.fsum(parts) for node, parts in buckets.items()}
 
 
-def _require_registered(graph: CreditGraph, product: EntityId) -> None:
-    if product not in graph.edges:
-        raise UnknownProduct(f"{product.text} is not a registered product")
-
-
-def _sweep(graph: CreditGraph, starts: list[EntityId]) -> dict[EntityId, float]:
+def _sweep(graph: CreditGraph, starts: Sequence[int]) -> dict[int, float]:
     """Unit mass on each start product, pushed to the terminals in one pass.
 
     Products are visited citers first, so a product's inflow is complete
     before its mass moves on. Cost is linear in the reachable edges.
     """
-    inflow: dict[EntityId, list[float]] = {pid: [1.0] for pid in starts}
-    buckets: dict[EntityId, list[float]] = {}
-    for pid in reversed(topological_order(graph, starts)):
-        mass = math.fsum(inflow[pid])
-        for edge in graph.edges[pid]:
-            into = inflow if edge.target in graph.edges else buckets
-            into.setdefault(edge.target, []).append(mass * edge.weight)
+    products = graph.products
+    count = len(products)
+    inflow: dict[int, list[float]] = {i: [1.0] for i in starts}
+    buckets: dict[int, list[float]] = {}
+    for i in reversed(topological_order(graph, starts)):
+        mass = math.fsum(inflow[i])
+        row = products[i]
+        for target, weight in zip(row[1::2], row[2::2]):
+            into = inflow if target < count else buckets
+            into.setdefault(target, []).append(mass * weight)
     return _fold(buckets)
 
 
 def _layered_sweep(
-    graph: CreditGraph, starts: list[EntityId], max_depth: int
-) -> tuple[dict[EntityId, float], bool]:
+    graph: CreditGraph, starts: Sequence[int], max_depth: int
+) -> tuple[dict[int, float], bool]:
     """Unit mass on each start product, pushed one citation step at a time.
 
     Registered products reached at step max_depth absorb their mass; the
     flag says whether any did. Stops once no mass is left in flight.
     """
-    frontier: dict[EntityId, list[float]] = {pid: [1.0] for pid in starts}
-    buckets: dict[EntityId, list[float]] = {}
+    products = graph.products
+    count = len(products)
+    frontier: dict[int, list[float]] = {i: [1.0] for i in starts}
+    buckets: dict[int, list[float]] = {}
     truncated = False
     depth = 0
     while frontier:
         depth += 1
-        following: dict[EntityId, list[float]] = {}
-        for pid, parts in frontier.items():
+        following: dict[int, list[float]] = {}
+        for i, parts in frontier.items():
             mass = math.fsum(parts)
-            for edge in graph.edges[pid]:
-                registered = edge.target in graph.edges
+            row = products[i]
+            for target, weight in zip(row[1::2], row[2::2]):
+                registered = target < count
                 if registered and depth < max_depth:
-                    following.setdefault(edge.target, []).append(mass * edge.weight)
+                    following.setdefault(target, []).append(mass * weight)
                 else:
                     truncated = truncated or registered
-                    buckets.setdefault(edge.target, []).append(mass * edge.weight)
+                    buckets.setdefault(target, []).append(mass * weight)
         frontier = following
     return _fold(buckets), truncated
 
 
 def _propagate(
-    graph: CreditGraph, starts: list[EntityId], options: PropagationOptions
-) -> tuple[dict[EntityId, float], bool]:
+    graph: CreditGraph, starts: Sequence[int], options: PropagationOptions
+) -> tuple[dict[int, float], bool]:
     if options.max_depth is None:
         return _sweep(graph, starts), False
     return _layered_sweep(graph, starts, options.max_depth)
@@ -141,11 +143,13 @@ def transitive_credit(
         UnknownProduct: product is not registered in this graph.
     """
     options = options or PropagationOptions()
-    _require_registered(graph, product)
-    shares, truncated = _propagate(graph, [product], options)
+    index = graph.product_index(product)
+    if index is None:
+        raise UnknownProduct(f"{product.text} is not a registered product")
+    shares, truncated = _propagate(graph, [index], options)
     return Allocation(
         product=product,
-        shares=shares,
+        shares={graph.entity(node): share for node, share in shares.items()},
         truncated_at=options.max_depth if truncated else None,
     )
 
@@ -172,6 +176,11 @@ def aggregate_rank(
     canonical id text.
     """
     options = options or PropagationOptions()
-    in_scope = graph.registered() if scope is RankScope.ALL_PRODUCTS else graph.roots()
+    if scope is RankScope.ALL_PRODUCTS:
+        in_scope: Sequence[int] = range(len(graph.products))
+    else:
+        in_scope = graph.root_indexes()
     totals, _ = _propagate(graph, in_scope, options)
-    return sorted(totals.items(), key=lambda item: (-item[1], item[0].text))
+    ids = graph.ids
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], ids[item[0]]))
+    return [(graph.entity(node), total) for node, total in ranked]

@@ -1,11 +1,12 @@
 """Weighted citation graph built from a corpus of credit maps.
 
-The graph keeps what propagation needs: each registered product's
-outgoing edges (target and weight, in entry order) and the kind of every
-node, which tells a registered product from a terminal person or terminal
-product. The build is deterministic for a given corpus regardless of input
-order, and any directed cycle among registered products is rejected with a
-witness path, so every CreditGraph is acyclic.
+The graph keeps what propagation needs, in the layout of the registry
+snapshot's graph line: a table of node id texts, one kind code per node,
+and per registered product its outgoing edges (target index and weight,
+in entry order), so reading a snapshot builds no object per node. The
+build is deterministic for a given corpus regardless of input order, and
+any directed cycle among registered products is rejected with a witness
+path, so every CreditGraph is acyclic.
 
 One depth-first search serves both the cycle check and the order in which
 propagation visits products: its post-order puts every product after the
@@ -14,11 +15,15 @@ products it cites, in time linear in the edges it follows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
+    Category,
     CreditLedgerError,
     CreditMap,
     EntityId,
@@ -61,37 +66,112 @@ class GraphEdge(NamedTuple):
     weight: float
 
 
+_KINDS = {
+    "r": NodeKind.REGISTERED_PRODUCT,
+    "p": NodeKind.TERMINAL_PERSON,
+    "t": NodeKind.TERMINAL_PRODUCT,
+}
+_CATEGORY_CODES = {
+    Category.AUTHOR: "a",
+    Category.ARTICLE: "r",
+    Category.SOFTWARE: "s",
+    Category.ACKNOWLEDGMENT: "k",
+    Category.OTHER: "o",
+}
+_CATEGORY_NAMES = {code: category.value for category, code in _CATEGORY_CODES.items()}
+_PERSON_CODES = frozenset(_CATEGORY_CODES[category] for category in PERSON_CATEGORIES)
+_SCHEMES = {scheme.value: scheme for scheme in IdScheme}
+# EntityId's slot descriptors, which set a field past the frozen __setattr__.
+_set_scheme, _set_value = EntityId.scheme.__set__, EntityId.value.__set__
+
+
+def _entity(text: str) -> EntityId:
+    """The EntityId of a canonical id text this graph holds.
+
+    Every text in a graph came from an EntityId, so it is rebuilt without
+    EntityId's canonicalization and checks.
+    """
+    scheme, _, value = text.partition(":")
+    eid = object.__new__(EntityId)
+    _set_scheme(eid, _SCHEMES[scheme])
+    _set_value(eid, value)
+    return eid
+
+
 @dataclass(frozen=True)
 class CreditGraph:
-    """Immutable citation graph: node kinds by id, outgoing edges by product.
+    """Citation graph as an id-text table with int edges, read-only once built.
 
-    edges has one key per registered product, and its tuples preserve each
-    map's entry order. warnings records non-fatal classification anomalies
-    found during the build.
+    ids holds every node's canonical id text, the registered products
+    first and in id-text order, so node i is a registered product exactly
+    when i < len(products). kinds holds one code per node: "r" registered
+    product, "p" terminal person, "t" terminal product. products[i] is
+    product i's row: i, then the target index and weight of each entry of
+    its map, in entry order. warnings records non-fatal classification
+    anomalies found during the build.
+
+    nodes and edges give the same graph keyed by EntityId, built on first
+    use.
     """
 
-    nodes: Mapping[EntityId, NodeKind]
-    edges: Mapping[EntityId, tuple[GraphEdge, ...]]
+    ids: list[str]
+    kinds: str
+    products: list[list]
     warnings: tuple[str, ...] = ()
+
+    def entity(self, index: int) -> EntityId:
+        """The id of node index."""
+        return _entity(self.ids[index])
+
+    def product_index(self, product: EntityId) -> int | None:
+        """The index of a registered product, or None if it is not one."""
+        text, count = product.text, len(self.products)
+        i = bisect_left(self.ids, text, 0, count)
+        return i if i < count and self.ids[i] == text else None
+
+    def root_indexes(self) -> list[int]:
+        """Indexes of the registered products no registered product cites."""
+        count = len(self.products)
+        cited = bytearray(count)
+        for row in self.products:
+            for target in row[1::2]:
+                if target < count:
+                    cited[target] = 1
+        return [i for i in range(count) if not cited[i]]
 
     def registered(self) -> list[EntityId]:
         """Registered product ids, sorted by canonical text."""
-        return sorted(self.edges, key=lambda e: e.text)
+        return self._entities[: len(self.products)]
 
     def roots(self) -> list[EntityId]:
         """Registered products no other registered product cites, sorted."""
-        cited = {
-            edge.target
-            for edges in self.edges.values()
-            for edge in edges
-            if edge.target in self.edges
-        }
-        return [pid for pid in self.registered() if pid not in cited]
+        return [self._entities[i] for i in self.root_indexes()]
+
+    @cached_property
+    def _entities(self) -> list[EntityId]:
+        return [_entity(text) for text in self.ids]
+
+    @cached_property
+    def nodes(self) -> Mapping[EntityId, NodeKind]:
+        """The kind of every node, by id."""
+        return MappingProxyType(dict(zip(self._entities, map(_KINDS.__getitem__, self.kinds))))
+
+    @cached_property
+    def edges(self) -> Mapping[EntityId, tuple[GraphEdge, ...]]:
+        """Each registered product's outgoing edges, in entry order."""
+        entities = self._entities
+        return MappingProxyType({
+            entities[i]: tuple(
+                GraphEdge(entities[target], weight)
+                for target, weight in zip(row[1::2], row[2::2])
+            )
+            for i, row in enumerate(self.products)
+        })
 
 
 def _depth_first(
-    edges: Mapping[EntityId, tuple[GraphEdge, ...]], starts: Iterable[EntityId]
-) -> tuple[list[EntityId], list[EntityId] | None]:
+    products: list[list], starts: Iterable[int]
+) -> tuple[list[int], list[int] | None]:
     """Registered products reachable from starts, and the first cycle met.
 
     One iterative depth-first search from each start in turn, following
@@ -100,33 +180,97 @@ def _depth_first(
     after every product it cites. The cycle, or None, is the search path
     from the product an edge leads back to, closed by that product again.
     """
-    done: dict[EntityId, None] = {}  # finished products, in post-order
-    path: list[EntityId] = []
-    on_path: set[EntityId] = set()
-    pending: list[Iterator[GraphEdge]] = []  # per path product, edges left
+    count = len(products)
+    state = bytearray(count)  # 1 while on the search path, 2 once done
+    order: list[int] = []
+    path: list[int] = []
+    pending = []  # per path product, an iterator over its targets left
     for start in starts:
-        if start in done:
+        if state[start]:
             continue
         path.append(start)
-        on_path.add(start)
-        pending.append(iter(edges[start]))
+        state[start] = 1
+        pending.append(iter(products[start][1::2]))
         while pending:
-            for edge in pending[-1]:
-                target = edge.target
-                if target not in edges or target in done:
+            for target in pending[-1]:
+                if target >= count or state[target] == 2:
                     continue
-                if target in on_path:
-                    return list(done), path[path.index(target):] + [target]
+                if state[target] == 1:
+                    return order, path[path.index(target):] + [target]
                 path.append(target)
-                on_path.add(target)
-                pending.append(iter(edges[target]))
+                state[target] = 1
+                pending.append(iter(products[target][1::2]))
                 break
             else:
-                pid = path.pop()
+                done = path.pop()
                 pending.pop()
-                on_path.remove(pid)
-                done[pid] = None
-    return list(done), None
+                state[done] = 2
+                order.append(done)
+    return order, None
+
+
+def citations(creditmap: CreditMap) -> tuple[str, list[str], str, list[float]]:
+    """What assemble_graph reads of a map: its product's id text, and per
+    entry in entry order the target's id text, category code and weight."""
+    entries = creditmap.entries
+    return (
+        creditmap.product.id.text,
+        [entry.entity.text for entry in entries],
+        "".join([_CATEGORY_CODES[entry.category] for entry in entries]),
+        [entry.weight for entry in entries],
+    )
+
+
+def assemble_graph(
+    products: Iterable[tuple[str, list[str], str, list[float]]],
+) -> CreditGraph:
+    """The citation graph of products, each as citations() describes a map.
+
+    Raises as build_graph does.
+    """
+    products = sorted(products, key=lambda product: product[0])
+    ids = [product[0] for product in products]
+    for first, second in zip(ids, ids[1:]):
+        if first == second:
+            raise DuplicateProductId(f"duplicate product id {first}")
+    count = len(ids)
+    index = {text: i for i, text in enumerate(ids)}
+    kinds = ["r"] * count
+    rows: list[list] = []
+    warnings: list[str] = []
+    for i, (pid, targets, codes, weights) in enumerate(products):
+        row: list = [i]
+        for target, code, weight in zip(targets, codes, weights):
+            t = index.get(target)
+            if t is None or t >= count:
+                if code in _PERSON_CODES:
+                    kind = "p"
+                elif target.startswith("orcid:"):
+                    kind = "p"
+                    warnings.append(
+                        f"{pid}: ORCID {target} cited in product category "
+                        f"{_CATEGORY_NAMES[code]!r}; treating it as a person"
+                    )
+                else:
+                    kind = "t"
+                if t is None:
+                    t = index[target] = len(ids)
+                    ids.append(target)
+                    kinds.append(kind)
+                elif kinds[t] != kind:
+                    warnings.append(
+                        f"{target} is referenced both as a person and as a "
+                        f"product; keeping the person classification"
+                    )
+                    kinds[t] = "p"
+            row += (t, weight)
+        rows.append(row)
+
+    _, witness = _depth_first(rows, range(count))
+    if witness is not None:
+        raise CycleError([_entity(ids[i]) for i in witness])
+
+    return CreditGraph(ids=ids, kinds="".join(kinds), products=rows, warnings=tuple(warnings))
 
 
 def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
@@ -142,61 +286,23 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
         DuplicateProductId: two maps share one canonical product id.
         CycleError: the registered products cite each other in a cycle.
     """
-    registered: dict[EntityId, CreditMap] = {}
-    for creditmap in sorted(maps, key=lambda m: m.product.id.text):
-        pid = creditmap.product.id
-        if pid in registered:
-            raise DuplicateProductId(f"duplicate product id {pid.text}")
-        registered[pid] = creditmap
-
-    nodes = dict.fromkeys(registered, NodeKind.REGISTERED_PRODUCT)
-    edges: dict[EntityId, tuple[GraphEdge, ...]] = {}
-    warnings: list[str] = []
-    for pid, creditmap in registered.items():
-        edges[pid] = tuple(GraphEdge(e.entity, e.weight) for e in creditmap.entries)
-        for entry in creditmap.entries:
-            target = entry.entity
-            if target in registered:
-                continue
-            if entry.category in PERSON_CATEGORIES:
-                kind = NodeKind.TERMINAL_PERSON
-            elif target.scheme is IdScheme.ORCID:
-                kind = NodeKind.TERMINAL_PERSON
-                warnings.append(
-                    f"{pid.text}: ORCID {target.text} cited in product category "
-                    f"{entry.category.value!r}; treating it as a person"
-                )
-            else:
-                kind = NodeKind.TERMINAL_PRODUCT
-            if nodes.setdefault(target, kind) is not kind:
-                warnings.append(
-                    f"{target.text} is referenced both as a person and as a "
-                    f"product; keeping the person classification"
-                )
-                nodes[target] = NodeKind.TERMINAL_PERSON
-
-    _, witness = _depth_first(edges, registered)
-    if witness is not None:
-        raise CycleError(witness)
-
-    return CreditGraph(nodes=nodes, edges=edges, warnings=tuple(warnings))
+    return assemble_graph(map(citations, maps))
 
 
-def topological_order(
-    graph: CreditGraph, start: Iterable[EntityId] | None = None
-) -> list[EntityId]:
-    """Registered products, every product after everything it cites.
+def topological_order(graph: CreditGraph, start: Iterable[int] | None = None) -> list[int]:
+    """Registered product indexes, every product after everything it cites.
 
-    With start given (registered product ids), only the products reachable
-    from them, start included, are ordered; without it, every registered
-    product, searched from in the graph's edge order. The order is the
+    With start given (registered product indexes), only the products
+    reachable from them, start included, are ordered; without it, every
+    registered product, searched from in index order. The order is the
     depth-first post-order: each product's edges are followed in entry
     order, and no tie is broken by id text. It is deterministic for a given
     graph, and build_graph builds the same graph for any input order. The
     graph must be acyclic, as every graph from build_graph is (it refuses
     cycles).
     """
-    order, _ = _depth_first(graph.edges, graph.edges if start is None else start)
+    products = graph.products
+    order, _ = _depth_first(products, range(len(products)) if start is None else start)
     return order
 
 
@@ -207,12 +313,13 @@ def dangling_references(graph: CreditGraph) -> list[tuple[EntityId, list[EntityI
     products that are absent from the registry. Both levels are sorted by
     canonical id text.
     """
-    citers: dict[EntityId, set[EntityId]] = {}
-    for pid, out in graph.edges.items():
-        for edge in out:
-            if graph.nodes[edge.target] is NodeKind.TERMINAL_PRODUCT:
-                citers.setdefault(edge.target, set()).add(pid)
+    citers: dict[int, set[int]] = {}
+    for i, row in enumerate(graph.products):
+        for target in row[1::2]:
+            if graph.kinds[target] == "t":
+                citers.setdefault(target, set()).add(i)
+    ids = graph.ids
     return [
-        (target, sorted(citers[target], key=lambda e: e.text))
-        for target in sorted(citers, key=lambda e: e.text)
+        (graph.entity(target), [graph.entity(i) for i in sorted(citers[target])])
+        for target in sorted(citers, key=ids.__getitem__)
     ]

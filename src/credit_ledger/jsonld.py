@@ -441,7 +441,7 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
         obj["@id"] = f"http://orcid.org/{value}"
     elif scheme is IdScheme.DOI:
         obj["doi"] = value
-    elif scheme is IdScheme.URL:
+    elif scheme is IdScheme.URL and d.repository is None:
         if entry.category is Category.SOFTWARE or d.url is not None:
             obj["codeRepository"] = value
         else:
@@ -453,8 +453,6 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
         obj["url"] = d.url
     if d.email is not None:
         obj["email"] = d.email
-    elif scheme is IdScheme.EMAIL:
-        obj["email"] = value
     if d.license is not None:
         obj["license"] = d.license
     for key, val in d.extra.items():
@@ -483,8 +481,8 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
     differs from the name or headline, or one hidden behind a descriptive
     codeRepository, url or email), an explicit "@id" holding the canonical
     text is written too, so every map parses back to the same ids.
-    Limitation of the profile: keywords containing commas are not
-    representable (they are joined with ", ").
+    Keywords are joined with ", ", or kept as a list where one of them
+    holds a comma.
     """
     meta = creditmap.product
     doc: dict[str, Any] = {"@context": SCHEMA_ORG_CONTEXT}
@@ -497,8 +495,6 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
         doc["doi"] = meta.id.value
     elif scheme is IdScheme.URL:
         doc["url"] = meta.id.value
-    elif scheme is IdScheme.EMAIL:
-        doc["@id"] = meta.id.value
     else:
         try:
             rederived = _product_identity({"headline": meta.headline})
@@ -512,7 +508,10 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
     if meta.date_created is not None:
         doc["dateCreated"] = meta.date_created.isoformat()
     if meta.keywords:
-        doc["keywords"] = ", ".join(meta.keywords)
+        if any("," in keyword for keyword in meta.keywords):
+            doc["keywords"] = list(meta.keywords)  # the joined form would split them
+        else:
+            doc["keywords"] = ", ".join(meta.keywords)
     for key, val in meta.extra.items():
         if not key.startswith("citation."):
             doc[key] = val

@@ -9,9 +9,10 @@ then fsyncs objects/ once, so the renames are durable too.
 graph.json is a derived snapshot of the citation graph. Its stamp line
 records each object file's stat and digest, so that a read sees at stat
 cost which files changed, and the digests of the two lines after it: the
-graph line, which a read trusts without validating it again, and the
-per-object line, which lets a stale snapshot be refreshed by parsing only
-the files that changed (see Registry.load_graph). It is never trusted
+graph line, which holds a CreditGraph's tables as they are and which a
+read trusts without validating it again, and the per-object line, which
+lets a stale snapshot be refreshed by parsing only the files that changed
+(see Registry.load_graph). It is never trusted
 stale, never fsynced, and safe to delete.
 """
 
@@ -24,22 +25,15 @@ import os
 import tempfile
 import time
 from contextlib import contextmanager, suppress
-from functools import partial
 from pathlib import Path
 from typing import Iterator
 
-from .graph import CreditGraph, GraphEdge, NodeKind, build_graph
+from .graph import CreditGraph, assemble_graph, citations
 from .jsonld import parse_creditmap, serialize_creditmap
 from .model import (
-    Category,
-    CreditEntry,
     CreditLedgerError,
     CreditMap,
     EntityId,
-    EntryDisplay,
-    IdScheme,
-    ProductKind,
-    ProductMeta,
     Violation,
     validate_creditmap,
 )
@@ -51,22 +45,6 @@ _SNAPSHOT_FORMAT = "credit-ledger graph snapshot 3"
 #: coarse clock where files have sub-second times, and FAT's 2 s where an
 #: mtime in whole seconds shows a filesystem that may keep only seconds.
 _FINE_TICK_NS, _COARSE_TICK_NS = 20_000_000, 2_000_000_000
-_KIND_CODES = {
-    NodeKind.REGISTERED_PRODUCT: "r",
-    NodeKind.TERMINAL_PERSON: "p",
-    NodeKind.TERMINAL_PRODUCT: "t",
-}
-_KINDS_BY_CODE = {code: kind for kind, code in _KIND_CODES.items()}
-_CATEGORY_CODES = {
-    Category.AUTHOR: "a",
-    Category.ARTICLE: "r",
-    Category.SOFTWARE: "s",
-    Category.ACKNOWLEDGMENT: "k",
-    Category.OTHER: "o",
-}
-_CATEGORIES_BY_CODE = {code: category for category, code in _CATEGORY_CODES.items()}
-_NO_DISPLAY = EntryDisplay()
-_SCHEMES = {scheme.value: scheme for scheme in IdScheme}
 #: What decoding a torn or foreign snapshot line can raise.
 _SNAPSHOT_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError,
                     RecursionError)
@@ -283,11 +261,12 @@ class Registry:
         Every other file is read, and is unchanged if its digest is the
         recorded one. If all are unchanged and none is gone, the stored
         graph is returned, and the stamp line is rewritten when a file had
-        to be hashed. Otherwise a refresh keeps the recorded entries of
-        unchanged files, parses the rest (skipping stray files as load_all
-        does), runs build_graph and rewrites the snapshot. A line that fails
-        its digest counts as missing. A failed build raises as build_graph
-        and load_all do and writes nothing; a failed write is ignored.
+        to be hashed. Otherwise a refresh keeps the rows and recorded
+        categories of unchanged products, parses the rest (skipping stray
+        files as load_all does), assembles the graph from them as
+        build_graph would and rewrites the snapshot. A line that fails its
+        digest counts as missing. A failed build raises as build_graph and
+        load_all do and writes nothing; a failed write is ignored.
 
         Raises:
             StorageError: an object file cannot be read or does not parse.
@@ -318,31 +297,41 @@ class Registry:
             if hashed:
                 self._write_snapshot(scan_start, stats, graph_line, objects_line)
             return graph
-        recorded = {} if graph is None else _decode_objects(graph, objects_line)
-        del graph, graph_line, objects_line
-        # Each blob is dropped once parsed, and the maps once the graph is
-        # built: bytes, maps and snapshot text are never all held at once.
-        maps: list[CreditMap] = []
-        records: list[tuple[str, str, EntityId | None, str]] = []
+        try:
+            recorded = {} if graph is None else json.loads(objects_line)
+        except ValueError:
+            recorded = {}
+        del graph_line, objects_line
+        # Each blob is dropped once parsed and each map once described, so
+        # bytes and maps are never all held at once. An unchanged product
+        # keeps its row of the old graph, by id text: the new graph
+        # numbers its nodes afresh.
+        products: list[tuple[str, list[str], str, list[float]]] = []
+        records: list[tuple[str, str, str | None, str]] = []
         for name, stat in stats.items():
             data = changed.pop(name, None)
-            recorded_digest, creditmap = recorded.get(name, (None, None))
+            recorded_digest, index, codes = recorded.get(name, (None, None, ""))
             if data is not None or recorded_digest != stat[4]:
                 object_path = self._objects / name
                 if data is None:  # unchanged, but the per-object line is missing
                     data = self._read_bytes(object_path)
                     stat[4] = hashlib.sha256(data).hexdigest()
                 creditmap = self._registered_map(object_path, data)
-            if creditmap is None:
+                product = None if creditmap is None else citations(creditmap)
+            elif index is None:
+                product = None
+            else:
+                row = graph.products[index]
+                product = (graph.ids[index], [graph.ids[t] for t in row[1::2]], codes, row[2::2])
+            if product is None:
                 records.append((name, stat[4], None, ""))
                 continue
-            maps.append(creditmap)
-            codes = "".join(_CATEGORY_CODES[e.category] for e in creditmap.entries)
-            records.append((name, stat[4], creditmap.product.id, codes))
-        del recorded
-        graph = build_graph(maps)
-        del maps
-        if graph.edges:  # an empty registry, or a missing one, gets no file
+            products.append(product)
+            records.append((name, stat[4], product[0], product[2]))
+        del recorded, graph
+        graph = assemble_graph(products)
+        del products
+        if graph.products:  # an empty registry, or a missing one, gets no file
             self._write_snapshot(scan_start, stats, *_encode_snapshot(graph, records))
         return graph
 
@@ -396,30 +385,21 @@ class Registry:
 
 
 def _encode_snapshot(
-    graph: CreditGraph, records: list[tuple[str, str, EntityId | None, str]]
+    graph: CreditGraph, records: list[tuple[str, str, str | None, str]]
 ) -> tuple[bytes, bytes]:
     """The graph line and the per-object line of a snapshot of graph.
 
     records holds, per object file in name order, its name, the digest of
-    its bytes, the product it registers (None for a stray file) and one
-    category code per entry of that product's map.
+    its bytes, the id text of the product it registers (None for a stray
+    file) and one category code per entry of that product's map.
     """
-    index = {eid: i for i, eid in enumerate(graph.nodes)}
     # json writes each weight as repr(weight), which reads back exactly.
     graph_line = json.dumps(
-        [
-            [eid.text for eid in graph.nodes],
-            "".join(_KIND_CODES[kind] for kind in graph.nodes.values()),
-            [
-                [index[pid], *(x for e in out for x in (index[e.target], e.weight))]
-                for pid, out in graph.edges.items()
-            ],
-            list(graph.warnings),
-        ],
-        separators=(",", ":"),
+        [graph.ids, graph.kinds, graph.products, list(graph.warnings)], separators=(",", ":")
     )
-    # A product's targets and weights are its row in the graph line,
-    # in entry order; its record adds only the categories.
+    # A product's targets and weights are its row in the graph line, in
+    # entry order; its record adds only the categories.
+    index = {pid: i for i, pid in enumerate(graph.ids[: len(graph.products)])}
     objects_line = json.dumps(
         {
             name: [data_digest, None if pid is None else index[pid], codes]
@@ -430,59 +410,14 @@ def _encode_snapshot(
     return graph_line.encode() + b"\n", objects_line.encode() + b"\n"
 
 
-# The lines below passed their digests, so they are this program's output:
-# ids are rebuilt without EntityId's canonicalization and checks, and edges
-# without the Python-level __new__ of GraphEdge.
-_new_edge = partial(tuple.__new__, GraphEdge)
-
-
-def _trusted_id(text: str) -> EntityId:
-    scheme, _, value = text.partition(":")
-    eid = object.__new__(EntityId)
-    object.__setattr__(eid, "scheme", _SCHEMES[scheme])
-    object.__setattr__(eid, "value", value)
-    return eid
-
-
 def _decode_graph(graph_line: bytes) -> CreditGraph | None:
-    """The graph a snapshot's graph line holds, or None if it does not decode."""
-    try:
-        id_texts, kinds, products, warnings = json.loads(graph_line)
-        ids = [_trusted_id(text) for text in id_texts]
-        nodes = dict(zip(ids, map(_KINDS_BY_CODE.__getitem__, kinds)))
-        edges = {
-            ids[row[0]]: tuple(map(_new_edge, zip(map(ids.__getitem__, row[1::2]), row[2::2])))
-            for row in products
-        }
-        return CreditGraph(nodes=nodes, edges=edges, warnings=tuple(warnings))
-    except _SNAPSHOT_ERRORS:
-        return None
+    """The graph a snapshot's graph line holds, or None if it does not decode.
 
-
-def _decode_objects(
-    graph: CreditGraph, objects_line: bytes
-) -> dict[str, tuple[str, CreditMap | None]]:
-    """Per object file name, the digest a snapshot recorded and the map then
-    registered under that name (None for a stray file); {} if the
-    per-object line does not decode.
-
-    graph is the snapshot's decoded graph line, whose id table the
-    per-object line indexes. A map keeps only what build_graph reads: its
-    product id and its entries' ids, categories and weights.
+    The line passed its digest, so it is this program's output and is
+    taken as it stands.
     """
     try:
-        ids = list(graph.nodes)
-        recorded: dict[str, tuple[str, CreditMap | None]] = {}
-        for name, (data_digest, index, codes) in json.loads(objects_line).items():
-            if index is None:
-                recorded[name] = (data_digest, None)
-                continue
-            pid = ids[index]
-            entries = tuple(
-                CreditEntry(e.target, _CATEGORIES_BY_CODE[code], e.weight, _NO_DISPLAY)
-                for code, e in zip(codes, graph.edges[pid])
-            )
-            recorded[name] = (data_digest, CreditMap(ProductMeta(pid, ProductKind.OTHER), entries))
-        return recorded
+        ids, kinds, products, warnings = json.loads(graph_line)
     except _SNAPSHOT_ERRORS:
-        return {}
+        return None
+    return CreditGraph(ids=ids, kinds=kinds, products=products, warnings=tuple(warnings))

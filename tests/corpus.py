@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from credit_ledger import (
     Category,
     CreditEntry,
@@ -78,6 +80,34 @@ def as_plain(maps: list[CreditMap]) -> dict[str, list[tuple[str, float]]]:
         m.product.id.text: [(e.entity.text, e.weight) for e in m.entries]
         for m in maps
     }
+
+
+def _dag_product_id(i: int) -> EntityId:
+    return EntityId(IdScheme.DOI, f"10.7777/d{i}")
+
+
+@st.composite
+def dags(draw, max_products: int, chain: bool = False, max_cites: int = 2) -> list[CreditMap]:
+    """Acyclic corpus: product i cites up to max_cites random earlier
+    products (only product i - 1 when chain is set) and credits 1-3 people
+    from a pool of 8, so several products share terminals. Weights are
+    positive and normalized."""
+    maps: list[CreditMap] = []
+    for i in range(draw(st.integers(1, max_products))):
+        if chain:
+            cited = {i - 1} if i else set()
+        else:
+            cited = set(draw(st.lists(st.integers(0, i - 1), max_size=max_cites))) if i else set()
+        people = draw(st.sets(st.integers(0, 7), min_size=1, max_size=3))
+        targets = [(_dag_product_id(j), Category.ARTICLE) for j in sorted(cited)]
+        targets += [(EntityId(IdScheme.NAME, f"person {k}"), Category.AUTHOR) for k in sorted(people)]
+        raw = draw(st.lists(st.integers(1, 20), min_size=len(targets), max_size=len(targets)))
+        entries = tuple(
+            CreditEntry(entity, category, part / sum(raw))
+            for (entity, category), part in zip(targets, raw)
+        )
+        maps.append(CreditMap(ProductMeta(_dag_product_id(i), ProductKind.CODE, f"D{i}"), entries))
+    return maps
 
 
 def make_chain(

@@ -645,7 +645,16 @@ CLOSED_STDOUT_RUN = "import sys; from credit_ledger.cli import main; sys.exit(ma
 
 
 @pytest.mark.parametrize(
-    "command", ["rank", "rank --format json", "graph", f"credit --product {PRODUCT_C}", "validate"]
+    "command",
+    [
+        "rank",
+        "rank --format json",
+        "graph",
+        f"credit --product {PRODUCT_C}",
+        "validate",
+        "--help",
+        "rank --help",
+    ],
 )
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 def test_a_closed_stdout_exits_2_without_a_traceback(
@@ -659,6 +668,8 @@ def test_a_closed_stdout_exits_2_without_a_traceback(
         warnings = tmp_path / "warnings.jsonld"
         warnings.write_text(json.dumps(doc))
         argv = ["validate", str(warnings)]
+    elif command.endswith("--help"):
+        argv = command.split()  # argparse prints the help and exits
     else:
         argv = [*command.split(), "--registry", loaded_registry]
     src = str(Path(cli.__file__).parents[1])

@@ -14,52 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credit_ledger import (
-    Category,
-    CreditEntry,
     CreditGraph,
     CreditMap,
     EntityId,
-    IdScheme,
-    ProductKind,
-    ProductMeta,
     PropagationOptions,
     RankScope,
     aggregate_rank,
     build_graph,
     transitive_credit,
 )
-from corpus import as_plain
+from corpus import as_plain, dags
 from oracles import exact_credit_by_depth
 
 TOLERANCE = 1e-12
-
-
-def _product_id(i: int) -> EntityId:
-    return EntityId(IdScheme.DOI, f"10.7777/d{i}")
-
-
-@st.composite
-def dags(draw, max_products: int, chain: bool = False, max_cites: int = 2) -> list[CreditMap]:
-    """Acyclic corpus: product i cites up to max_cites random earlier
-    products (only product i - 1 when chain is set) and credits 1-3 people
-    from a pool of 8, so several products share terminals. Weights are
-    positive and normalized."""
-    maps: list[CreditMap] = []
-    for i in range(draw(st.integers(1, max_products))):
-        if chain:
-            cited = {i - 1} if i else set()
-        else:
-            cited = set(draw(st.lists(st.integers(0, i - 1), max_size=max_cites))) if i else set()
-        people = draw(st.sets(st.integers(0, 7), min_size=1, max_size=3))
-        targets = [(_product_id(j), Category.ARTICLE) for j in sorted(cited)]
-        targets += [(EntityId(IdScheme.NAME, f"person {k}"), Category.AUTHOR) for k in sorted(people)]
-        raw = draw(st.lists(st.integers(1, 20), min_size=len(targets), max_size=len(targets)))
-        entries = tuple(
-            CreditEntry(entity, category, part / sum(raw))
-            for (entity, category), part in zip(targets, raw)
-        )
-        maps.append(CreditMap(ProductMeta(_product_id(i), ProductKind.CODE, f"D{i}"), entries))
-    return maps
 
 
 def _at_depth(
@@ -147,14 +114,21 @@ def test_results_are_bit_identical_for_any_ingestion_order(maps, data) -> None:
 @settings(max_examples=40, deadline=None)
 @given(maps=dags(max_products=20, max_cites=6))
 def test_results_are_bit_identical_for_any_visiting_order(maps) -> None:
-    # Reversing the edge dict and every edge tuple changes the order in
-    # which propagation visits products and sums their parts, not the graph.
-    # Many citations per product give inflows of many parts, whose plain
-    # float sum would depend on that order.
+    # Reversing every product's edges and numbering the terminals in
+    # reverse changes the order in which propagation visits products and
+    # sums their parts, not the graph. Many citations per product give
+    # inflows of many parts, whose plain float sum would depend on that order.
     graph = build_graph(maps)
+    count = len(graph.products)
+    old = [*range(count), *reversed(range(count, len(graph.ids)))]
+    new = {j: i for i, j in enumerate(old)}
     reversed_graph = CreditGraph(
-        nodes=graph.nodes,
-        edges={pid: graph.edges[pid][::-1] for pid in reversed(graph.edges)},
+        ids=[graph.ids[j] for j in old],
+        kinds="".join(graph.kinds[j] for j in old),
+        products=[
+            [i, *(x for t, w in zip(row[-2:0:-2], row[:0:-2]) for x in (new[t], w))]
+            for i, row in enumerate(graph.products)
+        ],
         warnings=graph.warnings,
     )
     for depth in (None, 1, 3):

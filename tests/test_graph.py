@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from credit_ledger import (
     Category,
     CreditEntry,
+    CreditGraph,
     CreditMap,
     CycleError,
     EntityId,
+    GraphEdge,
     IdScheme,
     NodeKind,
     ProductKind,
     ProductMeta,
+    Registry,
     build_graph,
     dangling_references,
     topological_order,
@@ -26,10 +29,12 @@ from credit_ledger import (
 from credit_ledger.graph import DuplicateProductId
 from conftest import (
     AUTHOR_B,
+    CORPUS_FILES,
     DEV1,
     PRODUCT_A,
     PRODUCT_B,
     PRODUCT_C,
+    fixture_bytes,
 )
 from corpus import make_corpus
 
@@ -126,9 +131,15 @@ def test_person_classification_wins_over_product() -> None:
         assert any("person" in w for w in graph.warnings)
 
 
+def _order(graph: CreditGraph, start: list[EntityId] | None = None) -> list[EntityId]:
+    """topological_order, from and to ids rather than product indexes."""
+    indexes = None if start is None else [graph.product_index(p) for p in start]
+    return [graph.entity(i) for i in topological_order(graph, indexes)]
+
+
 def test_topological_order_puts_cited_before_citing(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    order = topological_order(graph)
+    order = _order(graph)
     assert [p.text for p in order] == [PRODUCT_A, PRODUCT_B, PRODUCT_C]
 
 
@@ -156,7 +167,7 @@ def test_topological_order_on_random_corpora() -> None:
     for _ in range(20):
         maps = make_corpus(rng, max_products=30)
         graph = build_graph(maps)
-        order = topological_order(graph)
+        order = _order(graph)
         assert sorted(order, key=lambda e: e.text) == graph.registered()
         position = {pid: i for i, pid in enumerate(order)}
         for source, out in graph.edges.items():
@@ -180,15 +191,15 @@ def test_topological_order_from_start_products_keeps_only_the_reachable() -> Non
                 if edge.target in graph.edges and edge.target not in reachable:
                     reachable.add(edge.target)
                     stack.append(edge.target)
-        order = topological_order(graph, start)
+        order = _order(graph, start)
         assert len(order) == len(reachable) and set(order) == reachable
         position = {pid: i for i, pid in enumerate(order)}
         for source in order:
             for edge in graph.edges[source]:
                 if edge.target in graph.edges:
                     assert position[edge.target] < position[source]
-        assert topological_order(graph, registered) == topological_order(graph)
-        assert topological_order(graph, []) == []
+        assert _order(graph, registered) == _order(graph)
+        assert _order(graph, []) == []
 
 
 def _assert_valid_witness(witness: list[EntityId], maps: list[CreditMap]) -> None:
@@ -250,7 +261,7 @@ def test_build_refuses_exactly_the_cyclic_corpora(seed: int, back_edges: int) ->
         assert again.value.witness == first.value.witness
     else:
         graph = build_graph(shuffled)
-        order = topological_order(graph)
+        order = _order(graph)
         assert sorted(order, key=lambda e: e.text) == graph.registered()
         position = {pid: i for i, pid in enumerate(order)}
         for source, out in graph.edges.items():
@@ -317,7 +328,7 @@ def test_cycle_through_terminal_nodes_is_fine() -> None:
         ("url:https://example.org/dep", Category.SOFTWARE, 0.5),
     )
     graph = build_graph([a, b])
-    assert [p.text for p in topological_order(graph)] == ["doi:10.1/a", "doi:10.1/b"]
+    assert [p.text for p in _order(graph)] == ["doi:10.1/a", "doi:10.1/b"]
 
 
 def test_dangling_references_lists_terminal_products_only(corpus_maps) -> None:
@@ -358,3 +369,53 @@ def test_empty_corpus_builds_an_empty_graph() -> None:
     assert graph.nodes == {}
     assert topological_order(graph) == []
     assert dangling_references(graph) == []
+
+
+FIXTURE_NODES = [
+    ("doi:10.9999/a", NodeKind.REGISTERED_PRODUCT),
+    ("doi:10.9999/b", NodeKind.REGISTERED_PRODUCT),
+    ("doi:10.9999/c", NodeKind.REGISTERED_PRODUCT),
+    ("orcid:0000-0002-1825-0097", NodeKind.TERMINAL_PERSON),
+    ("orcid:0000-0001-5109-3700", NodeKind.TERMINAL_PERSON),
+    ("orcid:0000-0002-1694-233X", NodeKind.TERMINAL_PERSON),
+    ("url:https://github.com/example/sparsekit", NodeKind.TERMINAL_PRODUCT),
+    ("url:https://github.com/example/gridgen", NodeKind.TERMINAL_PRODUCT),
+    ("url:https://github.com/example/quadrature", NodeKind.TERMINAL_PRODUCT),
+    ("url:https://github.com/example/meshio", NodeKind.TERMINAL_PRODUCT),
+    ("orcid:0000-0002-7007-4334", NodeKind.TERMINAL_PERSON),
+    ("orcid:0000-0003-0204-8772", NodeKind.TERMINAL_PERSON),
+]
+FIXTURE_EDGES = [
+    (
+        "doi:10.9999/a",
+        [
+            ("orcid:0000-0002-1825-0097", 0.5),
+            ("orcid:0000-0001-5109-3700", 0.2),
+            ("orcid:0000-0002-1694-233X", 0.1),
+            ("url:https://github.com/example/sparsekit", 0.05),
+            ("url:https://github.com/example/gridgen", 0.05),
+            ("url:https://github.com/example/quadrature", 0.05),
+            ("url:https://github.com/example/meshio", 0.05),
+        ],
+    ),
+    ("doi:10.9999/b", [("orcid:0000-0002-7007-4334", 0.75), ("doi:10.9999/a", 0.25)]),
+    ("doi:10.9999/c", [("orcid:0000-0003-0204-8772", 0.9), ("doi:10.9999/b", 0.1)]),
+]
+
+
+def test_views_and_dangling_references_of_the_fixtures_on_every_read_path(
+    corpus_maps, tmp_path
+) -> None:
+    registry = Registry(tmp_path / "reg")
+    for name in CORPUS_FILES:
+        registry.ingest(fixture_bytes(name))
+    graphs = [build_graph(corpus_maps), registry.load_graph(), registry.load_graph()]
+    for graph in graphs:  # a fresh build, a snapshot miss and a hit
+        nodes = [(pid.text, kind) for pid, kind in graph.nodes.items()]
+        edges = [
+            (pid.text, [(edge.target.text, edge.weight) for edge in out])
+            for pid, out in graph.edges.items()
+        ]
+        assert (nodes, edges) == (FIXTURE_NODES, FIXTURE_EDGES)
+        assert dangling_references(graph) == dangling_references(graphs[0])
+        assert all(isinstance(edge, GraphEdge) for out in graph.edges.values() for edge in out)

@@ -7,7 +7,7 @@ import math
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credit_ledger import (
@@ -17,14 +17,17 @@ from credit_ledger import (
     EntityId,
     EntryDisplay,
     IdScheme,
+    InvalidIdentifier,
     ParseMode,
     ProductKind,
     ProductMeta,
     parse_creditmap,
     serialize_creditmap,
+    validate_creditmap,
 )
 from credit_ledger.jsonld import (
     CreditmapSyntaxError,
+    ParseError,
     MalformedDoi,
     MissingContext,
     MissingCreditWeight,
@@ -391,3 +394,100 @@ def test_profile_maps_round_trip_exactly(creditmap: CreditMap) -> None:
     assert warnings == []
     assert parsed == creditmap
     assert serialize_creditmap(parsed) == data
+
+
+# Any text but a lone surrogate, which no UTF-8 document can hold.
+free_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=16).filter(str.strip)
+ENTRY_KEYS = ("@id", "doi", "codeRepository", "url", "email", "name", "headline")
+GROUPS = ("author", "articles", "software", "acknowledgment", "other")
+
+
+@st.composite
+def written_ids(draw, i: int) -> str:
+    """An identifier in one of the forms a document may write, any scheme."""
+    text = draw(free_text)
+    return draw(
+        st.sampled_from(
+            [
+                ORCID_POOL[i % len(ORCID_POOL)],
+                f"https://orcid.org/{ORCID_POOL[i % len(ORCID_POOL)]}",
+                f"10.{1000 + i}/{text}",
+                f"doi:10.{1000 + i}/Ab{i}",
+                f"https://DOI.org/10.{1000 + i}/X{i}",
+                f"https://Example.org/{i}/{text}/",
+                f"url:http://x.org/{i}",
+                f"User{i}@Example.org",
+                f"email:{text}{i}@x",
+                f"email:10.{i}/x@y",
+                f"EMAIL:https://a{i}@b.org",
+                f"name:{text} {i}",
+                f"{text} {i}",
+            ]
+        )
+    )
+
+
+@st.composite
+def written_entries(draw, i: int) -> dict:
+    """An entry object naming its entity by one to three keys."""
+    obj: dict = {}
+    for key in sorted(draw(st.sets(st.sampled_from(ENTRY_KEYS), min_size=1, max_size=3))):
+        if key == "@id":
+            obj[key] = draw(written_ids(i))
+        elif key == "doi":
+            doi = f"10.{2000 + i}/d{i}"
+            obj[key] = draw(st.sampled_from([doi, f"https://doi.org/{doi.upper()}"]))
+        elif key in ("codeRepository", "url"):
+            urls = [f"https://r.org/{i}", f"http://R.org/{i}/", f"https://u.org/{key}{i}"]
+            obj[key] = draw(st.sampled_from(urls))
+        elif key == "email":
+            obj[key] = draw(st.sampled_from([f"P{i}@Mail.org", f"{draw(free_text)}{i}@m.org"]))
+        else:
+            obj[key] = f"{draw(free_text)} {i}"
+    if draw(st.booleans()):
+        obj["@type"] = draw(st.sampled_from(["Person", "Code", "Dataset"]))
+    return obj
+
+
+@st.composite
+def written_documents(draw) -> dict:
+    """A document in the profile: any product identity, unicode free text,
+    keywords that may hold commas, and entries naming ids in every scheme."""
+    doc: dict = {"@context": "http://schema.org"}
+    doc["@type"] = draw(st.sampled_from(RECOGNIZED_TAGS[1:]))
+    identity = draw(st.sampled_from(["@id", "doi", "url", "headline"]))
+    if identity == "@id":
+        doc["@id"] = draw(written_ids(99))
+    elif identity == "doi":
+        doc["doi"] = draw(st.sampled_from(["10.9/Self", "doi:10.9/s", "https://doi.org/10.9/S"]))
+    elif identity == "url":
+        doc["url"] = "https://Self.org/x/"
+    if identity == "headline" or draw(st.booleans()):
+        doc["headline"] = draw(free_text)
+    if draw(st.booleans()):
+        keywords = draw(st.lists(free_text, max_size=4))
+        doc["keywords"] = keywords if draw(st.booleans()) else ",".join(keywords)
+    parts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    for i, part in enumerate(parts):
+        entry = {**draw(written_entries(i)), "creditWeight": repr(part / sum(parts))}
+        group = "author" if i == 0 else draw(st.sampled_from(GROUPS))
+        if group == "author":
+            doc.setdefault("author", []).append(entry)
+        else:
+            doc.setdefault("citation", {}).setdefault(group, []).append(entry)
+    return doc
+
+
+@settings(max_examples=300)
+@given(written_documents())
+def test_every_document_ingest_accepts_round_trips(doc: dict) -> None:
+    try:
+        creditmap, _ = parse_creditmap(json.dumps(doc).encode())
+    except (ParseError, InvalidIdentifier):
+        return  # ingest refuses it too
+    if validate_creditmap(creditmap):
+        return
+    data = serialize_creditmap(creditmap)
+    again, _ = parse_creditmap(data)
+    assert again == creditmap
+    assert serialize_creditmap(again) == data

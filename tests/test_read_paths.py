@@ -1,0 +1,123 @@
+"""Every read path gives the same graph and the same answers.
+
+rank and credit are computed on the graph of a fresh build_graph, of a
+snapshot hit, and of a snapshot refresh after an ingest or a --force. All
+three give ==-identical rows in the same tie order, and the same node and
+edge views, and their shares agree with the path oracle.
+"""
+
+from __future__ import annotations
+
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from credit_ledger import (
+    Category,
+    CreditEntry,
+    CreditMap,
+    EntityId,
+    IdScheme,
+    PropagationOptions,
+    RankScope,
+    Registry,
+    aggregate_rank,
+    build_graph,
+    dangling_references,
+    serialize_creditmap,
+    transitive_credit,
+)
+from credit_ledger import registry as registry_module
+from corpus import as_plain, dags
+from oracles import credit_by_paths
+
+DEPTHS = (None, 1, 2)
+TOLERANCE = 1e-12
+
+
+def _answers(graph, maps: list[CreditMap]):
+    ranks = [
+        aggregate_rank(graph, scope, PropagationOptions(max_depth=depth))
+        for scope in RankScope
+        for depth in DEPTHS
+    ]
+    credits = [
+        transitive_credit(graph, m.product.id, PropagationOptions(max_depth=depth))
+        for m in maps
+        for depth in DEPTHS
+    ]
+    views = (list(graph.nodes.items()), list(graph.edges.items()), dangling_references(graph))
+    return ranks, credits, views, graph.warnings
+
+
+def _placeholder(creditmap: CreditMap) -> CreditMap:
+    """Another map for the same product, which a --force ingest replaces."""
+    author = CreditEntry(EntityId(IdScheme.NAME, "placeholder"), Category.AUTHOR, 1.0)
+    return CreditMap(creditmap.product, (author,))
+
+
+def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool):
+    """The graphs of a refresh after late is ingested into a registry holding
+    the other maps (or, with force, a placeholder for late), of the hit that
+    follows it, and of a fresh build_graph of the maps the registry holds
+    (their entries in stored order, as credit reads them)."""
+    registry = Registry(root)
+    for creditmap in maps:
+        if creditmap is not late:
+            registry.ingest(serialize_creditmap(creditmap))
+        elif force:
+            registry.ingest(serialize_creditmap(_placeholder(creditmap)))
+    registry.load_graph()  # a miss, which writes the snapshot
+    registry.ingest(serialize_creditmap(late), force=force)
+    parse = registry_module.parse_creditmap
+    with mock.patch.object(registry_module, "parse_creditmap", wraps=parse) as parses:
+        refreshed = registry.load_graph()
+        assert parses.call_count == 1  # only the ingested map
+        hit = registry.load_graph()
+        assert parses.call_count == 1
+    return refreshed, hit, build_graph(registry.load_all())
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(maps=dags(max_products=8, max_cites=3), data=st.data())
+def test_fresh_hit_and_refresh_give_identical_answers(maps, data, tmp_path) -> None:
+    late = data.draw(st.sampled_from(maps))
+    force = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        refreshed, hit, fresh = _read_paths(Path(tmp) / "reg", maps, late, force)
+    want = _answers(fresh, maps)
+    assert _answers(refreshed, maps) == want
+    assert _answers(hit, maps) == want
+    assert refreshed == hit == fresh
+
+    plain = as_plain(maps)
+    ranks, credits, _, _ = want
+    allocations = iter(credits)
+    for creditmap in maps:
+        for depth in DEPTHS:
+            oracle = credit_by_paths(plain, creditmap.product.id.text, depth)
+            _assert_close({e.text: v for e, v in next(allocations).shares.items()}, oracle)
+    rankings = iter(ranks)
+    for scope in RankScope:
+        in_scope = fresh.registered() if scope is RankScope.ALL_PRODUCTS else fresh.roots()
+        for depth in DEPTHS:
+            parts: dict[str, list[float]] = {}
+            for pid in in_scope:
+                for entity, share in credit_by_paths(plain, pid.text, depth).items():
+                    parts.setdefault(entity, []).append(share)
+            oracle = {entity: math.fsum(shares) for entity, shares in parts.items()}
+            _assert_close({e.text: v for e, v in next(rankings)}, oracle)
+
+
+def _assert_close(got: dict[str, float], want: dict[str, float]) -> None:
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert math.isclose(got[key], value, rel_tol=TOLERANCE, abs_tol=TOLERANCE), key
