@@ -5,9 +5,12 @@ along citation paths and summing over paths. The engine computes this by
 pushing mass: unit mass starts on the root (on every product in scope,
 for a ranking) and moves down the citation DAG, citers before cited, each
 product passing its summed inflow on along its weighted edges. Registered
-products pass mass on; terminals absorb it. A depth limit pushes the mass
-in layers, one citation step at a time, and the registered products
-reached at the last step absorb theirs. Allocations conserve the total:
+products pass mass on; terminals absorb it. A depth limit uses the same
+pass: it keeps each product's inflow apart per citation step, and the
+registered products reached at the last step absorb theirs. The trade
+for having one pass: it orders the root's whole unlimited closure, so a
+shallow limit on a deep graph costs about what an unlimited query does,
+not only the products within the limit. Allocations conserve the total:
 shares always sum to 1, at any depth limit.
 
 The engine works on the graph's node indexes: a node is a registered
@@ -66,66 +69,36 @@ class RankScope(Enum):
     ROOTS_ONLY = "roots"
 
 
-def _fold(buckets: dict[int, list[float]]) -> dict[int, float]:
-    return {node: math.fsum(parts) for node, parts in buckets.items()}
-
-
-def _sweep(graph: CreditGraph, starts: Sequence[int]) -> dict[int, float]:
+def _sweep(
+    graph: CreditGraph, starts: Sequence[int], max_depth: int | None
+) -> tuple[dict[int, float], bool]:
     """Unit mass on each start product, pushed to the terminals in one pass.
 
     Products are visited citers first, so a product's inflow is complete
-    before its mass moves on. Cost is linear in the reachable edges.
+    before its mass moves on. Cost is linear in the reachable edges, times
+    the number of steps a product is reached at. Inflow is keyed by
+    citation step, which advances only under a depth limit: a registered
+    product reached at step max_depth absorbs its mass, and the flag says
+    whether any did.
     """
     products = graph.products
     count = len(products)
-    inflow: dict[int, list[float]] = {i: [1.0] for i in starts}
-    buckets: dict[int, list[float]] = {}
-    for i in reversed(topological_order(graph, starts)):
-        mass = math.fsum(inflow[i])
-        row = products[i]
-        for target, weight in zip(row[1::2], row[2::2]):
-            into = inflow if target < count else buckets
-            into.setdefault(target, []).append(mass * weight)
-    return _fold(buckets)
-
-
-def _layered_sweep(
-    graph: CreditGraph, starts: Sequence[int], max_depth: int
-) -> tuple[dict[int, float], bool]:
-    """Unit mass on each start product, pushed one citation step at a time.
-
-    Registered products reached at step max_depth absorb their mass; the
-    flag says whether any did. Stops once no mass is left in flight.
-    """
-    products = graph.products
-    count = len(products)
-    frontier: dict[int, list[float]] = {i: [1.0] for i in starts}
+    advance = 0 if max_depth is None else 1
+    inflow: dict[int, dict[int, list[float]]] = {i: {0: [1.0]} for i in starts}
     buckets: dict[int, list[float]] = {}
     truncated = False
-    depth = 0
-    while frontier:
-        depth += 1
-        following: dict[int, list[float]] = {}
-        for i, parts in frontier.items():
+    for i in reversed(topological_order(graph, starts)):
+        row = products[i]
+        for step, parts in inflow.pop(i, {}).items():
             mass = math.fsum(parts)
-            row = products[i]
+            reached = step + advance
             for target, weight in zip(row[1::2], row[2::2]):
-                registered = target < count
-                if registered and depth < max_depth:
-                    following.setdefault(target, []).append(mass * weight)
+                if target < count and reached != max_depth:
+                    inflow.setdefault(target, {}).setdefault(reached, []).append(mass * weight)
                 else:
-                    truncated = truncated or registered
+                    truncated = truncated or target < count
                     buckets.setdefault(target, []).append(mass * weight)
-        frontier = following
-    return _fold(buckets), truncated
-
-
-def _propagate(
-    graph: CreditGraph, starts: Sequence[int], options: PropagationOptions
-) -> tuple[dict[int, float], bool]:
-    if options.max_depth is None:
-        return _sweep(graph, starts), False
-    return _layered_sweep(graph, starts, options.max_depth)
+    return {node: math.fsum(parts) for node, parts in buckets.items()}, truncated
 
 
 def transitive_credit(
@@ -146,7 +119,7 @@ def transitive_credit(
     index = graph.product_index(product)
     if index is None:
         raise UnknownProduct(f"{product.text} is not a registered product")
-    shares, truncated = _propagate(graph, [index], options)
+    shares, truncated = _sweep(graph, [index], options.max_depth)
     return Allocation(
         product=product,
         shares={graph.entity(node): share for node, share in shares.items()},
@@ -180,7 +153,7 @@ def aggregate_rank(
         in_scope: Sequence[int] = range(len(graph.products))
     else:
         in_scope = graph.root_indexes()
-    totals, _ = _propagate(graph, in_scope, options)
+    totals, _ = _sweep(graph, in_scope, options.max_depth)
     ids = graph.ids
     ranked = sorted(totals.items(), key=lambda item: (-item[1], ids[item[0]]))
     return [(graph.entity(node), total) for node, total in ranked]

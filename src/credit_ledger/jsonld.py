@@ -387,6 +387,9 @@ def _parse_document(
 
     extra: dict[str, Any] = {}
     for key in doc:
+        if key.startswith("citation."):
+            # The stored name of an unrecognized member of citation.
+            raise CreditmapSyntaxError(f"top-level key {key} is reserved for citation members")
         if key not in _TOP_KEYS:
             _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, f"unrecognized key {key}")
             extra[key] = _kept(doc[key], key)

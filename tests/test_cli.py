@@ -410,6 +410,10 @@ HOSTILE_DOCUMENTS = {
     "unknown-value-nested-900-deep": (
         _with_paper_c('"x": ' + "[" * 900 + "]" * 900), "CreditmapSyntaxError"
     ),
+    # Stored beside the real group, it was written in place of it.
+    "top-level-key-named-like-a-citation-member": (
+        _with_paper_c('"citation.articles": "oops"'), "CreditmapSyntaxError"
+    ),
 }
 
 

@@ -36,6 +36,7 @@ from credit_ledger.jsonld import (
     UnknownKey,
     UnknownType,
     WeightParseError,
+    _MAX_KEPT_DEPTH,
 )
 from credit_ledger.model import CATEGORY_ORDER
 from conftest import fixture_bytes
@@ -293,6 +294,25 @@ def test_lenient_extras_survive_a_round_trip() -> None:
     assert serialize_creditmap(again) == data
 
 
+@pytest.mark.parametrize("mode", list(ParseMode))
+def test_a_top_level_key_named_like_a_citation_member_is_refused(mode: ParseMode) -> None:
+    # Kept as an extra, it shared the stored name of a citation member and
+    # was written back as the articles group, citing doi:10.1/z.
+    doc = {
+        "@context": "http://schema.org",
+        "@type": "Code",
+        "doi": "10.1/x",
+        "author": [{"name": "Solo Author", "creditWeight": "0.5"}],
+        "citation": {"articles": [{"doi": "10.1/y", "creditWeight": "0.5"}]},
+        "citation.articles": [{"doi": "10.1/z", "creditWeight": "0.5"}],
+    }
+    with pytest.raises(CreditmapSyntaxError, match="citation.articles"):
+        parse_creditmap(json.dumps(doc).encode(), mode=mode)
+    del doc["citation.articles"]
+    creditmap, _ = parse_creditmap(json.dumps(doc).encode(), mode=mode)
+    assert [e.entity.text for e in creditmap.entries] == ["name:solo author", "doi:10.1/y"]
+
+
 ORCID_POOL = (
     "0000-0002-1825-0097",
     "0000-0001-5109-3700",
@@ -449,10 +469,54 @@ def written_entries(draw, i: int) -> dict:
     return obj
 
 
+# Dotted names are never profile keys, and some read like the stored name
+# of a citation member ("citation.articles").
+extra_keys = st.sampled_from(["citation.articles", "citation.x", "author.name"]) | st.lists(
+    st.sampled_from(["citation", "articles", "author", "doi", "x", ""]) | free_text,
+    min_size=2,
+    max_size=3,
+).map(".".join)
+json_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**18), 10**18)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nesting(value: object) -> int:
+    """Levels of a JSON value as _kept counts them: a scalar is one."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_nesting, value), default=0)
+    return 1
+
+
+@st.composite
+def extra_values(draw) -> object:
+    """A JSON value; one in four is wrapped in lists to nest exactly
+    _MAX_KEPT_DEPTH levels, the deepest that parsing keeps."""
+    value = draw(json_values)
+    for _ in range(draw(st.sampled_from([0, 0, 1, _MAX_KEPT_DEPTH])) - _nesting(value)):
+        value = [value]
+    return value
+
+
+def _add_extras(draw, obj: dict) -> None:
+    for key in draw(st.lists(extra_keys, max_size=2)):
+        obj[key] = draw(extra_values())
+
+
 @st.composite
 def written_documents(draw) -> dict:
     """A document in the profile: any product identity, unicode free text,
-    keywords that may hold commas, and entries naming ids in every scheme."""
+    keywords that may hold commas, and entries naming ids in every scheme;
+    unknown keys at the top level, in entries and in citation."""
     doc: dict = {"@context": "http://schema.org"}
     doc["@type"] = draw(st.sampled_from(RECOGNIZED_TAGS[1:]))
     identity = draw(st.sampled_from(["@id", "doi", "url", "headline"]))
@@ -470,11 +534,15 @@ def written_documents(draw) -> dict:
     parts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     for i, part in enumerate(parts):
         entry = {**draw(written_entries(i)), "creditWeight": repr(part / sum(parts))}
+        _add_extras(draw, entry)
         group = "author" if i == 0 else draw(st.sampled_from(GROUPS))
         if group == "author":
             doc.setdefault("author", []).append(entry)
         else:
             doc.setdefault("citation", {}).setdefault(group, []).append(entry)
+    _add_extras(draw, doc)
+    if "citation" in doc or draw(st.booleans()):
+        _add_extras(draw, doc.setdefault("citation", {}))
     return doc
 
 
