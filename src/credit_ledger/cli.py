@@ -16,7 +16,6 @@ from typing import Callable
 
 from .engine import PropagationOptions, RankScope, aggregate_rank, transitive_credit
 from .graph import CreditGraph, build_graph
-from .jsonld import ParseError, ParseMode, parse_creditmap
 from .model import (
     CreditLedgerError,
     EntityId,
@@ -106,6 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _each_file(paths: list[str], handle: Callable[[str, bytes], None]) -> int:
     """Call handle(path, bytes) for each file, report each failure, and
     return the worst exit code."""
+    from .jsonld import ParseError  # each command that calls this parses documents
+
     worst = 0
     for path in paths:
         try:
@@ -126,6 +127,8 @@ def _each_file(paths: list[str], handle: Callable[[str, bytes], None]) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .jsonld import ParseMode, parse_creditmap
+
     mode = ParseMode.STRICT if args.strict else ParseMode.LENIENT
 
     def check(path: str, data: bytes) -> None:

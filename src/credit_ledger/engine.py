@@ -21,9 +21,8 @@ terminal. Ids are built only for the entities a result names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import CreditGraph, GraphError, topological_order
 from .model import EntityId
@@ -33,8 +32,11 @@ class UnknownProduct(GraphError):
     """The requested product id is not a registered product in the graph."""
 
 
-@dataclass(frozen=True)
-class PropagationOptions:
+class _Options(NamedTuple):
+    max_depth: int | None = None
+
+
+class PropagationOptions(_Options):
     """Knobs for credit propagation.
 
     max_depth limits how many citation steps from the root are expanded:
@@ -42,15 +44,15 @@ class PropagationOptions:
     terminals and absorb their share. None means unlimited.
     """
 
-    max_depth: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+    def __new__(cls, max_depth: int | None = None) -> PropagationOptions:
+        if max_depth is not None and max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+        return super().__new__(cls, max_depth)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Credit shares of one product, keyed by terminal entity id.
 
     truncated_at is the depth limit that actually cut off expansion, or

@@ -16,7 +16,6 @@ products it cites, in time linear in the edges it follows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -98,7 +97,6 @@ def _entity(text: str) -> EntityId:
     return eid
 
 
-@dataclass(frozen=True)
 class CreditGraph:
     """Citation graph as an id-text table with int edges, read-only once built.
 
@@ -108,16 +106,36 @@ class CreditGraph:
     product, "p" terminal person, "t" terminal product. products[i] is
     product i's row: i, then the target index and weight of each entry of
     its map, in entry order. warnings records non-fatal classification
-    anomalies found during the build.
+    anomalies found during the build. Graphs compare equal when these four
+    are equal.
 
     nodes and edges give the same graph keyed by EntityId, built on first
     use.
     """
 
-    ids: list[str]
-    kinds: str
-    products: list[list]
-    warnings: tuple[str, ...] = ()
+    def __init__(
+        self, ids: list[str], kinds: str, products: list[list], warnings: tuple[str, ...] = ()
+    ) -> None:
+        self.ids = ids
+        self.kinds = kinds
+        self.products = products
+        self.warnings = warnings
+
+    def _tables(self) -> tuple:
+        return self.ids, self.kinds, self.products, self.warnings
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tables() == other._tables()
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._tables()  # not the views built on first use
+
+    def __repr__(self) -> str:
+        return "CreditGraph(ids={!r}, kinds={!r}, products={!r}, warnings={!r})".format(
+            *self._tables()
+        )
 
     def entity(self, index: int) -> EntityId:
         """The id of node index."""

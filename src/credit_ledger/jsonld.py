@@ -10,10 +10,9 @@ normalization pass and normalized documents are byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import (
     CATEGORY_ORDER,
@@ -40,8 +39,7 @@ class ParseMode(Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True, slots=True)
-class ParseWarning:
+class ParseWarning(NamedTuple):
     """A non-fatal anomaly found while parsing in lenient mode."""
 
     code: str

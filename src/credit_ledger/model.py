@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from datetime import date
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from datetime import date
 
 
 class CreditLedgerError(Exception):
@@ -106,49 +108,68 @@ def validate_orcid_checksum(digits: str) -> bool:
     return bare[15].upper() == expected
 
 
-@dataclass(frozen=True, slots=True)
 class EntityId:
     """Canonical identifier for a person or product.
 
     Values are normalized on construction (DOIs lowercased, URLs stripped of
     trailing slashes, names lowercased with whitespace collapsed) and then
-    validated, so an EntityId that exists is canonical.
+    validated, so an EntityId that exists is canonical. Ids are immutable
+    and compare by value.
     """
 
+    __slots__ = ("scheme", "value")
     scheme: IdScheme
     value: str
 
-    def __post_init__(self) -> None:
-        raw = self.value.strip()
+    def __init__(self, scheme: IdScheme, value: str) -> None:
+        raw = value.strip()
         if not raw:
-            raise EmptyIdentifier(f"empty {self.scheme.value} identifier")
-        if self.scheme is IdScheme.ORCID:
+            raise EmptyIdentifier(f"empty {scheme.value} identifier")
+        if scheme is IdScheme.ORCID:
             raw = raw.upper()
             if not _ORCID_RE.fullmatch(raw):
                 raise MalformedOrcid(f"not a hyphenated ORCID: {raw!r}")
             if not validate_orcid_checksum(raw):
                 raise MalformedOrcid(f"ORCID checksum failure: {raw!r}")
-        elif self.scheme is IdScheme.DOI:
+        elif scheme is IdScheme.DOI:
             raw = raw.lower()
             if not raw.startswith("10.") or "/" not in raw or _SPACE_OR_CONTROL.search(raw):
                 raise MalformedDoi(f"not a DOI: {raw!r}")
-        elif self.scheme is IdScheme.URL:
+        elif scheme is IdScheme.URL:
             raw = raw.rstrip("/")
             if not raw.lower().startswith(("http://", "https://")) or _SPACE_OR_CONTROL.search(raw):
                 raise InvalidIdentifier(f"not an absolute http(s) URL: {raw!r}")
-        elif self.scheme is IdScheme.EMAIL:
+        elif scheme is IdScheme.EMAIL:
             raw = raw.lower()
             if "@" not in raw or any(c.isspace() for c in raw):
                 raise InvalidIdentifier(f"not an email address: {raw!r}")
         else:
             raw = " ".join(raw.lower().split())
+        object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "value", raw)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.scheme is other.scheme
 
     def __hash__(self) -> int:
         # A str caches its hash, so an id is hashed once; hashing (scheme,
         # value) would call Enum.__hash__ in Python on every dict operation.
         # Ids that differ only in scheme merely collide.
         return hash(self.value)
+
+    def __repr__(self) -> str:
+        return f"EntityId(scheme={self.scheme!r}, value={self.value!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.scheme, self.value)
 
     @property
     def text(self) -> str:
@@ -216,8 +237,37 @@ def canonicalize_id(raw: str) -> EntityId:
     return EntityId(IdScheme.NAME, text)
 
 
-@dataclass(frozen=True, slots=True)
-class EntryDisplay:
+class _Empty(Mapping):
+    """An empty mapping that cannot be filled, so one instance can be every
+    value's default extra. It pickles and copies as that instance."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: object) -> object:
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "NO_EXTRA"
+
+
+#: The default extra of EntryDisplay and ProductMeta.
+NO_EXTRA: Mapping[str, object] = _Empty()
+
+
+# The value types below are NamedTuples: immutable, compared by value, and
+# cheaper to define and to build than dataclasses.
+
+
+class EntryDisplay(NamedTuple):
     """Descriptive metadata carried alongside an entry, never used for identity.
 
     extra holds unrecognized document keys preserved by lenient parsing.
@@ -230,11 +280,10 @@ class EntryDisplay:
     license: str | None = None
     repository: str | None = None
     url: str | None = None
-    extra: Mapping[str, object] = field(default_factory=dict)
+    extra: Mapping[str, object] = NO_EXTRA
 
 
-@dataclass(frozen=True, slots=True)
-class CreditEntry:
+class CreditEntry(NamedTuple):
     """One weighted contribution: who or what, in which category, how much.
 
     The weight invariant (0 < weight <= 1) is enforced at system boundaries
@@ -245,11 +294,10 @@ class CreditEntry:
     entity: EntityId
     category: Category
     weight: float
-    display: EntryDisplay = field(default_factory=EntryDisplay)
+    display: EntryDisplay = EntryDisplay()
 
 
-@dataclass(frozen=True, slots=True)
-class ProductMeta:
+class ProductMeta(NamedTuple):
     """Identity and descriptive fields of the product a map belongs to."""
 
     id: EntityId
@@ -257,19 +305,17 @@ class ProductMeta:
     headline: str = ""
     date_created: date | None = None
     keywords: tuple[str, ...] = ()
-    extra: Mapping[str, object] = field(default_factory=dict)
+    extra: Mapping[str, object] = NO_EXTRA
 
 
-@dataclass(frozen=True, slots=True)
-class CreditMap:
+class CreditMap(NamedTuple):
     """A product plus its complete, conserving credit distribution."""
 
     product: ProductMeta
     entries: tuple[CreditEntry, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed validation check, as a value rather than an exception."""
 
     code: str

@@ -22,14 +22,12 @@ import fcntl
 import hashlib
 import json
 import os
-import tempfile
 import time
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterator
 
 from .graph import CreditGraph, assemble_graph, citations
-from .jsonld import parse_creditmap, serialize_creditmap
 from .model import (
     CreditLedgerError,
     CreditMap,
@@ -48,6 +46,50 @@ _FINE_TICK_NS, _COARSE_TICK_NS = 20_000_000, 2_000_000_000
 #: What decoding a torn or foreign snapshot line can raise.
 _SNAPSHOT_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError,
                     RecursionError)
+
+
+def _from_jsonld(name: str):
+    """A stand-in for the jsonld function name, which imports jsonld on its
+    first call and then puts that function in its place here.
+
+    A read served by the snapshot parses no document, so it never pays for
+    importing the parser. The stand-in keeps its place if something else
+    has taken it meanwhile (a wrapper that counts calls, say).
+    """
+
+    def first_call(*args, **kwargs):
+        from . import jsonld
+
+        function = getattr(jsonld, name)
+        if globals()[name] is first_call:
+            globals()[name] = function
+        return function(*args, **kwargs)
+
+    first_call.__name__ = first_call.__qualname__ = name
+    return first_call
+
+
+parse_creditmap = _from_jsonld("parse_creditmap")
+serialize_creditmap = _from_jsonld("serialize_creditmap")
+
+
+def _replace_file(path: Path, data: bytes, *, sync: bool) -> None:
+    """Write data to a new temp file beside path, fsync it if sync is true,
+    and rename it to path. On any failure the temp file is removed and the
+    error raised."""
+    tmp_path = path.with_name(f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o600)
+    try:
+        with open(fd, "wb") as f:
+            f.write(data)
+            if sync:
+                f.flush()
+                os.fsync(fd)
+        os.replace(tmp_path, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp_path)
+        raise
 
 
 def _object_name(product_id: EntityId) -> str:
@@ -210,13 +252,7 @@ class Registry:
             if not force and path.exists():
                 raise DuplicateProduct(f"{product_id.text} is already registered")
             try:
-                fd, tmp_name = tempfile.mkstemp(dir=self._objects, prefix=".tmp-")
-                try:
-                    os.write(fd, serialize_creditmap(creditmap))
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-                os.replace(tmp_name, path)
+                _replace_file(path, serialize_creditmap(creditmap), sync=True)
             except OSError as exc:
                 raise StorageError(f"cannot write {path}: {exc}") from exc
             self._renamed = True
@@ -363,7 +399,7 @@ class Registry:
     def _write_snapshot(
         self, scan_start: int, stats: dict[str, list], graph_line: bytes, objects_line: bytes
     ) -> None:
-        """Replace graph.json; on any OSError leave no temp file and go on.
+        """Replace graph.json; on any OSError go on without it.
 
         The stamp line holds the format tag, when the scan began, the
         digests of the graph and per-object lines, and stats by file name.
@@ -372,16 +408,9 @@ class Registry:
         """
         digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
         stamp = json.dumps([_SNAPSHOT_FORMAT, scan_start, *digests, stats], separators=(",", ":"))
-        tmp_name = None
-        try:
-            fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-            with os.fdopen(fd, "wb") as f:
-                f.write(stamp.encode() + b"\n" + graph_line + objects_line)
-            os.replace(tmp_name, self.root / "graph.json")
-        except OSError:
-            if tmp_name is not None:
-                with suppress(OSError):
-                    os.unlink(tmp_name)
+        with suppress(OSError):
+            data = stamp.encode() + b"\n" + graph_line + objects_line
+            _replace_file(self.root / "graph.json", data, sync=False)
 
 
 def _encode_snapshot(

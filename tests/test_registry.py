@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import hashlib
 import json
@@ -140,6 +141,24 @@ def test_leftover_temp_file_is_ignored(registry: Registry) -> None:
     registry.ingest(_doc("alpha"))
     (registry.root / "objects" / ".tmp-interrupted").write_bytes(_doc("beta")[:40])
     assert [m.product.id.text for m in registry.load_all()] == ["doi:10.1000/alpha"]
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_a_failed_object_write_leaves_no_temp_file(
+    registry: Registry, monkeypatch, failing: str
+) -> None:
+    registry.ingest(_doc("alpha"))
+
+    def full_disk(*args) -> None:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, failing, full_disk)
+    with pytest.raises(StorageError, match="cannot write"):
+        registry.ingest(_doc("beta"))
+    monkeypatch.undo()
+    assert sorted(p.name for p in (registry.root / "objects").iterdir()) == [
+        _object_file(registry, EntityId.from_text("doi:10.1000/alpha")).name
+    ]
 
 
 def test_ingest_writes_only_objects_and_the_lock(registry: Registry) -> None:
