@@ -49,7 +49,6 @@ _MODULES = {
     "build_graph": "graph",
     "canonicalize_id": "model",
     "dangling_references": "graph",
-    "entity_credit": "engine",
     "parse_creditmap": "jsonld",
     "serialize_creditmap": "jsonld",
     "topological_order": "graph",

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="total credit per entity across the registry")
     add_registry_arg(p)
-    p.add_argument("--scope", choices=("all", "roots"), default="all")
+    p.add_argument("--scope", choices=[scope.value for scope in RankScope], default="all")
     p.add_argument("--max-depth", type=int)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -199,9 +199,7 @@ def cmd_credit(args: argparse.Namespace) -> int:
             print(_fraction(share))
         return 0
 
-    rows = sorted(
-        allocation.shares.items(), key=lambda item: (-item[1], item[0].text)
-    )
+    rows = allocation.shares.items()
     if args.format == "json":
         doc = {
             "product": product.text,
@@ -218,7 +216,7 @@ def cmd_credit(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    scope = RankScope.ALL_PRODUCTS if args.scope == "all" else RankScope.ROOTS_ONLY
+    scope = RankScope(args.scope)
     options = _options(args)
     rows = aggregate_rank(_warn(Registry(args.registry).load_graph()), scope, options)
     if args.format == "json":

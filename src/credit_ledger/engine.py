@@ -53,7 +53,8 @@ class PropagationOptions(_Options):
 
 
 class Allocation(NamedTuple):
-    """Credit shares of one product, keyed by terminal entity id.
+    """Credit shares of one product, keyed by terminal entity id, in
+    aggregate_rank's order: descending share, ties by id text.
 
     truncated_at is the depth limit that actually cut off expansion, or
     None when no registered product was truncated.
@@ -103,6 +104,13 @@ def _sweep(
     return {node: math.fsum(parts) for node, parts in buckets.items()}, truncated
 
 
+def _ranked(graph: CreditGraph, shares: dict[int, float]) -> list[tuple[EntityId, float]]:
+    """Each node's share under its id, by descending share, ties by id text."""
+    ids = graph.ids
+    ranked = sorted(shares.items(), key=lambda item: (-item[1], ids[item[0]]))
+    return [(graph.entity(node), share) for node, share in ranked]
+
+
 def transitive_credit(
     graph: CreditGraph,
     product: EntityId,
@@ -124,19 +132,9 @@ def transitive_credit(
     shares, truncated = _sweep(graph, [index], options.max_depth)
     return Allocation(
         product=product,
-        shares={graph.entity(node): share for node, share in shares.items()},
+        shares=dict(_ranked(graph, shares)),
         truncated_at=options.max_depth if truncated else None,
     )
-
-
-def entity_credit(
-    graph: CreditGraph,
-    product: EntityId,
-    entity: EntityId,
-    options: PropagationOptions | None = None,
-) -> float:
-    """Share of a product's credit reaching one entity (0.0 when none)."""
-    return transitive_credit(graph, product, options).shares.get(entity, 0.0)
 
 
 def aggregate_rank(
@@ -156,6 +154,4 @@ def aggregate_rank(
     else:
         in_scope = graph.root_indexes()
     totals, _ = _sweep(graph, in_scope, options.max_depth)
-    ids = graph.ids
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], ids[item[0]]))
-    return [(graph.entity(node), total) for node, total in ranked]
+    return _ranked(graph, totals)

@@ -157,14 +157,6 @@ class CreditGraph:
                     cited[target] = 1
         return [i for i in range(count) if not cited[i]]
 
-    def registered(self) -> list[EntityId]:
-        """Registered product ids, sorted by canonical text."""
-        return self._entities[: len(self.products)]
-
-    def roots(self) -> list[EntityId]:
-        """Registered products no other registered product cites, sorted."""
-        return [self._entities[i] for i in self.root_indexes()]
-
     @cached_property
     def _entities(self) -> list[EntityId]:
         return [_entity(text) for text in self.ids]

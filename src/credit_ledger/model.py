@@ -88,6 +88,7 @@ _ORCID_RE = re.compile(r"\d{4}-\d{4}-\d{4}-\d{3}[\dX]")
 _ORCID_URI_RE = re.compile(r"https?://(?:www\.)?orcid\.org/(.+)", re.IGNORECASE)
 _DOI_URI_RE = re.compile(r"https?://(?:dx\.)?doi\.org/(.+)", re.IGNORECASE)
 _SPACE_OR_CONTROL = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 def validate_orcid_checksum(digits: str) -> bool:
@@ -113,7 +114,8 @@ class EntityId:
 
     Values are normalized on construction (DOIs lowercased, URLs stripped of
     trailing slashes, names lowercased with whitespace collapsed) and then
-    validated, so an EntityId that exists is canonical. Ids are immutable
+    validated, so an EntityId that exists is canonical: no value holds a
+    control character, and only a name holds whitespace. Ids are immutable
     and compare by value.
     """
 
@@ -141,10 +143,12 @@ class EntityId:
                 raise InvalidIdentifier(f"not an absolute http(s) URL: {raw!r}")
         elif scheme is IdScheme.EMAIL:
             raw = raw.lower()
-            if "@" not in raw or any(c.isspace() for c in raw):
+            if "@" not in raw or _SPACE_OR_CONTROL.search(raw):
                 raise InvalidIdentifier(f"not an email address: {raw!r}")
         else:
             raw = " ".join(raw.lower().split())
+            if _CONTROL.search(raw):
+                raise InvalidIdentifier(f"control character in name: {raw!r}")
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "value", raw)
 

@@ -20,7 +20,6 @@ from credit_ledger import (
     PropagationOptions,
     build_graph,
     canonicalize_id,
-    entity_credit,
     parse_creditmap,
     serialize_creditmap,
     transitive_credit,
@@ -60,8 +59,9 @@ def test_acceptance_worked_example_credit_flow() -> None:
     try:
         start = time.perf_counter()
         graph = _load_fixture_graph()
-        one_step = entity_credit(graph, EntityId.from_text(PRODUCT_B), EntityId.from_text(DEV1))
-        two_step = entity_credit(graph, EntityId.from_text(PRODUCT_C), EntityId.from_text(DEV1))
+        dev1 = EntityId.from_text(DEV1)
+        one_step = transitive_credit(graph, EntityId.from_text(PRODUCT_B)).shares.get(dev1, 0.0)
+        two_step = transitive_credit(graph, EntityId.from_text(PRODUCT_C)).shares.get(dev1, 0.0)
         elapsed = time.perf_counter() - start
         ok = (
             abs(one_step - 0.125) <= 1e-12
@@ -173,7 +173,7 @@ def test_acceptance_chain_multiplication() -> None:
             for _ in range(25):
                 maps, lead, hops, lead_weight = make_chain(rng, length)
                 graph = build_graph(maps)
-                got = entity_credit(graph, maps[-1].product.id, lead)
+                got = transitive_credit(graph, maps[-1].product.id).shares.get(lead, 0.0)
                 want = lead_weight
                 for hop in hops:
                     want *= hop

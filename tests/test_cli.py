@@ -378,6 +378,17 @@ def _with_paper_c(tail: str) -> bytes:
     return (text[:-1].rstrip() + ", " + tail + "}\n").encode()
 
 
+def _code_by(**author: str) -> bytes:
+    """A Code document whose one author entry has the given keys."""
+    doc = {
+        "@context": "http://schema.org",
+        "@type": "Code",
+        "url": "https://example.org/code",
+        "author": [{**author, "creditWeight": "1"}],
+    }
+    return json.dumps(doc).encode()
+
+
 # Documents that once escaped main() as a traceback from float(), json.loads
 # or the serializer, or were stored with an id holding whitespace or a
 # control character, which broke the output lines that printed it; each
@@ -414,6 +425,12 @@ HOSTILE_DOCUMENTS = {
     "top-level-key-named-like-a-citation-member": (
         _with_paper_c('"citation.articles": "oops"'), "CreditmapSyntaxError"
     ),
+    # Stored, the ids reached the terminal as an ANSI escape and the DOT
+    # file as a NUL byte.
+    "escape-sequence-in-an-author-name": (
+        _code_by(name="Eve\u001b[31mRed"), "InvalidIdentifier"
+    ),
+    "nul-in-an-author-email": (_code_by(email="x\u0000y@z.org"), "InvalidIdentifier"),
 }
 
 
@@ -527,6 +544,16 @@ def test_credit_rejects_malformed_product_ids(loaded_registry: str, run_cli) -> 
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("product", ["name:eve\x1b[31mred", "email:x\x01y@z.org"])
+def test_credit_rejects_product_ids_holding_control_characters(
+    product: str, loaded_registry: str, run_cli
+) -> None:
+    code, out, err = run_cli("credit", "--registry", loaded_registry, "--product", product)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --product")
 
 
 def test_credit_rejects_a_zero_depth_limit(loaded_registry: str, run_cli) -> None:

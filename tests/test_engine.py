@@ -14,7 +14,6 @@ from credit_ledger import (
     RankScope,
     aggregate_rank,
     build_graph,
-    entity_credit,
     transitive_credit,
 )
 from credit_ledger.engine import UnknownProduct
@@ -86,13 +85,12 @@ def test_two_hop_allocation(corpus_maps) -> None:
 
 def test_entity_credit_worked_values(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    assert entity_credit(graph, _pid(PRODUCT_B), _pid(DEV1)) == pytest.approx(
-        0.125, abs=1e-12
-    )
-    assert entity_credit(graph, _pid(PRODUCT_C), _pid(DEV1)) == pytest.approx(
-        0.0125, abs=1e-12
-    )
-    assert entity_credit(graph, _pid(PRODUCT_A), _pid(AUTHOR_C)) == 0.0
+    def share(product: str, entity: str) -> float:
+        return transitive_credit(graph, _pid(product)).shares.get(_pid(entity), 0.0)
+
+    assert share(PRODUCT_B, DEV1) == pytest.approx(0.125, abs=1e-12)
+    assert share(PRODUCT_C, DEV1) == pytest.approx(0.0125, abs=1e-12)
+    assert share(PRODUCT_A, AUTHOR_C) == 0.0
 
 
 def test_depth_one_equals_direct_credit(corpus_maps) -> None:
@@ -235,7 +233,7 @@ def test_chain_credit_is_the_product_of_edge_weights() -> None:
         maps, lead, hops, lead_weight = make_chain(rng, length)
         graph = build_graph(maps)
         end = maps[-1].product.id
-        got = entity_credit(graph, end, lead)
+        got = transitive_credit(graph, end).shares.get(lead, 0.0)
         want = lead_weight
         for hop in hops:
             want *= hop

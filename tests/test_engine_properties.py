@@ -53,8 +53,10 @@ def _check_credit(graph, plain, product: EntityId, depths) -> None:
 
 
 def _check_rank(graph, plain, scope: RankScope, depths) -> None:
-    in_scope = graph.registered() if scope is RankScope.ALL_PRODUCTS else graph.roots()
-    exact = exact_credit_by_depth(plain, [pid.text for pid in in_scope])
+    in_scope = (
+        range(len(graph.products)) if scope is RankScope.ALL_PRODUCTS else graph.root_indexes()
+    )
+    exact = exact_credit_by_depth(plain, [graph.ids[i] for i in in_scope])
     for depth in depths:
         ranking = aggregate_rank(graph, scope, PropagationOptions(max_depth=depth))
         _assert_agrees(dict(ranking), _at_depth(exact, depth)[0])
@@ -142,3 +144,15 @@ def test_results_are_bit_identical_for_any_visiting_order(maps) -> None:
             assert aggregate_rank(reversed_graph, scope, options) == aggregate_rank(
                 graph, scope, options
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=dags(max_products=12))
+def test_shares_iterate_in_rank_order_at_every_depth(maps) -> None:
+    # Integer weights of 1-20 give equal shares often, so ties are exercised.
+    graph = build_graph(maps)
+    for creditmap in maps:
+        for depth in (None, *range(1, len(maps) + 2)):
+            options = PropagationOptions(max_depth=depth)
+            rows = list(transitive_credit(graph, creditmap.product.id, options).shares.items())
+            assert rows == sorted(rows, key=lambda row: (-row[1], row[0].text))

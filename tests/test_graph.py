@@ -65,8 +65,8 @@ def test_fixture_corpus_node_classification(corpus_maps) -> None:
 
 def test_fixture_corpus_roots_and_registered(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    assert [p.text for p in graph.registered()] == [PRODUCT_A, PRODUCT_B, PRODUCT_C]
-    assert [p.text for p in graph.roots()] == [PRODUCT_C]
+    assert graph.ids[: len(graph.products)] == [PRODUCT_A, PRODUCT_B, PRODUCT_C]
+    assert [graph.ids[i] for i in graph.root_indexes()] == [PRODUCT_C]
 
 
 def test_edges_preserve_entry_order_and_weights(corpus_maps) -> None:
@@ -168,7 +168,7 @@ def test_topological_order_on_random_corpora() -> None:
         maps = make_corpus(rng, max_products=30)
         graph = build_graph(maps)
         order = _order(graph)
-        assert sorted(order, key=lambda e: e.text) == graph.registered()
+        assert sorted(e.text for e in order) == graph.ids[: len(graph.products)]
         position = {pid: i for i, pid in enumerate(order)}
         for source, out in graph.edges.items():
             for edge in out:
@@ -182,7 +182,7 @@ def test_topological_order_from_start_products_keeps_only_the_reachable() -> Non
     for _ in range(20):
         maps = make_corpus(rng, max_products=30)
         graph = build_graph(maps)
-        registered = graph.registered()
+        registered = [graph.entity(i) for i in range(len(graph.products))]
         start = rng.sample(registered, rng.randint(1, min(3, len(registered))))
         reachable = set(start)
         stack = list(start)
@@ -262,7 +262,7 @@ def test_build_refuses_exactly_the_cyclic_corpora(seed: int, back_edges: int) ->
     else:
         graph = build_graph(shuffled)
         order = _order(graph)
-        assert sorted(order, key=lambda e: e.text) == graph.registered()
+        assert sorted(e.text for e in order) == graph.ids[: len(graph.products)]
         position = {pid: i for i, pid in enumerate(order)}
         for source, out in graph.edges.items():
             for edge in out:

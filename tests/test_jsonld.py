@@ -325,6 +325,18 @@ ORCID_POOL = (
 RECOGNIZED_TAGS = ("Person", "ScholarlyArticle", "Code", "Dataset", "BlogPosting", "CreativeWork")
 
 nonblank = st.text(min_size=1, max_size=24).filter(lambda s: s.split())
+
+
+def _is_name(text: str) -> bool:
+    try:
+        EntityId(IdScheme.NAME, text)
+    except InvalidIdentifier:
+        return False
+    return True
+
+
+# Text that a name id accepts: no control character once whitespace collapses.
+name_text = nonblank.filter(_is_name)
 keyword = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
 
 
@@ -343,7 +355,7 @@ def profile_entries(draw) -> list[CreditEntry]:
         headline = draw(st.none() | nonblank)
         name = email = repository = url = None
         if scheme == "name":
-            name = f"{draw(nonblank)} {i}"
+            name = f"{draw(name_text)} {i}"
             entity = EntityId(IdScheme.NAME, name)
         else:
             name = draw(st.none() | nonblank)
@@ -385,7 +397,7 @@ def profile_maps(draw) -> CreditMap:
     kind = draw(st.sampled_from(list(ProductKind)))
     id_kind = draw(st.sampled_from(["doi", "url", "name", "orcid", "email"]))
     if id_kind == "name":
-        headline = draw(nonblank)
+        headline = draw(name_text)
         product_id = EntityId(IdScheme.NAME, headline)
     else:
         headline = draw(st.just("") | nonblank)

@@ -150,6 +150,22 @@ def test_doi_and_url_values_refuse_whitespace_and_control_characters(raw: str) -
         canonicalize_id(raw)
 
 
+@pytest.mark.parametrize(
+    "scheme, raw",
+    [(IdScheme.NAME, "Eve\x1b[31mRed"), (IdScheme.NAME, "a\x00b"), (IdScheme.NAME, "a\x7fb"),
+     (IdScheme.NAME, "a\x9bb"), (IdScheme.EMAIL, "x\x00y@z.org"), (IdScheme.EMAIL, "x@z\x85.org")],
+)
+def test_name_and_email_values_refuse_control_characters(scheme: IdScheme, raw: str) -> None:
+    with pytest.raises(InvalidIdentifier):
+        EntityId(scheme, raw)
+    with pytest.raises(InvalidIdentifier):
+        canonicalize_id(f"{scheme.value}:{raw}")
+
+
+def test_name_whitespace_collapses_before_the_control_check() -> None:
+    assert EntityId(IdScheme.NAME, " Eve\t\n\x1cRed ").value == "eve red"
+
+
 def test_from_text_requires_a_known_scheme() -> None:
     with pytest.raises(InvalidIdentifier):
         EntityId.from_text("10.5334/jors.be")

@@ -107,11 +107,13 @@ def test_fresh_hit_and_refresh_give_identical_answers(maps, data, tmp_path) -> N
             _assert_close({e.text: v for e, v in next(allocations).shares.items()}, oracle)
     rankings = iter(ranks)
     for scope in RankScope:
-        in_scope = fresh.registered() if scope is RankScope.ALL_PRODUCTS else fresh.roots()
+        in_scope = (
+            range(len(fresh.products)) if scope is RankScope.ALL_PRODUCTS else fresh.root_indexes()
+        )
         for depth in DEPTHS:
             parts: dict[str, list[float]] = {}
-            for pid in in_scope:
-                for entity, share in credit_by_paths(plain, pid.text, depth).items():
+            for i in in_scope:
+                for entity, share in credit_by_paths(plain, fresh.ids[i], depth).items():
                     parts.setdefault(entity, []).append(share)
             oracle = {entity: math.fsum(shares) for entity, shares in parts.items()}
             _assert_close({e.text: v for e, v in next(rankings)}, oracle)

@@ -96,7 +96,7 @@ class RegistryMachine(RuleBasedStateMachine):
         assert maps == [self.model[i] for i in sorted(self.model)]
         graph = registry.load_graph()
         assert graph == build_graph(maps)
-        assert graph.registered() == [_id(i) for i in sorted(self.model)]
+        assert graph.ids[: len(graph.products)] == [_id(i).text for i in sorted(self.model)]
         assert registry.load_graph() == graph
 
     @invariant()
