@@ -81,7 +81,9 @@ _CATEGORY_NAMES = {code: category.value for category, code in _CATEGORY_CODES.it
 _PERSON_CODES = frozenset(_CATEGORY_CODES[category] for category in PERSON_CATEGORIES)
 _SCHEMES = {scheme.value: scheme for scheme in IdScheme}
 # EntityId's slot descriptors, which set a field past the frozen __setattr__.
-_set_scheme, _set_value = EntityId.scheme.__set__, EntityId.value.__set__
+_set_scheme, _set_value, _set_text = (
+    EntityId.scheme.__set__, EntityId.value.__set__, EntityId.text.__set__
+)
 
 
 def _entity(text: str) -> EntityId:
@@ -94,6 +96,7 @@ def _entity(text: str) -> EntityId:
     eid = object.__new__(EntityId)
     _set_scheme(eid, _SCHEMES[scheme])
     _set_value(eid, value)
+    _set_text(eid, text)
     return eid
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 from datetime import date
 from enum import Enum
+from functools import lru_cache, partial
 from typing import Any, NamedTuple
 
+from . import model
 from .model import (
     CATEGORY_ORDER,
     Category,
@@ -26,7 +28,6 @@ from .model import (
     MalformedDoi,
     ProductKind,
     ProductMeta,
-    canonicalize_id,
 )
 
 #: The only @context this profile accepts.
@@ -161,21 +162,22 @@ def _require_str(value: Any, where: str) -> str:
     return value
 
 
-def _parse_weight(raw: Any, where: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise WeightParseError(f"{where}: creditWeight must be a decimal string or number")
+def _parse_weight(raw: Any, group: str, i: int) -> float:
+    """The creditWeight of entry i of group."""
     if isinstance(raw, str):
         try:
             weight = float(raw.strip())
         except ValueError:
-            raise WeightParseError(f"{where}: non-numeric creditWeight {raw!r}") from None
+            raise WeightParseError(f"{group}[{i}]: non-numeric creditWeight {raw!r}") from None
+    elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise WeightParseError(f"{group}[{i}]: creditWeight must be a decimal string or number")
     else:
         try:
             weight = float(raw)
         except OverflowError:
-            raise WeightParseError(f"{where}: creditWeight is too large a number") from None
+            raise WeightParseError(f"{group}[{i}]: creditWeight is too large a number") from None
     if not (0.0 < weight <= 1.0):
-        raise WeightParseError(f"{where}: creditWeight {raw!r} outside (0, 1]")
+        raise WeightParseError(f"{group}[{i}]: creditWeight {raw!r} outside (0, 1]")
     return weight
 
 
@@ -185,37 +187,64 @@ def _render_weight(weight: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _entity_from_doi(raw: str, where: str) -> EntityId:
-    entity = canonicalize_id(raw)
-    if entity.scheme is not IdScheme.DOI:
-        raise MalformedDoi(f"{where}: doi key holds {raw!r}, which is not a DOI")
-    return entity
+#: Distinct raw id texts whose ids each cache below keeps. An entry costs a
+#: few hundred bytes, so a full cache holds a few megabytes.
+_ID_CACHE_SIZE = 16_384
 
 
-#: Entry keys that name the entity directly, after @id and doi, strongest first.
+@lru_cache(maxsize=_ID_CACHE_SIZE)
+def _canonical_id(raw: str) -> EntityId:
+    """canonicalize_id(raw), computed once per distinct raw text.
+
+    Documents repeat ids (people across maps, products cited by many), and
+    an EntityId is immutable, so one instance serves every equal text. A
+    call that raises caches nothing.
+    """
+    return model.canonicalize_id(raw)
+
+
+# EntityId(scheme, raw) per scheme, computed once per distinct raw text.
+_url_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(EntityId, IdScheme.URL))
+_email_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(EntityId, IdScheme.EMAIL))
+_name_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(EntityId, IdScheme.NAME))
+
+
+#: Entry keys that name the entity directly, after @id and doi, strongest
+#: first, each with the id it names.
 _ENTRY_ID_KEYS = (
-    ("codeRepository", IdScheme.URL),
-    ("url", IdScheme.URL),
-    ("email", IdScheme.EMAIL),
-    ("name", IdScheme.NAME),
-    ("headline", IdScheme.NAME),
+    ("codeRepository", _url_id),
+    ("url", _url_id),
+    ("email", _email_id),
+    ("name", _name_id),
+    ("headline", _name_id),
 )
+#: Entry keys whose values must be strings, in the order they are checked.
+_ENTRY_TEXT_KEYS = ("@type", "name", "headline", "email", "license", "codeRepository", "url")
 
 
-def _entry_identity(obj: dict[str, Any], where: str) -> tuple[EntityId, str]:
-    """The entity an entry object names, and the key that names it.
+def _entry_identity(obj: dict[str, Any], group: str, i: int) -> tuple[EntityId, str]:
+    """The entity that entry i of group names, and the key that names it.
 
     Precedence: @id, doi, codeRepository, url, email, name, headline. The
     caller has checked that the values under the other keys are strings.
     """
     if "@id" in obj:
-        return canonicalize_id(_require_str(obj["@id"], f"{where}.@id")), "@id"
+        raw = obj["@id"]
+        if raw.__class__ is not str:
+            _require_str(raw, f"{group}[{i}].@id")
+        return _canonical_id(raw), "@id"
     if "doi" in obj:
-        return _entity_from_doi(_require_str(obj["doi"], f"{where}.doi"), where), "doi"
-    for key, scheme in _ENTRY_ID_KEYS:
+        raw = obj["doi"]
+        if raw.__class__ is not str:
+            _require_str(raw, f"{group}[{i}].doi")
+        entity = _canonical_id(raw)
+        if entity.scheme is not IdScheme.DOI:
+            raise MalformedDoi(f"{group}[{i}]: doi key holds {raw!r}, which is not a DOI")
+        return entity, "doi"
+    for key, make_id in _ENTRY_ID_KEYS:
         if key in obj:
-            return EntityId(scheme, obj[key]), key
-    raise MissingIdentifier(f"{where} has no identifying key")
+            return make_id(obj[key]), key
+    raise MissingIdentifier(f"{group}[{i}] has no identifying key")
 
 
 def _parse_entry(
@@ -223,50 +252,58 @@ def _parse_entry(
     category: Category,
     mode: ParseMode,
     warnings: list[ParseWarning],
-    where: str,
+    group: str,
+    i: int,
 ) -> CreditEntry:
+    """Entry i of group.
+
+    Checks run in a fixed order, so the first failure reported does not
+    depend on the order of the keys: unknown keys (in document order),
+    @type and its tag, the other text keys, the identity, the weight. A
+    path such as author[0].name is built only for a message that names it.
+    """
     if not isinstance(obj, dict):
-        raise CreditmapSyntaxError(f"{where} must be an object")
+        raise CreditmapSyntaxError(f"{group}[{i}] must be an object")
 
     extra: dict[str, Any] = {}
-    for key in obj:
-        if key not in _ENTRY_KEYS:
-            message = f"unrecognized key {where}.{key}"
-            _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
-            extra[key] = _kept(obj[key], f"{where}.{key}")
+    if obj.keys() - _ENTRY_KEYS:
+        for key, value in obj.items():
+            if key not in _ENTRY_KEYS:
+                message = f"unrecognized key {group}[{i}].{key}"
+                _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
+                extra[key] = _kept(value, f"{group}[{i}].{key}")
 
-    type_tag = None
-    if "@type" in obj:
-        type_tag = _require_str(obj["@type"], f"{where}.@type")
-        if type_tag not in _ENTRY_TYPE_TAGS:
-            message = f"{where}: unrecognized @type {type_tag!r}"
-            _outside_profile(mode, warnings, UnknownType, UNKNOWN_TYPE, message)
+    # A value that is not a str is rare (numeric weights, kept extras);
+    # only then is each text key checked, in the fixed order.
+    checked = all(map(str.__instancecheck__, obj.values()))
+    if not checked and "@type" in obj:
+        _require_str(obj["@type"], f"{group}[{i}].@type")
+    type_tag, name, headline, email, license_, repository_raw, url_raw = map(
+        obj.get, _ENTRY_TEXT_KEYS
+    )
+    if type_tag is not None and type_tag not in _ENTRY_TYPE_TAGS:
+        message = f"{group}[{i}]: unrecognized @type {type_tag!r}"
+        _outside_profile(mode, warnings, UnknownType, UNKNOWN_TYPE, message)
+    if not checked:
+        for key in _ENTRY_TEXT_KEYS[1:]:
+            if key in obj:
+                _require_str(obj[key], f"{group}[{i}].{key}")
 
-    name = _require_str(obj["name"], f"{where}.name") if "name" in obj else None
-    headline = _require_str(obj["headline"], f"{where}.headline") if "headline" in obj else None
-    email = _require_str(obj["email"], f"{where}.email") if "email" in obj else None
-    license_ = _require_str(obj["license"], f"{where}.license") if "license" in obj else None
-
-    repository_raw = None
-    if "codeRepository" in obj:
-        repository_raw = _require_str(obj["codeRepository"], f"{where}.codeRepository")
-    url_raw = _require_str(obj["url"], f"{where}.url") if "url" in obj else None
-
-    entity, id_key = _entry_identity(obj, where)
+    entity, id_key = _entry_identity(obj, group, i)
 
     if "creditWeight" not in obj:
-        raise MissingCreditWeight(f"{where} has no creditWeight")
-    weight = _parse_weight(obj["creditWeight"], where)
+        raise MissingCreditWeight(f"{group}[{i}] has no creditWeight")
+    weight = _parse_weight(obj["creditWeight"], group, i)
 
     display = EntryDisplay(
-        type_tag=type_tag,
-        name=name,
-        headline=headline,
-        email=email,
-        license=license_,
-        repository=None if id_key == "codeRepository" else repository_raw,
-        url=None if id_key == "url" else url_raw,
-        extra=extra,
+        type_tag,
+        name,
+        headline,
+        email,
+        license_,
+        None if id_key == "codeRepository" else repository_raw,
+        None if id_key == "url" else url_raw,
+        extra,
     )
     return CreditEntry(entity, category, weight, display)
 
@@ -276,26 +313,29 @@ def _parse_entry_group(
     category: Category,
     mode: ParseMode,
     warnings: list[ParseWarning],
-    where: str,
+    group: str,
 ) -> list[CreditEntry]:
     items = value if isinstance(value, list) else [value]
     return [
-        _parse_entry(item, category, mode, warnings, f"{where}[{i}]")
-        for i, item in enumerate(items)
+        _parse_entry(item, category, mode, warnings, group, i) for i, item in enumerate(items)
     ]
 
 
 def _product_identity(doc: dict[str, Any]) -> EntityId:
     """The product a document names. Precedence: @id, doi, url, headline."""
     if "@id" in doc:
-        return canonicalize_id(_require_str(doc["@id"], "@id"))
+        return _canonical_id(_require_str(doc["@id"], "@id"))
     if "doi" in doc:
-        return _entity_from_doi(_require_str(doc["doi"], "doi"), "doi")
+        raw = _require_str(doc["doi"], "doi")
+        entity = _canonical_id(raw)
+        if entity.scheme is not IdScheme.DOI:
+            raise MalformedDoi(f"doi: doi key holds {raw!r}, which is not a DOI")
+        return entity
     if "url" in doc:
-        return EntityId(IdScheme.URL, _require_str(doc["url"], "url"))
+        return _url_id(_require_str(doc["url"], "url"))
     headline = _require_str(doc.get("headline", ""), "headline")
     if headline.strip():
-        return EntityId(IdScheme.NAME, headline)
+        return _name_id(headline)
     raise MissingProductId("document has no @id, doi, or url key and no headline")
 
 
@@ -384,13 +424,15 @@ def _parse_document(
             raise CreditmapSyntaxError("keywords must be a string or an array of strings")
 
     extra: dict[str, Any] = {}
-    for key in doc:
-        if key.startswith("citation."):
-            # The stored name of an unrecognized member of citation.
-            raise CreditmapSyntaxError(f"top-level key {key} is reserved for citation members")
-        if key not in _TOP_KEYS:
-            _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, f"unrecognized key {key}")
-            extra[key] = _kept(doc[key], key)
+    if doc.keys() - _TOP_KEYS:
+        for key in doc:
+            if key.startswith("citation."):
+                # The stored name of an unrecognized member of citation.
+                raise CreditmapSyntaxError(f"top-level key {key} is reserved for citation members")
+            if key not in _TOP_KEYS:
+                message = f"unrecognized key {key}"
+                _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
+                extra[key] = _kept(doc[key], key)
 
     entries: list[CreditEntry] = []
     if "author" in doc:
@@ -462,7 +504,7 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
     # other id may be hidden behind a descriptive key written above.
     if scheme is not IdScheme.ORCID and scheme is not IdScheme.DOI:
         try:
-            rederived = _entry_identity(obj, "entry")[0]
+            rederived = _entry_identity(obj, "entry", 0)[0]
         except CreditLedgerError:
             rederived = None
         if rederived != entry.entity:

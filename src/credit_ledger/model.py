@@ -116,12 +116,14 @@ class EntityId:
     trailing slashes, names lowercased with whitespace collapsed) and then
     validated, so an EntityId that exists is canonical: no value holds a
     control character, and only a name holds whitespace. Ids are immutable
-    and compare by value.
+    and compare by value. text, the canonical text form
+    `<scheme>:<value>`, is kept beside them.
     """
 
-    __slots__ = ("scheme", "value")
+    __slots__ = ("scheme", "value", "text")
     scheme: IdScheme
     value: str
+    text: str
 
     def __init__(self, scheme: IdScheme, value: str) -> None:
         raw = value.strip()
@@ -151,6 +153,7 @@ class EntityId:
                 raise InvalidIdentifier(f"control character in name: {raw!r}")
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "value", raw)
+        object.__setattr__(self, "text", f"{scheme.value}:{raw}")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -174,11 +177,6 @@ class EntityId:
 
     def __reduce__(self) -> tuple:
         return self.__class__, (self.scheme, self.value)
-
-    @property
-    def text(self) -> str:
-        """Canonical text form, `<scheme>:<value>`."""
-        return f"{self.scheme.value}:{self.value}"
 
     @classmethod
     def from_text(cls, text: str) -> EntityId:

@@ -37,8 +37,12 @@ from .model import (
 )
 
 
-#: Leads the stamp line, so a snapshot of another layout never matches.
-_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 3"
+#: Leads the stamp line, so a snapshot of another layout never matches. A
+#: hit serves the graph line's id texts without parsing them again, so the
+#: tag also stands for the id rules they were made under: it changes
+#: whenever EntityId refuses a text it used to accept, and a snapshot of
+#: the old tag is rebuilt from objects/.
+_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 4"
 #: How far a file timestamp may lag the clock: two ticks of the kernel's
 #: coarse clock where files have sub-second times, and FAT's 2 s where an
 #: mtime in whole seconds shows a filesystem that may keep only seconds.
@@ -196,7 +200,7 @@ class Registry:
         except OSError as exc:
             raise StorageError(f"cannot read {path}: {exc}") from exc
 
-    def _parse_object(self, path: Path, data: bytes) -> CreditMap:
+    def _parse_object(self, path: Path | str, data: bytes) -> CreditMap:
         try:
             creditmap, _ = parse_creditmap(data)
         except CreditLedgerError as exc:
@@ -212,15 +216,15 @@ class Registry:
         except OSError as exc:
             raise StorageError(f"cannot list {self._objects}: {exc}") from exc
 
-    def _registered_map(self, path: Path, data: bytes) -> CreditMap | None:
-        """The map an object file holds, or None for a stray file.
+    def _registered_map(self, path: str, data: bytes) -> CreditMap | None:
+        """The map the object file at path holds, or None for a stray file.
 
         A stray file (a copy or a hand-made file) holds a map whose id does
         not hash to the file's name; get() would never read it, so whole
         registry reads skip it too.
         """
         creditmap = self._parse_object(path, data)
-        return creditmap if _object_name(creditmap.product.id) == path.name else None
+        return creditmap if _object_name(creditmap.product.id) == os.path.basename(path) else None
 
     def ingest(self, text: str | bytes, *, force: bool = False) -> EntityId:
         """Validate a document and store its normalized form.
@@ -281,7 +285,7 @@ class Registry:
         Object files whose name is not the digest of the id they hold are
         skipped.
         """
-        paths = [self._objects / name for name in self._object_names()]
+        paths = [f"{self._objects}/{name}" for name in self._object_names()]  # as in load_graph
         maps = [self._registered_map(path, self._read_bytes(path)) for path in paths]
         registered = [m for m in maps if m is not None]
         registered.sort(key=lambda m: m.product.id.text)
@@ -348,7 +352,7 @@ class Registry:
             data = changed.pop(name, None)
             recorded_digest, index, codes = recorded.get(name, (None, None, ""))
             if data is not None or recorded_digest != stat[4]:
-                object_path = self._objects / name
+                object_path = f"{self._objects}/{name}"
                 if data is None:  # unchanged, but the per-object line is missing
                     data = self._read_bytes(object_path)
                     stat[4] = hashlib.sha256(data).hexdigest()

@@ -1,16 +1,21 @@
-"""Golden CLI outputs: stdout of every read command on the fixture corpus.
+"""Golden CLI outputs: stdout of every read command on the fixture corpus,
+and of `validate` over every fixture.
 
-Each file under fixtures/golden/ is the exact stdout of one
-`credit-ledger` command run on a registry holding the three corpus
-fixtures. A change that alters any byte of `credit`, `rank` or `graph`
-output fails here. To rewrite the files after an intended output change,
-run `PYTHONPATH=src python tests/test_golden.py` from the repository root.
+Each credit-*, rank-* and graph file under fixtures/golden/ is the exact
+stdout of one `credit-ledger` command run on a registry holding the three
+corpus fixtures; each validate* file is the stdout of `validate` over
+fixtures/*.jsonld and fixtures/invalid/*.jsonld, named relative to the
+repository root, which exits 1. A change that alters any byte of
+`credit`, `rank`, `graph` or `validate` output fails here. To rewrite the
+files after an intended output change, run
+`PYTHONPATH=src python tests/test_golden.py` from the repository root.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +47,14 @@ def _cases() -> dict[str, tuple[str, ...]]:
 
 
 CASES = _cases()
+ROOT = GOLDEN.parents[2]
+VALIDATE_CASES = {"validate.txt": ("validate",), "validate-strict.txt": ("validate", "--strict")}
+
+
+def _validate_files() -> list[str]:
+    fixtures = GOLDEN.parent
+    files = sorted(fixtures.glob("*.jsonld")) + sorted((fixtures / "invalid").glob("*.jsonld"))
+    return [str(path.relative_to(ROOT)) for path in files]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -72,8 +85,16 @@ def test_output_matches_golden_file(name: str, corpus_registry: str) -> None:
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_output_matches_golden_file(name: str, monkeypatch) -> None:
+    monkeypatch.chdir(ROOT)
+    code, out = _run([*VALIDATE_CASES[name], *_validate_files()])
+    assert code == 1
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 def test_every_golden_file_has_a_case() -> None:
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *VALIDATE_CASES])
 
 
 if __name__ == "__main__":
@@ -86,3 +107,9 @@ if __name__ == "__main__":
             if code != 0:
                 sys.exit(f"{name}: exit {code}")
             (GOLDEN / name).write_text(out, encoding="utf-8")
+    os.chdir(ROOT)
+    for name, argv in VALIDATE_CASES.items():
+        code, out = _run([*argv, *_validate_files()])
+        if code != 1:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / name).write_text(out, encoding="utf-8")

@@ -571,3 +571,125 @@ def test_every_document_ingest_accepts_round_trips(doc: dict) -> None:
     again, _ = parse_creditmap(data)
     assert again == creditmap
     assert serialize_creditmap(again) == data
+
+
+# Every message an entry's checks can give, pinned word for word: which
+# check fires first, and what it says, is part of what validate prints.
+
+
+def _entries_doc(authors: list, **top: object) -> str:
+    return json.dumps({**MINIMAL, "author": authors, **top})
+
+
+def _failure(text: str, mode: ParseMode = ParseMode.LENIENT) -> tuple[str, str]:
+    with pytest.raises((ParseError, InvalidIdentifier)) as caught:
+        parse_creditmap(text, mode)
+    return type(caught.value).__name__, str(caught.value)
+
+
+_TYPE_NAMES = {1: "int", (): "list", None: "NoneType"}
+
+
+@pytest.mark.parametrize("value", list(_TYPE_NAMES), ids=list(_TYPE_NAMES.values()))
+@pytest.mark.parametrize(
+    "key", ["@type", "name", "headline", "email", "license", "codeRepository", "url", "@id", "doi"]
+)
+def test_an_entry_key_holding_a_non_string_names_its_path(key: str, value: object) -> None:
+    raw = [] if value == () else value
+    authors = [{"name": "Solo", "creditWeight": "0.5"},
+               {"name": "Other", key: raw, "creditWeight": "0.5"}]
+    assert _failure(_entries_doc(authors)) == (
+        "CreditmapSyntaxError", f"author[1].{key} must be a string, got {_TYPE_NAMES[value]}"
+    )
+
+
+@pytest.mark.parametrize(
+    "entry,reported",
+    [
+        ({"url": 1, "name": 2}, "name"),
+        ({"doi": 1, "@type": 2}, "@type"),
+        ({"@id": 1, "license": 2}, "license"),
+        ({"codeRepository": 1, "email": 2, "headline": 3}, "headline"),
+    ],
+)
+def test_of_two_bad_keys_the_first_in_the_fixed_order_is_reported(entry, reported) -> None:
+    text = _entries_doc([{**entry, "creditWeight": "1"}])
+    assert _failure(text) == (
+        "CreditmapSyntaxError", f"author[0].{reported} must be a string, got int"
+    )
+
+
+def test_unknown_entry_keys_raise_or_warn_in_document_order() -> None:
+    text = _entries_doc([{"zeta": 1, "name": "A", "alpha": [2], "creditWeight": "1"}])
+    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key author[0].zeta")
+    creditmap, warnings = parse_creditmap(text)
+    assert [str(w) for w in warnings] == [
+        "UnknownKey: unrecognized key author[0].zeta",
+        "UnknownKey: unrecognized key author[0].alpha",
+    ]
+    assert list(creditmap.entries[0].display.extra.items()) == [("zeta", 1), ("alpha", [2])]
+
+
+def test_an_unknown_entry_key_is_reported_before_the_entry_values_are_checked() -> None:
+    text = _entries_doc([{"name": 1, "zeta": 1, "creditWeight": "1"}])
+    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key author[0].zeta")
+    text = _entries_doc([{"@type": "Robot", "zeta": 1, "name": "A", "creditWeight": "1"}])
+    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key author[0].zeta")
+    _, warnings = parse_creditmap(text)
+    assert [str(w) for w in warnings] == [
+        "UnknownKey: unrecognized key author[0].zeta",
+        "UnknownType: author[0]: unrecognized @type 'Robot'",
+    ]
+
+
+def test_unknown_top_level_keys_warn_in_document_order() -> None:
+    text = json.dumps({"zeta": 1, **MINIMAL, "alpha": 2})
+    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key zeta")
+    creditmap, warnings = parse_creditmap(text)
+    assert [str(w) for w in warnings] == [
+        "UnknownKey: unrecognized key zeta",
+        "UnknownKey: unrecognized key alpha",
+    ]
+    assert list(creditmap.product.extra.items()) == [("zeta", 1), ("alpha", 2)]
+
+
+def test_a_non_object_entry_names_its_position() -> None:
+    articles = [
+        {"doi": "10.1/a", "creditWeight": "0.1"}, {"doi": "10.1/b", "creditWeight": "0.1"}, "x"
+    ]
+    assert _failure(_entries_doc(MINIMAL["author"], citation={"articles": articles})) == (
+        "CreditmapSyntaxError", "citation.articles[2] must be an object"
+    )
+
+
+@pytest.mark.parametrize(
+    "written,message",
+    [
+        ('"abc"', "author[0]: non-numeric creditWeight 'abc'"),
+        ('"0"', "author[0]: creditWeight '0' outside (0, 1]"),
+        ("true", "author[0]: creditWeight must be a decimal string or number"),
+        ("1e400", "author[0]: creditWeight inf outside (0, 1]"),
+        ("1" + "0" * 400, "author[0]: creditWeight is too large a number"),
+    ],
+)
+def test_each_bad_credit_weight_message(written: str, message: str) -> None:
+    text = _entries_doc([{"name": "A", "creditWeight": "@"}]).replace('"@"', written)
+    assert _failure(text) == ("WeightParseError", message)
+
+
+def test_a_doi_key_holding_a_url_is_refused_where_it_stands() -> None:
+    text = _entries_doc([{"doi": "https://example.org/x", "creditWeight": "1"}])
+    assert _failure(text) == (
+        "MalformedDoi", "author[0]: doi key holds 'https://example.org/x', which is not a DOI"
+    )
+    assert _failure(json.dumps({**MINIMAL, "doi": "https://example.org/x"})) == (
+        "MalformedDoi", "doi: doi key holds 'https://example.org/x', which is not a DOI"
+    )
+
+
+def test_an_unknown_entry_type_is_reported_before_the_other_values_are_checked() -> None:
+    text = _entries_doc([{"@type": "Robot", "name": 1, "creditWeight": "1"}])
+    assert _failure(text, ParseMode.STRICT) == (
+        "UnknownType", "author[0]: unrecognized @type 'Robot'"
+    )
+    assert _failure(text) == ("CreditmapSyntaxError", "author[0].name must be a string, got int")

@@ -711,3 +711,34 @@ def test_a_whole_second_mtime_is_given_a_filesystem_tick_of_two_seconds(
     del reads[:]
     _run("graph", "--registry", str(root))
     assert reads == [_object(root, 2).name]
+
+
+def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path) -> None:
+    """A snapshot's format tag also stands for the id rules its texts were
+    made under. A graph line of the previous format naming an id that the
+    current rules refuse (as a snapshot written before names refused
+    control characters does) is not served: rank and graph print the ids
+    rebuilt from objects/."""
+    root = tmp_path / "reg"
+    doc = json.dumps({
+        "@context": "http://schema.org",
+        "@type": "Code",
+        "doi": "10.1000/eve",
+        "author": [{"name": "Eve Red", "creditWeight": "1"}],
+    }).encode()
+    _ingest(root, {0: doc})
+    assert _run("rank", "--registry", str(root))[0] == 0
+    snapshot = root / "graph.json"
+    stamp, graph_line, objects_line = snapshot.read_bytes().split(b"\n", 2)
+    assert b'"name:eve red"' in graph_line
+    graph_line = graph_line.replace(b'"name:eve red"', b'"name:eve\\u001b[31mred"') + b"\n"
+    _, scan_start, _, _, stats = json.loads(stamp)
+    digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
+    stamp = json.dumps(["credit-ledger graph snapshot 3", scan_start, *digests, stats])
+    snapshot.write_bytes(stamp.encode() + b"\n" + graph_line + objects_line)
+
+    code, out, _ = _run("rank", "--registry", str(root))
+    assert (code, out) == (0, "1  name:eve red  1.00000000000\n")
+    code, out, _ = _run("graph", "--registry", str(root))
+    assert code == 0 and '"name:eve red" [shape=ellipse];' in out and "\x1b" not in out
+    assert _reads(root) == _fresh_reads(root)
