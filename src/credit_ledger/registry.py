@@ -7,13 +7,14 @@ temp file that is fsynced and renamed into place; each batch of writes
 then fsyncs objects/ once, so the renames are durable too.
 
 graph.json is a derived snapshot of the citation graph. Its stamp line
-records each object file's stat and digest, so that a read sees at stat
-cost which files changed, and the digests of the two lines after it: the
-graph line, which holds a CreditGraph's tables as they are and which a
-read trusts without validating it again, and the per-object line, which
-lets a stale snapshot be refreshed by parsing only the files that changed
-(see Registry.load_graph). It is never trusted
-stale, never fsynced, and safe to delete.
+holds, by object file name, the stat that its writer vouches for, and the
+digests of the two lines after it: the graph line, which holds a
+CreditGraph's tables as they are and which a read trusts without
+validating it again, and the per-object line, which keeps each file's
+digest so that a stale snapshot is refreshed by parsing only the files
+whose bytes changed (see Registry.load_graph). It is never trusted
+stale, never fsynced, and safe to delete. The registry reads only regular
+files, and opens them without blocking, so a FIFO cannot hang a read.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 import time
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from stat import S_ISREG
 from typing import Iterator
 
 from .graph import CreditGraph, assemble_graph, citations
@@ -42,8 +44,9 @@ from .model import (
 #: tag also stands for the id rules they were made under: it changes
 #: whenever EntityId refuses a text it used to accept, and a snapshot of
 #: the old tag is rebuilt from objects/.
-_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 4"
-#: How far a file timestamp may lag the clock: two ticks of the kernel's
+_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 5"
+#: How far a file timestamp may lag the clock, so that a snapshot vouches
+#: only for files older than its scan by more: two ticks of the kernel's
 #: coarse clock where files have sub-second times, and FAT's 2 s where an
 #: mtime in whole seconds shows a filesystem that may keep only seconds.
 _FINE_TICK_NS, _COARSE_TICK_NS = 20_000_000, 2_000_000_000
@@ -94,6 +97,22 @@ def _replace_file(path: Path, data: bytes, *, sync: bool) -> None:
         with suppress(OSError):
             os.unlink(tmp_path)
         raise
+
+
+def _read_regular(path: Path | str) -> bytes:
+    """The bytes of the regular file at path; OSError if it is anything
+    else. It is opened without blocking, so a FIFO cannot hang the read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        st = os.fstat(fd)
+        if not S_ISREG(st.st_mode):
+            raise OSError("not a regular file")
+        data = os.read(fd, st.st_size + 1)
+        while chunk := os.read(fd, 1 << 16):
+            data += chunk
+        return data
+    finally:
+        os.close(fd)
 
 
 def _object_name(product_id: EntityId) -> str:
@@ -195,8 +214,7 @@ class Registry:
 
     def _read_bytes(self, path: Path | str) -> bytes:
         try:
-            with open(path, "rb") as f:
-                return f.read()
+            return _read_regular(path)
         except OSError as exc:
             raise StorageError(f"cannot read {path}: {exc}") from exc
 
@@ -294,104 +312,83 @@ class Registry:
     def load_graph(self) -> CreditGraph:
         """The citation graph of every registered map, from the snapshot if fresh.
 
-        Stats every object file. A file whose (size, mtime, ctime, inode)
-        is the one graph.json records for its name, and whose mtime and
-        ctime were older than that snapshot's scan start by one timestamp
-        tick, is unchanged unread: a later write would have moved its ctime.
-        Every other file is read, and is unchanged if its digest is the
-        recorded one. If all are unchanged and none is gone, the stored
-        graph is returned, and the stamp line is rewritten when a file had
-        to be hashed. Otherwise a refresh keeps the rows and recorded
-        categories of unchanged products, parses the rest (skipping stray
-        files as load_all does), assembles the graph from them as
-        build_graph would and rewrites the snapshot. A line that fails its
-        digest counts as missing. A failed build raises as build_graph and
-        load_all do and writes nothing; a failed write is ignored.
+        Stats every object file. If every stat is the one graph.json
+        vouches for under that name, and no file is new or gone, the read
+        is a hit: it returns the stored graph and writes nothing. Anything
+        else is a refresh. It reads each file whose stat is not vouched
+        for, or whose digest the per-object line lacks; a file whose
+        sha256 is the recorded one keeps its row of the old graph and its
+        recorded categories, and the rest are parsed (skipping stray files
+        as load_all does). The graph is then assembled from them as
+        build_graph would and the whole snapshot is rewritten, so a read
+        after a touch rewrites it too. A line that fails its digest counts
+        as missing. A failed build raises as build_graph and load_all do
+        and writes nothing; a failed write is ignored.
 
         Raises:
-            StorageError: an object file cannot be read or does not parse.
+            StorageError: an object file cannot be read, is not a regular
+                file, or does not parse.
             GraphError: the maps do not form a valid graph.
         """
         scan_start = time.time_ns()
         trusted, graph_line, objects_line = self._read_snapshot()
-        stats: dict[str, list] = {}  # name: size, mtime, ctime, inode, digest
-        changed: dict[str, bytes] = {}  # name: bytes, when not the recorded ones
-        hashed = False
+        stats: dict[str, list[int]] = {}  # name: size, mtime, ctime, inode
         for name in self._object_names():
             path = f"{self._objects}/{name}"  # no Path: 2,000 of them cost 12 ms
             try:
                 st = os.stat(path)
             except OSError as exc:
                 raise StorageError(f"cannot stat {path}: {exc}") from exc
-            stat = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
-            trusted_stat, digest = trusted.get(name, (None, None))
-            if stat != trusted_stat:
-                recorded_digest, hashed = digest, True
-                data = self._read_bytes(path)
-                digest = hashlib.sha256(data).hexdigest()
-                if digest != recorded_digest:
-                    changed[name] = data
-            stats[name] = [*stat, digest]
+            stats[name] = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
         graph = _decode_graph(graph_line)
-        if graph is not None and not changed and len(stats) == len(trusted):
-            if hashed:
-                self._write_snapshot(scan_start, stats, graph_line, objects_line)
+        if graph is not None and stats == trusted:
             return graph
         try:
             recorded = {} if graph is None else json.loads(objects_line)
         except ValueError:
             recorded = {}
         del graph_line, objects_line
-        # Each blob is dropped once parsed and each map once described, so
-        # bytes and maps are never all held at once. An unchanged product
-        # keeps its row of the old graph, by id text: the new graph
-        # numbers its nodes afresh.
+        # Each blob is dropped once parsed and each map once described. An
+        # unchanged product keeps its row of the old graph, by id text: the
+        # new graph numbers its nodes afresh.
         products: list[tuple[str, list[str], str, list[float]]] = []
-        records: list[tuple[str, str, str | None, str]] = []
+        records: dict[str, tuple[str, str | None, str]] = {}  # name: digest, id text, codes
         for name, stat in stats.items():
-            data = changed.pop(name, None)
-            recorded_digest, index, codes = recorded.get(name, (None, None, ""))
-            if data is not None or recorded_digest != stat[4]:
-                object_path = f"{self._objects}/{name}"
-                if data is None:  # unchanged, but the per-object line is missing
-                    data = self._read_bytes(object_path)
-                    stat[4] = hashlib.sha256(data).hexdigest()
-                creditmap = self._registered_map(object_path, data)
-                product = None if creditmap is None else citations(creditmap)
-            elif index is None:
-                product = None
-            else:
+            digest, index, codes = recorded.get(name, (None, None, ""))
+            product = None
+            if digest is None or stat != trusted.get(name):
+                path = f"{self._objects}/{name}"
+                data = self._read_bytes(path)
+                recorded_digest, digest = digest, hashlib.sha256(data).hexdigest()
+                if digest != recorded_digest:
+                    index, creditmap = None, self._registered_map(path, data)
+                    product = None if creditmap is None else citations(creditmap)
+            if index is not None:
                 row = graph.products[index]
                 product = (graph.ids[index], [graph.ids[t] for t in row[1::2]], codes, row[2::2])
             if product is None:
-                records.append((name, stat[4], None, ""))
-                continue
-            products.append(product)
-            records.append((name, stat[4], product[0], product[2]))
+                records[name] = (digest, None, "")
+            else:
+                products.append(product)
+                records[name] = (digest, product[0], product[2])
         del recorded, graph
         graph = assemble_graph(products)
         del products
         if graph.products:  # an empty registry, or a missing one, gets no file
-            self._write_snapshot(scan_start, stats, *_encode_snapshot(graph, records))
+            self._write_snapshot(scan_start, stats, graph, records)
         return graph
 
-    def _read_snapshot(self) -> tuple[dict[str, tuple[list | None, str]], bytes, bytes]:
-        """graph.json's records, by object file name, of the stat that lets a
-        file go unread (None for a file changed within a tick of the scan)
-        and of its digest; then its graph and per-object lines, each empty
-        if it fails its digest. A missing or foreign graph.json gives no
-        records and two empty lines."""
+    def _read_snapshot(self) -> tuple[dict, bytes, bytes]:
+        """The stats graph.json vouches for, by object file name (None for a
+        file its writer saw change within a tick of its scan), and its graph
+        and per-object lines, each empty if it fails its digest. A missing,
+        foreign or non-regular graph.json gives no stats and two empty
+        lines."""
         try:
-            with open(self.root / "graph.json", "rb") as f:
-                tag, scan_start, *digests, stats = json.loads(f.readline())
-                lines = [f.readline(), f.readline()]
-            if tag != _SNAPSHOT_FORMAT:
+            stamp, *lines = _read_regular(self.root / "graph.json").split(b"\n", 3)[:3]
+            tag, *digests, trusted = json.loads(stamp)
+            if tag != _SNAPSHOT_FORMAT or type(trusted) is not dict:
                 return {}, b"", b""
-            trusted = {}
-            for name, (size, mtime, ctime, inode, data_digest) in stats.items():
-                tick = _FINE_TICK_NS if mtime % 1_000_000_000 else _COARSE_TICK_NS
-                settled = max(mtime, ctime) + tick < scan_start
-                trusted[name] = ([size, mtime, ctime, inode] if settled else None, data_digest)
             graph_line, objects_line = (
                 line if hashlib.sha256(line).hexdigest() == line_digest else b""
                 for line, line_digest in zip(lines, digests, strict=True)
@@ -401,46 +398,45 @@ class Registry:
         return trusted, graph_line, objects_line
 
     def _write_snapshot(
-        self, scan_start: int, stats: dict[str, list], graph_line: bytes, objects_line: bytes
+        self, scan_start: int, stats: dict[str, list[int]], graph: CreditGraph, records: dict
     ) -> None:
-        """Replace graph.json; on any OSError go on without it.
+        """Replace graph.json with a snapshot of graph; on any OSError go on
+        without it.
 
-        The stamp line holds the format tag, when the scan began, the
-        digests of the graph and per-object lines, and stats by file name.
-        The file is derived, so it is not fsynced: a torn or lost write
-        fails a digest or the parse on the next read and is rebuilt.
+        The graph line holds graph's tables (json writes each weight as
+        repr(weight), which reads back exactly). The per-object line holds
+        each object file's record (the digest of its bytes, the id text of
+        the product it registers or None for a stray file, and one category
+        code per entry), with the product's graph index for its id text;
+        the product's targets and weights are its row in the graph line. The
+        stamp line holds the format tag, the digests of those two lines and
+        the stats the next read may trust: None for a file whose mtime or
+        ctime is not older than scan_start by a tick, as a change within
+        that tick could keep its stat. The file is derived, so it is not
+        fsynced: a torn or lost write fails a digest or the parse on the
+        next read and is rebuilt.
         """
+        graph_line = json.dumps(
+            [graph.ids, graph.kinds, graph.products, list(graph.warnings)], separators=(",", ":")
+        ).encode()
+        index = {pid: i for i, pid in enumerate(graph.ids[: len(graph.products)])}
+        objects_line = json.dumps(
+            {
+                name: [digest, None if pid is None else index[pid], codes]
+                for name, (digest, pid, codes) in records.items()
+            },
+            separators=(",", ":"),
+        ).encode()
+        vouched = {}
+        for name, (size, mtime, ctime, inode) in stats.items():
+            tick = _FINE_TICK_NS if mtime % 1_000_000_000 else _COARSE_TICK_NS
+            settled = max(mtime, ctime) + tick < scan_start
+            vouched[name] = [size, mtime, ctime, inode] if settled else None
         digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
-        stamp = json.dumps([_SNAPSHOT_FORMAT, scan_start, *digests, stats], separators=(",", ":"))
+        stamp = json.dumps([_SNAPSHOT_FORMAT, *digests, vouched], separators=(",", ":"))
         with suppress(OSError):
-            data = stamp.encode() + b"\n" + graph_line + objects_line
+            data = b"\n".join([stamp.encode(), graph_line, objects_line, b""])
             _replace_file(self.root / "graph.json", data, sync=False)
-
-
-def _encode_snapshot(
-    graph: CreditGraph, records: list[tuple[str, str, str | None, str]]
-) -> tuple[bytes, bytes]:
-    """The graph line and the per-object line of a snapshot of graph.
-
-    records holds, per object file in name order, its name, the digest of
-    its bytes, the id text of the product it registers (None for a stray
-    file) and one category code per entry of that product's map.
-    """
-    # json writes each weight as repr(weight), which reads back exactly.
-    graph_line = json.dumps(
-        [graph.ids, graph.kinds, graph.products, list(graph.warnings)], separators=(",", ":")
-    )
-    # A product's targets and weights are its row in the graph line, in
-    # entry order; its record adds only the categories.
-    index = {pid: i for i, pid in enumerate(graph.ids[: len(graph.products)])}
-    objects_line = json.dumps(
-        {
-            name: [data_digest, None if pid is None else index[pid], codes]
-            for name, data_digest, pid, codes in records
-        },
-        separators=(",", ":"),
-    )
-    return graph_line.encode() + b"\n", objects_line.encode() + b"\n"
 
 
 def _decode_graph(graph_line: bytes) -> CreditGraph | None:

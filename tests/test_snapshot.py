@@ -314,7 +314,9 @@ CHANGES = {
 
 
 @pytest.mark.parametrize("change", CHANGES)
-def test_a_refresh_parses_only_the_objects_that_changed(root: Path, parses, change) -> None:
+def test_a_refresh_parses_only_the_objects_that_changed(
+    root: Path, parses, settled, change
+) -> None:
     _reads(root)
     apply, expected = CHANGES[change]
     apply(root)
@@ -641,6 +643,16 @@ def test_a_hit_on_a_settled_registry_reads_no_object_file(root: Path, parses, re
     assert (parses, reads) == ([], [])
 
 
+def test_a_hit_writes_nothing(root: Path, settled) -> None:
+    _run("graph", "--registry", str(root))
+    before = (root / "graph.json").stat()
+    for code, _, _ in _reads(root):
+        assert code == 0
+    after = (root / "graph.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert sorted(p.name for p in root.iterdir()) == [".lock", "graph.json", "objects"]
+
+
 def test_a_hit_hashes_racily_clean_files_and_parses_none(
     root: Path, parses, reads, monkeypatch
 ) -> None:
@@ -651,6 +663,21 @@ def test_a_hit_hashes_racily_clean_files_and_parses_none(
     del parses[:], reads[:]
     _run("graph", "--registry", str(root))
     assert (len(parses), len(reads)) == (0, PRODUCTS)
+
+
+def test_a_racily_clean_registry_with_a_damaged_per_object_line_parses_every_object(
+    root: Path, parses, monkeypatch
+) -> None:
+    """A snapshot vouches for no file changed within a tick of its scan, so
+    the next read refreshes; with the per-object line damaged, no digest
+    is left to hash those files against, and each is parsed."""
+    _clock(monkeypatch, -60)
+    _reads(root)
+    _truncate_objects_line(root)
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == PRODUCTS
+    assert reads == _fresh_reads(root)
 
 
 def _fresh_graph(root: Path) -> tuple[int, str, str]:
@@ -713,9 +740,10 @@ def test_a_whole_second_mtime_is_given_a_filesystem_tick_of_two_seconds(
     assert reads == [_object(root, 2).name]
 
 
-def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path) -> None:
+@pytest.mark.parametrize("old_format", [3, 4])
+def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_format) -> None:
     """A snapshot's format tag also stands for the id rules its texts were
-    made under. A graph line of the previous format naming an id that the
+    made under. A graph line of an earlier format naming an id that the
     current rules refuse (as a snapshot written before names refused
     control characters does) is not served: rank and graph print the ids
     rebuilt from objects/."""
@@ -729,12 +757,24 @@ def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path) -> N
     _ingest(root, {0: doc})
     assert _run("rank", "--registry", str(root))[0] == 0
     snapshot = root / "graph.json"
-    stamp, graph_line, objects_line = snapshot.read_bytes().split(b"\n", 2)
+    _, graph_line, objects_line = snapshot.read_bytes().split(b"\n", 2)
     assert b'"name:eve red"' in graph_line
     graph_line = graph_line.replace(b'"name:eve red"', b'"name:eve\\u001b[31mred"') + b"\n"
-    _, scan_start, _, _, stats = json.loads(stamp)
+    # Formats 3 and 4 share one stamp: the tag, the scan start, the digests
+    # of the two lines, and per object file its size, mtime, ctime, inode
+    # and digest. The scan starts a minute after the file last changed, so
+    # a reader of that format would serve the graph line unread.
+    path = root / "objects" / (hashlib.sha256(b"doi:10.1000/eve").hexdigest() + ".jsonld")
+    st = path.stat()
+    stats = {
+        path.name: [
+            st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino,
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+        ]
+    }
+    scan_start = max(st.st_mtime_ns, st.st_ctime_ns) + 60 * 10**9
     digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
-    stamp = json.dumps(["credit-ledger graph snapshot 3", scan_start, *digests, stats])
+    stamp = json.dumps([f"credit-ledger graph snapshot {old_format}", scan_start, *digests, stats])
     snapshot.write_bytes(stamp.encode() + b"\n" + graph_line + objects_line)
 
     code, out, _ = _run("rank", "--registry", str(root))
@@ -742,3 +782,28 @@ def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path) -> N
     code, out, _ = _run("graph", "--registry", str(root))
     assert code == 0 and '"name:eve red" [shape=ellipse];' in out and "\x1b" not in out
     assert _reads(root) == _fresh_reads(root)
+
+
+# Stamp lines of the current format tag that no writer makes: the stamp
+# carries no digest of its own, so its shape is checked as it is read.
+FOREIGN_STAMPS = {
+    "stats a list": lambda digests: [*digests, []],
+    "stats null": lambda digests: [*digests, None],
+    "stats a number": lambda digests: [*digests, 7],
+    "one digest": lambda digests: [digests[0], {}],
+    "no stats": lambda digests: digests,
+}
+
+
+@pytest.mark.parametrize("stamp", FOREIGN_STAMPS)
+def test_a_current_tag_over_a_foreign_stamp_is_rebuilt(root: Path, parses, stamp) -> None:
+    _reads(root)
+    snapshot = root / "graph.json"
+    _, graph_line, objects_line = snapshot.read_bytes().split(b"\n", 2)
+    digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line[:-1])]
+    fields = ["credit-ledger graph snapshot 5", *FOREIGN_STAMPS[stamp](digests)]
+    snapshot.write_bytes(json.dumps(fields).encode() + b"\n" + graph_line + b"\n" + objects_line)
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == PRODUCTS
+    assert reads == _fresh_reads(root)
