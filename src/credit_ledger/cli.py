@@ -187,9 +187,10 @@ def cmd_credit(args: argparse.Namespace) -> int:
     product = _parse_cli_id(args.product, "--product")
     entity = _parse_cli_id(args.entity, "--entity") if args.entity else None
     options = _options(args)
-    allocation = transitive_credit(
-        _warn(build_graph(Registry(args.registry).load_all())), product, options
-    )
+    registry = Registry(args.registry)
+    graph = _warn(build_graph(registry.load_all()))
+    registry.refresh_snapshot(graph)  # so the rank or graph after a write is a hit
+    allocation = transitive_credit(graph, product, options)
     if entity is not None:
         share = allocation.shares.get(entity, 0.0)
         if args.format == "json":

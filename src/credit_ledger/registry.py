@@ -12,9 +12,11 @@ digests of the two lines after it: the graph line, which holds a
 CreditGraph's tables as they are and which a read trusts without
 validating it again, and the per-object line, which keeps each file's
 digest so that a stale snapshot is refreshed by parsing only the files
-whose bytes changed (see Registry.load_graph). It is never trusted
-stale, never fsynced, and safe to delete. The registry reads only regular
-files, and opens them without blocking, so a FIFO cannot hang a read.
+whose bytes changed (see Registry.load_graph). A whole-registry parse
+can refresh a stale snapshot from the maps it parsed, as credit does (see
+Registry.refresh_snapshot). It is never trusted stale, never fsynced, and
+safe to delete. The registry reads only regular files, and opens them
+without blocking, so a FIFO cannot hang a read.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def _replace_file(path: Path, data: bytes, *, sync: bool) -> None:
         raise
 
 
-def _read_regular(path: Path | str) -> bytes:
-    """The bytes of the regular file at path; OSError if it is anything
-    else. It is opened without blocking, so a FIFO cannot hang the read."""
+def _read_regular(path: Path | str) -> tuple[bytes, os.stat_result]:
+    """The bytes and the stat of the regular file at path; OSError if it is
+    anything else. It is opened without blocking, so a FIFO cannot hang the
+    read."""
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         st = os.fstat(fd)
@@ -110,7 +113,7 @@ def _read_regular(path: Path | str) -> bytes:
         data = os.read(fd, st.st_size + 1)
         while chunk := os.read(fd, 1 << 16):
             data += chunk
-        return data
+        return data, st
     finally:
         os.close(fd)
 
@@ -156,6 +159,10 @@ class Registry:
         self._objects = self.root / "objects"
         self._in_batch = False
         self._renamed = False
+        # What the last load_all saw, for refresh_snapshot: its scan start,
+        # and by object file name the stat, and the bytes and the map (None
+        # for a stray file).
+        self._loaded: tuple[int, dict, dict] | None = None
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -212,7 +219,7 @@ class Registry:
     def _object_path(self, product_id: EntityId) -> Path:
         return self._objects / _object_name(product_id)
 
-    def _read_bytes(self, path: Path | str) -> bytes:
+    def _read_bytes(self, path: Path | str) -> tuple[bytes, os.stat_result]:
         try:
             return _read_regular(path)
         except OSError as exc:
@@ -226,13 +233,15 @@ class Registry:
         return creditmap
 
     def _object_names(self) -> list[str]:
-        """The name of every objects/*.jsonld file, in name order."""
+        """The name of every objects/*.jsonld file, in name order; none if
+        the registry or its objects/ is missing. Anything else that is not
+        a directory is a storage error, not an empty registry."""
         try:
             return sorted(n for n in os.listdir(self._objects) if n.endswith(".jsonld"))
-        except (FileNotFoundError, NotADirectoryError):
+        except FileNotFoundError:
             return []
         except OSError as exc:
-            raise StorageError(f"cannot list {self._objects}: {exc}") from exc
+            raise StorageError(f"cannot list {self._objects}: {exc.strerror or exc}") from exc
 
     def _registered_map(self, path: str, data: bytes) -> CreditMap | None:
         """The map the object file at path holds, or None for a stray file.
@@ -290,7 +299,7 @@ class Registry:
         path = self._object_path(product_id)
         if not path.exists():
             raise NotFound(f"no registered product {product_id.text}")
-        creditmap = self._parse_object(path, self._read_bytes(path))
+        creditmap = self._parse_object(path, self._read_bytes(path)[0])
         if creditmap.product.id != product_id:
             raise StorageError(
                 f"{path} holds {creditmap.product.id.text}, expected {product_id.text}"
@@ -301,13 +310,42 @@ class Registry:
         """Every registered credit map, sorted by canonical product id text.
 
         Object files whose name is not the digest of the id they hold are
-        skipped.
+        skipped. The registry keeps each file's stat (from the file it read),
+        bytes and map until refresh_snapshot writes graph.json from them.
         """
-        paths = [f"{self._objects}/{name}" for name in self._object_names()]  # as in load_graph
-        maps = [self._registered_map(path, self._read_bytes(path)) for path in paths]
-        registered = [m for m in maps if m is not None]
+        self._loaded = None
+        scan_start = time.time_ns()
+        stats: dict[str, list[int]] = {}  # as in load_graph
+        loaded: dict[str, tuple[bytes, CreditMap | None]] = {}
+        for name in self._object_names():
+            path = f"{self._objects}/{name}"
+            data, st = self._read_bytes(path)
+            stats[name] = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+            loaded[name] = data, self._registered_map(path, data)
+        self._loaded = scan_start, stats, loaded
+        registered = [creditmap for _, creditmap in loaded.values() if creditmap is not None]
         registered.sort(key=lambda m: m.product.id.text)
         return registered
+
+    def refresh_snapshot(self, graph: CreditGraph) -> None:
+        """Bring graph.json up to date with what the last load_all read;
+        graph must be build_graph of the maps it returned.
+
+        If the snapshot is a hit for the stats load_all saw, as load_graph
+        tests it, nothing is hashed or written. Otherwise the snapshot is
+        rewritten as a refresh by load_graph would rewrite it, from the maps
+        in hand: a file whose stat the old snapshot vouches for keeps its
+        recorded digest, the bytes of any other file are hashed, and a file
+        whose digest is the recorded one keeps its recorded categories. Like
+        that refresh it takes no lock, and a failed write is ignored.
+        """
+        if self._loaded is None:
+            return
+        (scan_start, stats, loaded), self._loaded = self._loaded, None
+        hit, trusted, _, objects_line = self._read_snapshot(stats)
+        if not hit:
+            records, _ = self._refresh(stats, trusted, objects_line, None, loaded)
+            self._write_snapshot(scan_start, stats, graph, records)
 
     def load_graph(self) -> CreditGraph:
         """The citation graph of every registered map, from the snapshot if fresh.
@@ -323,7 +361,9 @@ class Registry:
         build_graph would and the whole snapshot is rewritten, so a read
         after a touch rewrites it too. A line that fails its digest counts
         as missing. A failed build raises as build_graph and load_all do
-        and writes nothing; a failed write is ignored.
+        and writes nothing; a failed write is ignored. refresh_snapshot
+        writes the same snapshot from the maps load_all parsed, so the read
+        after a credit is a hit.
 
         Raises:
             StorageError: an object file cannot be read, is not a regular
@@ -331,7 +371,6 @@ class Registry:
             GraphError: the maps do not form a valid graph.
         """
         scan_start = time.time_ns()
-        trusted, graph_line, objects_line = self._read_snapshot()
         stats: dict[str, list[int]] = {}  # name: size, mtime, ctime, inode
         for name in self._object_names():
             path = f"{self._objects}/{name}"  # no Path: 2,000 of them cost 12 ms
@@ -340,68 +379,101 @@ class Registry:
             except OSError as exc:
                 raise StorageError(f"cannot stat {path}: {exc}") from exc
             stats[name] = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+        hit, trusted, graph_line, objects_line = self._read_snapshot(stats)
         graph = _decode_graph(graph_line)
-        if graph is not None and stats == trusted:
+        if hit and graph is not None:
             return graph
+        del graph_line
+        # Records are kept only with the graph whose rows they index.
+        records, products = self._refresh(
+            stats, trusted, b"" if graph is None else objects_line, graph, {}
+        )
+        del graph, objects_line
+        graph = assemble_graph(products)
+        del products
+        self._write_snapshot(scan_start, stats, graph, records)
+        return graph
+
+    def _refresh(
+        self, stats: dict, trusted: dict, objects_line: bytes, graph: CreditGraph | None,
+        loaded: dict,
+    ) -> tuple[dict, list[tuple[str, list[str], str, list[float]]]]:
+        """Each object file's record for the snapshot, and the citations()
+        of each registered product: the refresh of load_graph and of
+        refresh_snapshot.
+
+        A file whose stat is the vouched one keeps the digest recorded on
+        objects_line; any other file is hashed, from its bytes in loaded
+        (what load_all read) or read now. A file whose digest is the
+        recorded one keeps its recorded categories (a stray file stays
+        stray) and, given graph (the old snapshot's graph), its row of it;
+        without graph only its record is made, as refresh_snapshot has its
+        graph already. Every other file is described by its map in loaded,
+        or parsed now.
+        """
         try:
-            recorded = {} if graph is None else json.loads(objects_line)
+            recorded = json.loads(objects_line) if objects_line else {}
         except ValueError:
             recorded = {}
-        del graph_line, objects_line
-        # Each blob is dropped once parsed and each map once described. An
-        # unchanged product keeps its row of the old graph, by id text: the
-        # new graph numbers its nodes afresh.
+        # Each blob read here is dropped once parsed, and each map parsed
+        # here once described. An unchanged product keeps its row of the old
+        # graph, by id text: the new graph numbers its nodes afresh.
         products: list[tuple[str, list[str], str, list[float]]] = []
         records: dict[str, tuple[str, str | None, str]] = {}  # name: digest, id text, codes
         for name, stat in stats.items():
             digest, index, codes = recorded.get(name, (None, None, ""))
-            product = None
+            data, creditmap = loaded.get(name, (None, None))
             if digest is None or stat != trusted.get(name):
                 path = f"{self._objects}/{name}"
-                data = self._read_bytes(path)
+                if data is None:
+                    data = self._read_bytes(path)[0]
                 recorded_digest, digest = digest, hashlib.sha256(data).hexdigest()
                 if digest != recorded_digest:
-                    index, creditmap = None, self._registered_map(path, data)
-                    product = None if creditmap is None else citations(creditmap)
-            if index is not None:
+                    index = None
+                    if name not in loaded:
+                        creditmap = self._registered_map(path, data)
+            if index is None:
+                product = None if creditmap is None else citations(creditmap)
+            elif graph is not None:
                 row = graph.products[index]
                 product = (graph.ids[index], [graph.ids[t] for t in row[1::2]], codes, row[2::2])
+            else:  # a map in hand with the recorded bytes: keep its recorded categories
+                records[name] = (digest, creditmap.product.id.text, codes)
+                continue
             if product is None:
                 records[name] = (digest, None, "")
             else:
                 products.append(product)
                 records[name] = (digest, product[0], product[2])
-        del recorded, graph
-        graph = assemble_graph(products)
-        del products
-        if graph.products:  # an empty registry, or a missing one, gets no file
-            self._write_snapshot(scan_start, stats, graph, records)
-        return graph
+        return records, products
 
-    def _read_snapshot(self) -> tuple[dict, bytes, bytes]:
-        """The stats graph.json vouches for, by object file name (None for a
-        file its writer saw change within a tick of its scan), and its graph
-        and per-object lines, each empty if it fails its digest. A missing,
-        foreign or non-regular graph.json gives no stats and two empty
-        lines."""
+    def _read_snapshot(self, stats: dict[str, list[int]]) -> tuple[bool, dict, bytes, bytes]:
+        """graph.json as it stands for these object file stats: whether it
+        is a hit (it vouches for exactly these stats, and its graph line
+        passes its digest), the stats it vouches for by object file name
+        (None for a file its writer saw change within a tick of its scan),
+        and its graph and per-object lines, each empty if it fails its
+        digest. A missing, foreign or non-regular graph.json is no hit,
+        and gives no stats and two empty lines."""
         try:
-            stamp, *lines = _read_regular(self.root / "graph.json").split(b"\n", 3)[:3]
+            stamp, *lines = _read_regular(self.root / "graph.json")[0].split(b"\n", 3)[:3]
             tag, *digests, trusted = json.loads(stamp)
             if tag != _SNAPSHOT_FORMAT or type(trusted) is not dict:
-                return {}, b"", b""
+                return False, {}, b"", b""
             graph_line, objects_line = (
                 line if hashlib.sha256(line).hexdigest() == line_digest else b""
                 for line, line_digest in zip(lines, digests, strict=True)
             )
         except (OSError, *_SNAPSHOT_ERRORS):
-            return {}, b"", b""
-        return trusted, graph_line, objects_line
+            return False, {}, b"", b""
+        return bool(graph_line) and stats == trusted, trusted, graph_line, objects_line
 
     def _write_snapshot(
         self, scan_start: int, stats: dict[str, list[int]], graph: CreditGraph, records: dict
     ) -> None:
         """Replace graph.json with a snapshot of graph; on any OSError go on
-        without it.
+        without it. An empty graph (of an empty or missing registry) gets
+        no file.
 
         The graph line holds graph's tables (json writes each weight as
         repr(weight), which reads back exactly). The per-object line holds
@@ -416,6 +488,8 @@ class Registry:
         fsynced: a torn or lost write fails a digest or the parse on the
         next read and is rebuilt.
         """
+        if not graph.products:
+            return
         graph_line = json.dumps(
             [graph.ids, graph.kinds, graph.products, list(graph.warnings)], separators=(",", ":")
         ).encode()

@@ -1,8 +1,9 @@
 """Every read path gives the same graph and the same answers.
 
 rank and credit are computed on the graph of a fresh build_graph, of a
-snapshot hit, and of a snapshot refresh after an ingest or a --force. All
-three give ==-identical rows in the same tie order, and the same node and
+snapshot hit, of a snapshot refresh after an ingest or a --force, and of
+the read after a credit that reads first and rewrites the snapshot. All
+four give ==-identical rows in the same tie order, and the same node and
 edge views, and their shares agree with the path oracle.
 """
 
@@ -60,11 +61,9 @@ def _placeholder(creditmap: CreditMap) -> CreditMap:
     return CreditMap(creditmap.product, (author,))
 
 
-def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool):
-    """The graphs of a refresh after late is ingested into a registry holding
-    the other maps (or, with force, a placeholder for late), of the hit that
-    follows it, and of a fresh build_graph of the maps the registry holds
-    (their entries in stored order, as credit reads them)."""
+def _written(root: Path, maps: list[CreditMap], late: CreditMap, force: bool) -> Registry:
+    """A registry holding the maps but late (or, with force, a placeholder
+    for late) and a snapshot of them, into which late is then ingested."""
     registry = Registry(root)
     for creditmap in maps:
         if creditmap is not late:
@@ -73,13 +72,29 @@ def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool)
             registry.ingest(serialize_creditmap(_placeholder(creditmap)))
     registry.load_graph()  # a miss, which writes the snapshot
     registry.ingest(serialize_creditmap(late), force=force)
+    return registry
+
+
+def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool):
+    """The graphs of a refresh after late is ingested, of the hit that
+    follows it, of the read after a credit that reads first (in a second
+    registry written alike), and of a fresh build_graph of the maps the
+    registry holds (their entries in stored order, as credit reads them)."""
+    registry = _written(root / "refreshed", maps, late, force)
+    credited = _written(root / "credited", maps, late, force)
     parse = registry_module.parse_creditmap
     with mock.patch.object(registry_module, "parse_creditmap", wraps=parse) as parses:
         refreshed = registry.load_graph()
         assert parses.call_count == 1  # only the ingested map
         hit = registry.load_graph()
         assert parses.call_count == 1
-    return refreshed, hit, build_graph(registry.load_all())
+        graph = build_graph(credited.load_all())  # what credit runs
+        credited.refresh_snapshot(graph)
+        parses.reset_mock()
+        after_credit = credited.load_graph()
+        assert parses.call_count == 0
+    assert after_credit == graph
+    return refreshed, hit, after_credit, build_graph(registry.load_all())
 
 
 @settings(
@@ -92,11 +107,12 @@ def test_fresh_hit_and_refresh_give_identical_answers(maps, data, tmp_path) -> N
     late = data.draw(st.sampled_from(maps))
     force = data.draw(st.booleans())
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
-        refreshed, hit, fresh = _read_paths(Path(tmp) / "reg", maps, late, force)
+        refreshed, hit, after_credit, fresh = _read_paths(Path(tmp), maps, late, force)
     want = _answers(fresh, maps)
     assert _answers(refreshed, maps) == want
     assert _answers(hit, maps) == want
-    assert refreshed == hit == fresh
+    assert _answers(after_credit, maps) == want
+    assert refreshed == hit == after_credit == fresh
 
     plain = as_plain(maps)
     ranks, credits, _, _ = want

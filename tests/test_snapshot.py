@@ -2,7 +2,8 @@
 
 `rank` and `graph` read the citation graph through Registry.load_graph,
 which keeps a derived graph.json keyed to the stat and the digest of every
-object file.
+object file. `credit` parses every object file, and rewrites graph.json
+from those maps when it finds it stale.
 Whatever happens to the objects or to that file, both commands must print
 exactly what they print for a fresh copy of objects/ with no snapshot.
 """
@@ -26,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from credit_ledger import cli, registry as registry_module
+from credit_ledger import build_graph, cli, registry as registry_module
 
 PRODUCTS = 6
 # Pairs of author and citation weights written with the same number of
@@ -653,16 +654,20 @@ def test_a_hit_writes_nothing(root: Path, settled) -> None:
     assert sorted(p.name for p in root.iterdir()) == [".lock", "graph.json", "objects"]
 
 
-def test_a_hit_hashes_racily_clean_files_and_parses_none(
+def test_on_racily_clean_files_the_next_read_is_a_refresh_that_hashes_and_parses_none(
     root: Path, parses, reads, monkeypatch
 ) -> None:
-    """Files changed within a tick of the scan that recorded them are read
-    by the next hit, since a same-tick change could keep their stat."""
+    """A snapshot vouches for no file changed within a tick of the scan
+    that recorded it, since a same-tick change could keep its stat. So the
+    next read is a refresh: it hashes every file against its recorded
+    digest, parses none, and rewrites graph.json."""
     _clock(monkeypatch, -60)
     _run("graph", "--registry", str(root))
+    before = (root / "graph.json").stat()
     del parses[:], reads[:]
     _run("graph", "--registry", str(root))
     assert (len(parses), len(reads)) == (0, PRODUCTS)
+    assert (root / "graph.json").stat().st_ino != before.st_ino
 
 
 def test_a_racily_clean_registry_with_a_damaged_per_object_line_parses_every_object(
@@ -807,3 +812,98 @@ def test_a_current_tag_over_a_foreign_stamp_is_rebuilt(root: Path, parses, stamp
     reads = _reads(root)
     assert len(parses) == PRODUCTS
     assert reads == _fresh_reads(root)
+
+
+def _touch_all(root: Path) -> None:
+    for path in (root / "objects").iterdir():
+        os.utime(path)
+
+
+# Writes after which the next credit finds graph.json stale and rewrites it.
+WRITES = {
+    "an ingest": lambda root: _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])}),
+    "an ingest --force": lambda root: _force(root, range(2, 4)),
+    "graph.json deleted": lambda root: (root / "graph.json").unlink(),
+    "every object file touched": _touch_all,
+}
+CREDIT = ["credit", "--product", "doi:10.1000/p5"]
+
+
+@pytest.mark.parametrize("write", WRITES)
+def test_after_a_write_and_a_credit_the_next_read_is_a_hit(
+    root: Path, parses, reads, settled, write
+) -> None:
+    _run("graph", "--registry", str(root))
+    WRITES[write](root)
+    code, out, _ = _run(*CREDIT, "--registry", str(root))
+    assert code == 0 and out
+    del parses[:], reads[:]
+    registry = registry_module.Registry(root)
+    graph = registry.load_graph()
+    assert (parses, reads) == ([], [])
+    assert graph == build_graph(registry.load_all())
+    before = (root / "graph.json").stat()
+    assert _reads(root) == _fresh_reads(root)
+    after = (root / "graph.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_credit_on_a_fresh_snapshot_hashes_no_object_and_writes_nothing(
+    root: Path, settled, monkeypatch
+) -> None:
+    _run("graph", "--registry", str(root))
+    before = (root / "graph.json").stat()
+    hashed: list[bytes] = []
+    described: list[object] = []
+    sha256, citations = hashlib.sha256, registry_module.citations
+    monkeypatch.setattr(
+        registry_module,
+        "hashlib",
+        SimpleNamespace(sha256=lambda data: hashed.append(bytes(data)) or sha256(data)),
+    )
+    monkeypatch.setattr(
+        registry_module, "citations", lambda creditmap: described.append(creditmap) or citations(creditmap)
+    )
+    for flags in ([], ["--format", "json"], ["--max-depth", "2"], ["--entity", "name:author 5"]):
+        code, _, _ = _run(*CREDIT, *flags, "--registry", str(root))
+        assert code == 0
+    objects = {path.read_bytes() for path in (root / "objects").iterdir()}
+    assert described == []
+    assert not objects & set(hashed)
+    after = (root / "graph.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+@pytest.mark.parametrize(
+    ("change", "exit_code"),
+    [
+        (_close_a_cycle, 1),
+        (lambda root: _object(root, 2).write_bytes(b"{"), 2),
+    ],
+    ids=["a cycle", "an object that does not parse"],
+)
+def test_a_credit_that_fails_leaves_the_snapshot_as_it_was(
+    root: Path, settled, change, exit_code
+) -> None:
+    _reads(root)
+    before = (root / "graph.json").read_bytes()
+    change(root)
+    assert _run(*CREDIT, "--registry", str(root))[0] == exit_code
+    assert (root / "graph.json").read_bytes() == before
+
+
+def test_credit_creates_no_snapshot_for_a_cyclic_an_empty_or_a_missing_registry(
+    tmp_path: Path,
+) -> None:
+    cyclic = tmp_path / "cyclic"
+    _run("ingest", "--registry", str(cyclic),
+         *(str(fixture_path(name)) for name in ("cycle_x.jsonld", "cycle_y.jsonld")))
+    assert _run("credit", "--product", "doi:10.8888/x", "--registry", str(cyclic))[0] == 1
+    assert sorted(p.name for p in cyclic.iterdir()) == [".lock", "objects"]
+    empty = tmp_path / "empty"
+    (empty / "objects").mkdir(parents=True)
+    assert _run(*CREDIT, "--registry", str(empty))[0] == 1
+    assert sorted(p.name for p in empty.iterdir()) == ["objects"]
+    missing = tmp_path / "missing"
+    assert _run(*CREDIT, "--registry", str(missing))[0] == 1
+    assert not missing.exists()

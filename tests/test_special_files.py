@@ -3,10 +3,11 @@
 The registry opens its own files without blocking and refuses anything
 but a regular file: a FIFO or a directory among the object files fails
 the read with exit 2 and the path, and one in place of graph.json counts
-as a missing snapshot, which the read replaces. Each command runs as its
-own process under a timeout, so a hang fails the test instead of the run.
-`ingest` and `validate` still read the files they are given, pipes
-included.
+as a missing snapshot, which the read replaces. A registry, or an
+objects/, that is a file is not an empty registry: the read fails with
+exit 2. Each command runs as its own process under a timeout, so a hang
+fails the test instead of the run. `ingest` and `validate` still read the
+files they are given, pipes included.
 """
 
 from __future__ import annotations
@@ -84,10 +85,32 @@ def test_a_fifo_in_place_of_the_snapshot_reads_as_a_missing_one(
     run = _cli(*READS[read], "--registry", str(root))
     fresh = _fresh(root, READS[read], tmp_path)
     assert (run.returncode, run.stdout, run.stderr) == (0, fresh.stdout, fresh.stderr)
-    if read != "credit":  # credit parses objects/ and leaves the snapshot be
-        assert snapshot.is_file()
-        again = _cli(*READS[read], "--registry", str(root))
-        assert (again.returncode, again.stdout) == (0, fresh.stdout)
+    assert snapshot.is_file()
+    again = _cli(*READS[read], "--registry", str(root))
+    assert (again.returncode, again.stdout) == (0, fresh.stdout)
+
+
+def _file_as_registry(tmp_path: Path) -> Path:
+    root = tmp_path / "notadir"
+    root.touch()
+    return root
+
+
+def _file_as_objects(tmp_path: Path) -> Path:
+    root = tmp_path / "reg"
+    root.mkdir()
+    (root / "objects").touch()
+    return root
+
+
+@pytest.mark.parametrize("read", READS)
+@pytest.mark.parametrize("shape", [_file_as_registry, _file_as_objects],
+                         ids=["the registry", "its objects"])
+def test_a_file_in_place_of_a_directory_fails_the_read(tmp_path: Path, shape, read) -> None:
+    root = shape(tmp_path)
+    run = _cli(*READS[read], "--registry", str(root))
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"error: cannot list {root / 'objects'}: Not a directory\n"
 
 
 def test_ingest_reads_a_document_piped_to_dev_stdin(tmp_path: Path) -> None:
