@@ -22,7 +22,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
-    Category,
     CreditLedgerError,
     CreditMap,
     EntityId,
@@ -70,15 +69,6 @@ _KINDS = {
     "p": NodeKind.TERMINAL_PERSON,
     "t": NodeKind.TERMINAL_PRODUCT,
 }
-_CATEGORY_CODES = {
-    Category.AUTHOR: "a",
-    Category.ARTICLE: "r",
-    Category.SOFTWARE: "s",
-    Category.ACKNOWLEDGMENT: "k",
-    Category.OTHER: "o",
-}
-_CATEGORY_NAMES = {code: category.value for category, code in _CATEGORY_CODES.items()}
-_PERSON_CODES = frozenset(_CATEGORY_CODES[category] for category in PERSON_CATEGORIES)
 _SCHEMES = {scheme.value: scheme for scheme in IdScheme}
 # EntityId's slot descriptors, which set a field past the frozen __setattr__.
 _set_scheme, _set_value, _set_text = (
@@ -222,70 +212,6 @@ def _depth_first(
     return order, None
 
 
-def citations(creditmap: CreditMap) -> tuple[str, list[str], str, list[float]]:
-    """What assemble_graph reads of a map: its product's id text, and per
-    entry in entry order the target's id text, category code and weight."""
-    entries = creditmap.entries
-    return (
-        creditmap.product.id.text,
-        [entry.entity.text for entry in entries],
-        "".join([_CATEGORY_CODES[entry.category] for entry in entries]),
-        [entry.weight for entry in entries],
-    )
-
-
-def assemble_graph(
-    products: Iterable[tuple[str, list[str], str, list[float]]],
-) -> CreditGraph:
-    """The citation graph of products, each as citations() describes a map.
-
-    Raises as build_graph does.
-    """
-    products = sorted(products, key=lambda product: product[0])
-    ids = [product[0] for product in products]
-    for first, second in zip(ids, ids[1:]):
-        if first == second:
-            raise DuplicateProductId(f"duplicate product id {first}")
-    count = len(ids)
-    index = {text: i for i, text in enumerate(ids)}
-    kinds = ["r"] * count
-    rows: list[list] = []
-    warnings: list[str] = []
-    for i, (pid, targets, codes, weights) in enumerate(products):
-        row: list = [i]
-        for target, code, weight in zip(targets, codes, weights):
-            t = index.get(target)
-            if t is None or t >= count:
-                if code in _PERSON_CODES:
-                    kind = "p"
-                elif target.startswith("orcid:"):
-                    kind = "p"
-                    warnings.append(
-                        f"{pid}: ORCID {target} cited in product category "
-                        f"{_CATEGORY_NAMES[code]!r}; treating it as a person"
-                    )
-                else:
-                    kind = "t"
-                if t is None:
-                    t = index[target] = len(ids)
-                    ids.append(target)
-                    kinds.append(kind)
-                elif kinds[t] != kind:
-                    warnings.append(
-                        f"{target} is referenced both as a person and as a "
-                        f"product; keeping the person classification"
-                    )
-                    kinds[t] = "p"
-            row += (t, weight)
-        rows.append(row)
-
-    _, witness = _depth_first(rows, range(count))
-    if witness is not None:
-        raise CycleError([_entity(ids[i]) for i in witness])
-
-    return CreditGraph(ids=ids, kinds="".join(kinds), products=rows, warnings=tuple(warnings))
-
-
 def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
     """Assemble the citation graph for a corpus of credit maps.
 
@@ -299,7 +225,51 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
         DuplicateProductId: two maps share one canonical product id.
         CycleError: the registered products cite each other in a cycle.
     """
-    return assemble_graph(map(citations, maps))
+    maps = sorted(maps, key=lambda creditmap: creditmap.product.id.text)
+    ids = [creditmap.product.id.text for creditmap in maps]
+    for first, second in zip(ids, ids[1:]):
+        if first == second:
+            raise DuplicateProductId(f"duplicate product id {first}")
+    count = len(ids)
+    index = {text: i for i, text in enumerate(ids)}
+    kinds = ["r"] * count
+    rows: list[list] = []
+    warnings: list[str] = []
+    for i, creditmap in enumerate(maps):
+        row: list = [i]
+        for entry in creditmap.entries:
+            target = entry.entity.text
+            t = index.get(target)
+            if t is None or t >= count:
+                category = entry.category
+                if category in PERSON_CATEGORIES:
+                    kind = "p"
+                elif target.startswith("orcid:"):
+                    kind = "p"
+                    warnings.append(
+                        f"{ids[i]}: ORCID {target} cited in product category "
+                        f"{category.value!r}; treating it as a person"
+                    )
+                else:
+                    kind = "t"
+                if t is None:
+                    t = index[target] = len(ids)
+                    ids.append(target)
+                    kinds.append(kind)
+                elif kinds[t] != kind:
+                    warnings.append(
+                        f"{target} is referenced both as a person and as a "
+                        f"product; keeping the person classification"
+                    )
+                    kinds[t] = "p"
+            row += (t, entry.weight)
+        rows.append(row)
+
+    _, witness = _depth_first(rows, range(count))
+    if witness is not None:
+        raise CycleError([_entity(ids[i]) for i in witness])
+
+    return CreditGraph(ids=ids, kinds="".join(kinds), products=rows, warnings=tuple(warnings))
 
 
 def topological_order(graph: CreditGraph, start: Iterable[int] | None = None) -> list[int]:

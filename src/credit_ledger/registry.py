@@ -6,16 +6,11 @@ source of truth, and .lock is an advisory write lock. A write goes to a
 temp file that is fsynced and renamed into place; each batch of writes
 then fsyncs objects/ once, so the renames are durable too.
 
-graph.json is a derived snapshot of the citation graph. Its stamp line
-holds, by object file name, the stat that its writer vouches for, and the
-digests of the two lines after it: the graph line, which holds a
-CreditGraph's tables as they are and which a read trusts without
-validating it again, and the per-object line, which keeps each file's
-digest so that a stale snapshot is refreshed by parsing only the files
-whose bytes changed (see Registry.load_graph). A whole-registry parse
-can refresh a stale snapshot from the maps it parsed, as credit does (see
-Registry.refresh_snapshot). It is never trusted stale, never fsynced, and
-safe to delete. The registry reads only regular files, and opens them
+graph.json is a derived snapshot of the citation graph, which
+Registry.load_graph serves while every object file keeps the stat it
+vouches for, and rebuilds from objects/ otherwise (its layout is described
+at Registry._write_snapshot). It is never trusted stale, never fsynced,
+and safe to delete. The registry reads only regular files, and opens them
 without blocking, so a FIFO cannot hang a read.
 """
 
@@ -31,7 +26,7 @@ from pathlib import Path
 from stat import S_ISREG
 from typing import Iterator
 
-from .graph import CreditGraph, assemble_graph, citations
+from .graph import CreditGraph, build_graph
 from .model import (
     CreditLedgerError,
     CreditMap,
@@ -46,7 +41,7 @@ from .model import (
 #: tag also stands for the id rules they were made under: it changes
 #: whenever EntityId refuses a text it used to accept, and a snapshot of
 #: the old tag is rebuilt from objects/.
-_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 5"
+_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 6"
 #: How far a file timestamp may lag the clock, so that a snapshot vouches
 #: only for files older than its scan by more: two ticks of the kernel's
 #: coarse clock where files have sub-second times, and FAT's 2 s where an
@@ -159,10 +154,9 @@ class Registry:
         self._objects = self.root / "objects"
         self._in_batch = False
         self._renamed = False
-        # What the last load_all saw, for refresh_snapshot: its scan start,
-        # and by object file name the stat, and the bytes and the map (None
-        # for a stray file).
-        self._loaded: tuple[int, dict, dict] | None = None
+        # What the last load_all saw, for the graph.json written from its
+        # maps: its scan start, and the stat of each object file by name.
+        self._loaded: tuple[int, dict[str, list[int]]] | None = None
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -310,42 +304,34 @@ class Registry:
         """Every registered credit map, sorted by canonical product id text.
 
         Object files whose name is not the digest of the id they hold are
-        skipped. The registry keeps each file's stat (from the file it read),
-        bytes and map until refresh_snapshot writes graph.json from them.
+        skipped. The registry keeps its scan start and each file's stat
+        (from the file it read) for the graph.json written from these maps.
         """
         self._loaded = None
         scan_start = time.time_ns()
-        stats: dict[str, list[int]] = {}  # as in load_graph
-        loaded: dict[str, tuple[bytes, CreditMap | None]] = {}
+        stats: dict[str, list[int]] = {}  # name: size, mtime, ctime, inode
+        registered: list[CreditMap] = []
         for name in self._object_names():
-            path = f"{self._objects}/{name}"
+            path = f"{self._objects}/{name}"  # no Path: 2,000 of them cost 12 ms
             data, st = self._read_bytes(path)
             stats[name] = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
-            loaded[name] = data, self._registered_map(path, data)
-        self._loaded = scan_start, stats, loaded
-        registered = [creditmap for _, creditmap in loaded.values() if creditmap is not None]
+            creditmap = self._registered_map(path, data)
+            if creditmap is not None:
+                registered.append(creditmap)
+        self._loaded = scan_start, stats
         registered.sort(key=lambda m: m.product.id.text)
         return registered
 
     def refresh_snapshot(self, graph: CreditGraph) -> None:
-        """Bring graph.json up to date with what the last load_all read;
-        graph must be build_graph of the maps it returned.
-
-        If the snapshot is a hit for the stats load_all saw, as load_graph
-        tests it, nothing is hashed or written. Otherwise the snapshot is
-        rewritten as a refresh by load_graph would rewrite it, from the maps
-        in hand: a file whose stat the old snapshot vouches for keeps its
-        recorded digest, the bytes of any other file are hashed, and a file
-        whose digest is the recorded one keeps its recorded categories. Like
-        that refresh it takes no lock, and a failed write is ignored.
-        """
+        """Write graph.json for what the last load_all read, unless it is
+        already a hit for those stats; graph must be build_graph of the
+        maps load_all returned. It takes no lock, and a failed write is
+        ignored."""
         if self._loaded is None:
             return
-        (scan_start, stats, loaded), self._loaded = self._loaded, None
-        hit, trusted, _, objects_line = self._read_snapshot(stats)
-        if not hit:
-            records, _ = self._refresh(stats, trusted, objects_line, None, loaded)
-            self._write_snapshot(scan_start, stats, graph, records)
+        (scan_start, stats), self._loaded = self._loaded, None
+        if self._read_snapshot(stats) is None:
+            self._write_snapshot(scan_start, stats, graph)
 
     def load_graph(self) -> CreditGraph:
         """The citation graph of every registered map, from the snapshot if fresh.
@@ -353,163 +339,80 @@ class Registry:
         Stats every object file. If every stat is the one graph.json
         vouches for under that name, and no file is new or gone, the read
         is a hit: it returns the stored graph and writes nothing. Anything
-        else is a refresh. It reads each file whose stat is not vouched
-        for, or whose digest the per-object line lacks; a file whose
-        sha256 is the recorded one keeps its row of the old graph and its
-        recorded categories, and the rest are parsed (skipping stray files
-        as load_all does). The graph is then assembled from them as
-        build_graph would and the whole snapshot is rewritten, so a read
-        after a touch rewrites it too. A line that fails its digest counts
-        as missing. A failed build raises as build_graph and load_all do
-        and writes nothing; a failed write is ignored. refresh_snapshot
-        writes the same snapshot from the maps load_all parsed, so the read
-        after a credit is a hit.
+        else is a miss, which returns build_graph(load_all()) and writes
+        the snapshot of it. A failed build raises as those two do and
+        writes nothing; a failed write is ignored.
 
         Raises:
             StorageError: an object file cannot be read, is not a regular
                 file, or does not parse.
             GraphError: the maps do not form a valid graph.
         """
-        scan_start = time.time_ns()
-        stats: dict[str, list[int]] = {}  # name: size, mtime, ctime, inode
+        stats: dict[str, list[int]] = {}  # as in load_all
         for name in self._object_names():
-            path = f"{self._objects}/{name}"  # no Path: 2,000 of them cost 12 ms
+            path = f"{self._objects}/{name}"
             try:
                 st = os.stat(path)
             except OSError as exc:
                 raise StorageError(f"cannot stat {path}: {exc}") from exc
             stats[name] = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
-        hit, trusted, graph_line, objects_line = self._read_snapshot(stats)
-        graph = _decode_graph(graph_line)
-        if hit and graph is not None:
+        graph_line = self._read_snapshot(stats)
+        graph = None if graph_line is None else _decode_graph(graph_line)
+        if graph is not None:
             return graph
-        del graph_line
-        # Records are kept only with the graph whose rows they index.
-        records, products = self._refresh(
-            stats, trusted, b"" if graph is None else objects_line, graph, {}
-        )
-        del graph, objects_line
-        graph = assemble_graph(products)
-        del products
-        self._write_snapshot(scan_start, stats, graph, records)
+        graph = build_graph(self.load_all())
+        (scan_start, stats), self._loaded = self._loaded, None
+        self._write_snapshot(scan_start, stats, graph)
         return graph
 
-    def _refresh(
-        self, stats: dict, trusted: dict, objects_line: bytes, graph: CreditGraph | None,
-        loaded: dict,
-    ) -> tuple[dict, list[tuple[str, list[str], str, list[float]]]]:
-        """Each object file's record for the snapshot, and the citations()
-        of each registered product: the refresh of load_graph and of
-        refresh_snapshot.
-
-        A file whose stat is the vouched one keeps the digest recorded on
-        objects_line; any other file is hashed, from its bytes in loaded
-        (what load_all read) or read now. A file whose digest is the
-        recorded one keeps its recorded categories (a stray file stays
-        stray) and, given graph (the old snapshot's graph), its row of it;
-        without graph only its record is made, as refresh_snapshot has its
-        graph already. Every other file is described by its map in loaded,
-        or parsed now.
-        """
+    def _read_snapshot(self, stats: dict[str, list[int]]) -> bytes | None:
+        """graph.json's graph line if the snapshot is a hit for these object
+        file stats: it vouches for exactly these stats, and its graph line
+        passes its digest. None for anything else, including a missing,
+        foreign or non-regular graph.json."""
         try:
-            recorded = json.loads(objects_line) if objects_line else {}
-        except ValueError:
-            recorded = {}
-        # Each blob read here is dropped once parsed, and each map parsed
-        # here once described. An unchanged product keeps its row of the old
-        # graph, by id text: the new graph numbers its nodes afresh.
-        products: list[tuple[str, list[str], str, list[float]]] = []
-        records: dict[str, tuple[str, str | None, str]] = {}  # name: digest, id text, codes
-        for name, stat in stats.items():
-            digest, index, codes = recorded.get(name, (None, None, ""))
-            data, creditmap = loaded.get(name, (None, None))
-            if digest is None or stat != trusted.get(name):
-                path = f"{self._objects}/{name}"
-                if data is None:
-                    data = self._read_bytes(path)[0]
-                recorded_digest, digest = digest, hashlib.sha256(data).hexdigest()
-                if digest != recorded_digest:
-                    index = None
-                    if name not in loaded:
-                        creditmap = self._registered_map(path, data)
-            if index is None:
-                product = None if creditmap is None else citations(creditmap)
-            elif graph is not None:
-                row = graph.products[index]
-                product = (graph.ids[index], [graph.ids[t] for t in row[1::2]], codes, row[2::2])
-            else:  # a map in hand with the recorded bytes: keep its recorded categories
-                records[name] = (digest, creditmap.product.id.text, codes)
-                continue
-            if product is None:
-                records[name] = (digest, None, "")
-            else:
-                products.append(product)
-                records[name] = (digest, product[0], product[2])
-        return records, products
-
-    def _read_snapshot(self, stats: dict[str, list[int]]) -> tuple[bool, dict, bytes, bytes]:
-        """graph.json as it stands for these object file stats: whether it
-        is a hit (it vouches for exactly these stats, and its graph line
-        passes its digest), the stats it vouches for by object file name
-        (None for a file its writer saw change within a tick of its scan),
-        and its graph and per-object lines, each empty if it fails its
-        digest. A missing, foreign or non-regular graph.json is no hit,
-        and gives no stats and two empty lines."""
-        try:
-            stamp, *lines = _read_regular(self.root / "graph.json")[0].split(b"\n", 3)[:3]
-            tag, *digests, trusted = json.loads(stamp)
-            if tag != _SNAPSHOT_FORMAT or type(trusted) is not dict:
-                return False, {}, b"", b""
-            graph_line, objects_line = (
-                line if hashlib.sha256(line).hexdigest() == line_digest else b""
-                for line, line_digest in zip(lines, digests, strict=True)
-            )
+            stamp, graph_line = _read_regular(self.root / "graph.json")[0].split(b"\n", 2)[:2]
+            tag, digest, vouched = json.loads(stamp)
         except (OSError, *_SNAPSHOT_ERRORS):
-            return False, {}, b"", b""
-        return bool(graph_line) and stats == trusted, trusted, graph_line, objects_line
+            return None
+        if tag != _SNAPSHOT_FORMAT or vouched != stats:
+            return None
+        return graph_line if hashlib.sha256(graph_line).hexdigest() == digest else None
 
     def _write_snapshot(
-        self, scan_start: int, stats: dict[str, list[int]], graph: CreditGraph, records: dict
+        self, scan_start: int, stats: dict[str, list[int]], graph: CreditGraph
     ) -> None:
         """Replace graph.json with a snapshot of graph; on any OSError go on
         without it. An empty graph (of an empty or missing registry) gets
         no file.
 
-        The graph line holds graph's tables (json writes each weight as
-        repr(weight), which reads back exactly). The per-object line holds
-        each object file's record (the digest of its bytes, the id text of
-        the product it registers or None for a stray file, and one category
-        code per entry), with the product's graph index for its id text;
-        the product's targets and weights are its row in the graph line. The
-        stamp line holds the format tag, the digests of those two lines and
-        the stats the next read may trust: None for a file whose mtime or
-        ctime is not older than scan_start by a tick, as a change within
-        that tick could keep its stat. The file is derived, so it is not
-        fsynced: a torn or lost write fails a digest or the parse on the
-        next read and is rebuilt.
+        The file has two lines. The stamp line holds the format tag, the
+        sha256 of the graph line, and by object file name the stat the
+        next read may trust: [size, st_mtime_ns, st_ctime_ns, st_ino] as
+        the scan that began at scan_start saw it, or None for a file whose
+        mtime or ctime is not older than scan_start by a tick, as a change
+        within that tick could keep its stat (git's racy-git rule). The
+        graph line holds graph's tables as they are (json writes each
+        weight as repr(weight), which reads back exactly). The file is
+        derived, so it is not fsynced: a torn or lost write fails the
+        digest or the parse on the next read and is rebuilt.
         """
         if not graph.products:
             return
         graph_line = json.dumps(
             [graph.ids, graph.kinds, graph.products, list(graph.warnings)], separators=(",", ":")
         ).encode()
-        index = {pid: i for i, pid in enumerate(graph.ids[: len(graph.products)])}
-        objects_line = json.dumps(
-            {
-                name: [digest, None if pid is None else index[pid], codes]
-                for name, (digest, pid, codes) in records.items()
-            },
-            separators=(",", ":"),
-        ).encode()
         vouched = {}
         for name, (size, mtime, ctime, inode) in stats.items():
             tick = _FINE_TICK_NS if mtime % 1_000_000_000 else _COARSE_TICK_NS
             settled = max(mtime, ctime) + tick < scan_start
             vouched[name] = [size, mtime, ctime, inode] if settled else None
-        digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
-        stamp = json.dumps([_SNAPSHOT_FORMAT, *digests, vouched], separators=(",", ":"))
+        stamp = json.dumps(
+            [_SNAPSHOT_FORMAT, hashlib.sha256(graph_line).hexdigest(), vouched],
+            separators=(",", ":"),
+        )
         with suppress(OSError):
-            data = b"\n".join([stamp.encode(), graph_line, objects_line, b""])
+            data = b"\n".join([stamp.encode(), graph_line, b""])
             _replace_file(self.root / "graph.json", data, sync=False)
 
 

@@ -1,7 +1,7 @@
 """Every read path gives the same graph and the same answers.
 
 rank and credit are computed on the graph of a fresh build_graph, of a
-snapshot hit, of a snapshot refresh after an ingest or a --force, and of
+snapshot hit, of a snapshot miss after an ingest or a --force, and of
 the read after a credit that reads first and rewrites the snapshot. All
 four give ==-identical rows in the same tie order, and the same node and
 edge views, and their shares agree with the path oracle.
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -76,18 +78,20 @@ def _written(root: Path, maps: list[CreditMap], late: CreditMap, force: bool) ->
 
 
 def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool):
-    """The graphs of a refresh after late is ingested, of the hit that
+    """The graphs of a miss after late is ingested, of the hit that
     follows it, of the read after a credit that reads first (in a second
     registry written alike), and of a fresh build_graph of the maps the
-    registry holds (their entries in stored order, as credit reads them)."""
+    registry holds (their entries in stored order, as credit reads them).
+    The registry's clock runs a minute ahead, so every file has settled."""
     registry = _written(root / "refreshed", maps, late, force)
     credited = _written(root / "credited", maps, late, force)
     parse = registry_module.parse_creditmap
     with mock.patch.object(registry_module, "parse_creditmap", wraps=parse) as parses:
         refreshed = registry.load_graph()
-        assert parses.call_count == 1  # only the ingested map
+        assert parses.call_count == len(maps)
+        parses.reset_mock()
         hit = registry.load_graph()
-        assert parses.call_count == 1
+        assert parses.call_count == 0
         graph = build_graph(credited.load_all())  # what credit runs
         credited.refresh_snapshot(graph)
         parses.reset_mock()
@@ -106,7 +110,10 @@ def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool)
 def test_fresh_hit_and_refresh_give_identical_answers(maps, data, tmp_path) -> None:
     late = data.draw(st.sampled_from(maps))
     force = data.draw(st.booleans())
-    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+    settled = SimpleNamespace(time_ns=lambda: time.time_ns() + 60 * 10**9)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp, mock.patch.object(
+        registry_module, "time", settled
+    ):
         refreshed, hit, after_credit, fresh = _read_paths(Path(tmp), maps, late, force)
     want = _answers(fresh, maps)
     assert _answers(refreshed, maps) == want

@@ -1,8 +1,12 @@
 """The registry against an in-memory model, over any sequence of operations.
 
 A hypothesis state machine ingests (with and without --force), deletes and
-touches object files, and after every step checks every read of the
-registry against a dict of the maps that should be registered.
+touches object files, runs what credit runs (which may rewrite graph.json)
+and damages graph.json, and after every step checks every read of the
+registry against a dict of the maps that should be registered. The
+registry's clock runs either with the files' clock, so that every file is
+within a timestamp tick of each read, or a minute ahead, so that every file
+has settled and an unchanged registry is a snapshot hit.
 """
 
 from __future__ import annotations
@@ -10,7 +14,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import settings
@@ -18,6 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from credit_ledger import CreditMap, EntityId, NotFound, Registry, build_graph, parse_creditmap
+from credit_ledger import registry as registry_module
 from credit_ledger.registry import DuplicateProduct, _object_name
 
 PRODUCTS = 5
@@ -55,8 +63,13 @@ class RegistryMachine(RuleBasedStateMachine):
         self.registry = Registry(self.root)
         self.model: dict[int, CreditMap] = {}
         self.clock = 1_000_000_000
+        self.ahead_ns = 0
+        clock = SimpleNamespace(time_ns=lambda: time.time_ns() + self.ahead_ns)
+        self._clock = mock.patch.object(registry_module, "time", clock)
+        self._clock.start()
 
     def teardown(self) -> None:
+        self._clock.stop()
         self._tmp.cleanup()
 
     def _object(self, i: int) -> Path:
@@ -82,6 +95,30 @@ class RegistryMachine(RuleBasedStateMachine):
         if self._object(i).exists():
             self.clock += 1_000_000_007  # a new mtime that no tick rounding hides
             os.utime(self._object(i), ns=(self.clock, self.clock))
+
+    @rule(ahead_s=st.sampled_from([0, 60]))
+    def set_registry_clock(self, ahead_s: int) -> None:
+        self.ahead_ns = ahead_s * 10**9
+
+    @rule()
+    def credit(self) -> None:
+        registry = Registry(self.root)
+        registry.refresh_snapshot(build_graph(registry.load_all()))
+
+    @rule(damage=st.sampled_from(["truncate", "flip a byte", "empty"]), at=st.integers(0, 10**6))
+    def damage_snapshot(self, damage: str, at: int) -> None:
+        snapshot = self.root / "graph.json"
+        if not snapshot.exists():
+            return
+        data = snapshot.read_bytes()
+        i = at % len(data)
+        if damage == "truncate":
+            data = data[:i]
+        elif damage == "flip a byte":
+            data = data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+        else:
+            data = b""
+        snapshot.write_bytes(data)
 
     @invariant()
     def reads_agree_with_the_model(self) -> None:

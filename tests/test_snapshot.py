@@ -1,9 +1,10 @@
 """The graph snapshot behind `rank` and `graph`: never stale, never required.
 
 `rank` and `graph` read the citation graph through Registry.load_graph,
-which keeps a derived graph.json keyed to the stat and the digest of every
-object file. `credit` parses every object file, and rewrites graph.json
-from those maps when it finds it stale.
+which keeps a derived graph.json keyed to the stat of every object file:
+a hit serves its graph line, and anything else is build_graph(load_all())
+and a new graph.json. `credit` parses every object file, and rewrites
+graph.json from those maps when it finds it stale.
 Whatever happens to the objects or to that file, both commands must print
 exactly what they print for a fresh copy of objects/ with no snapshot.
 """
@@ -202,7 +203,7 @@ def parses(monkeypatch) -> list[int]:
     return calls
 
 
-def test_an_unchanged_registry_is_read_from_the_snapshot(root: Path, parses) -> None:
+def test_an_unchanged_registry_is_read_from_the_snapshot(root: Path, parses, settled) -> None:
     first = _reads(root)
     assert len(parses) == PRODUCTS  # the first read builds the snapshot
     assert _reads(root) == first
@@ -255,7 +256,9 @@ def test_a_cyclic_registry_fails_every_read_and_gets_no_snapshot(tmp_path: Path)
     assert sorted(p.name for p in root.iterdir()) == [".lock", "objects"]
 
 
-def test_build_warnings_print_the_same_on_a_hit_and_a_miss(root: Path, parses) -> None:
+def test_build_warnings_print_the_same_on_a_hit_and_a_miss(
+    root: Path, parses, settled
+) -> None:
     miss = _run("graph", "--registry", str(root))
     hit = _run("graph", "--registry", str(root))
     assert len(parses) == PRODUCTS
@@ -266,15 +269,23 @@ def test_build_warnings_print_the_same_on_a_hit_and_a_miss(root: Path, parses) -
     )
 
 
-def _objects_line(root: Path) -> dict:
-    """The per-object line of graph.json, decoded."""
-    return json.loads((root / "graph.json").read_bytes().split(b"\n")[2])
+def _lines(root: Path) -> tuple[bytes, bytes]:
+    """The stamp line and the graph line of graph.json."""
+    stamp, graph_line, rest = (root / "graph.json").read_bytes().split(b"\n", 2)
+    assert rest == b""
+    return stamp, graph_line
 
 
-def _replace_objects_line(root: Path, text: str) -> None:
-    """Keep the stamp and graph lines of graph.json and replace what follows."""
-    stamp, graph_line, _ = (root / "graph.json").read_bytes().split(b"\n", 2)
-    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + text.encode())
+def _stamp(root: Path) -> list:
+    return json.loads(_lines(root)[0])
+
+
+def _edit_graph_line(root: Path, edit) -> None:
+    """Replace the decoded graph line of graph.json by edit(graph line),
+    keeping the stamp line as it is."""
+    stamp, graph_line = _lines(root)
+    graph_line = json.dumps(edit(json.loads(graph_line))).encode()
+    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n")
 
 
 def _force(root: Path, products: range) -> None:
@@ -282,35 +293,19 @@ def _force(root: Path, products: range) -> None:
     _ingest(root, {i: _doc(i, WEIGHTS[(i + 1) % len(WEIGHTS)]) for i in products}, "--force")
 
 
-def _stray_copy(root: Path) -> None:
-    shutil.copy(_object(root, 1), root / "objects" / "backup.jsonld")
-
-
-def _truncate_objects_line(root: Path) -> None:
-    os.truncate(root / "graph.json", (root / "graph.json").stat().st_size - 9)
-
-
-# Each change to a registry whose snapshot is current, and how many object
-# files the next read must parse.
+# Each change to a registry whose snapshot is current. After any of them
+# but "nothing", the next read rebuilds: it parses every object file once.
 CHANGES = {
-    "nothing": (lambda root: None, 0),
-    "one object rewritten in place": (lambda root: _rewrite_in_place(_object(root, 2)), 1),
-    "three objects rewritten in place": (
-        lambda root: [_rewrite_in_place(_object(root, i)) for i in (0, 3, 5)],
-        3,
-    ),
-    "two objects forced": (lambda root: _force(root, range(2, 4)), 2),
-    "a new product": (lambda root: _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])}), 1),
-    "a stray copy": (_stray_copy, 1),
-    "one object deleted": (lambda root: _object(root, 4).unlink(), 0),
-    "the snapshot deleted": (lambda root: (root / "graph.json").unlink(), PRODUCTS),
-    # A hit never reads the per-object line; a refresh that cannot decode it
-    # parses every object file.
-    "the per-object line truncated": (_truncate_objects_line, 0),
-    "an object rewritten and the per-object line truncated": (
-        lambda root: (_rewrite_in_place(_object(root, 0)), _truncate_objects_line(root)),
-        PRODUCTS,
-    ),
+    "nothing": lambda root: None,
+    "one object rewritten in place": lambda root: _rewrite_in_place(_object(root, 2)),
+    "three objects rewritten in place": lambda root: [
+        _rewrite_in_place(_object(root, i)) for i in (0, 3, 5)
+    ],
+    "two objects forced": lambda root: _force(root, range(2, 4)),
+    "a new product": lambda root: _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])}),
+    "a stray copy": lambda root: shutil.copy(_object(root, 1), root / "objects" / "backup.jsonld"),
+    "one object deleted": lambda root: _object(root, 4).unlink(),
+    "the snapshot deleted": lambda root: (root / "graph.json").unlink(),
 }
 
 
@@ -319,101 +314,40 @@ def test_a_refresh_parses_only_the_objects_that_changed(
     root: Path, parses, settled, change
 ) -> None:
     _reads(root)
-    apply, expected = CHANGES[change]
-    apply(root)
+    CHANGES[change](root)
     parses.clear()  # ingest parses its input documents too
     reads = _reads(root)
-    assert len(parses) == expected
+    files = len(list((root / "objects").glob("*.jsonld")))
+    assert len(parses) == (0 if change == "nothing" else files)
     assert reads == _fresh_reads(root)
-
-
-def test_a_stray_file_is_recorded_and_not_parsed_again(root: Path, parses) -> None:
-    _stray_copy(root)
-    _reads(root)
-    assert _objects_line(root)["backup.jsonld"][1:] == [None, ""]
-    _rewrite_in_place(_object(root, 3))
-    parses.clear()
-    reads = _reads(root)
-    assert len(parses) == 1
-    assert reads == _fresh_reads(root)
-
-
-def _edit_record(edit):
-    """Damage that replaces object 1's record in the per-object line by
-    edit(record, record of object 2)."""
-
-    def damage(root: Path) -> None:
-        objects = _objects_line(root)
-        name = _object(root, 1).name
-        objects[name] = edit(objects[name], objects[_object(root, 2).name])
-        _replace_objects_line(root, json.dumps(objects) + "\n")
-
-    return damage
 
 
 def _target_out_of_range(root: Path, target: int) -> None:
     """Point the first citation target in the graph line outside the id table."""
-    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
-    ids, kinds, products, warnings = json.loads(graph_line)
-    products[0][1] = len(ids) if target >= 0 else target
-    graph_line = json.dumps([ids, kinds, products, warnings]).encode()
-    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + objects_line)
 
+    def edit(graph_line: list) -> list:
+        ids, _, products, _ = graph_line
+        products[0][1] = len(ids) if target >= 0 else target
+        return graph_line
 
-# Damage to the per-object line of a stale snapshot. Each must fall back to
-# parsing every object file.
-DAMAGE = {
-    "truncated to nothing": lambda root: _replace_objects_line(root, ""),
-    "truncated mid-record": lambda root: _replace_objects_line(
-        root, (root / "graph.json").read_bytes().split(b"\n")[2][:150].decode()
-    ),
-    "a list": lambda root: _replace_objects_line(root, "[]\n"),
-    "null": lambda root: _replace_objects_line(root, "null\n"),
-    "a record of two fields": _edit_record(lambda record, other: record[:2]),
-    "a category code too few": _edit_record(
-        lambda record, other: [record[0], record[1], record[2][:-1]]
-    ),
-    "an unknown category code": _edit_record(lambda record, other: [record[0], record[1], "zz"]),
-    "a product index that is text": _edit_record(
-        lambda record, other: [record[0], "0", record[2]]
-    ),
-    "a product index past the id table": _edit_record(
-        lambda record, other: [record[0], 10_000, record[2]]
-    ),
-    "a negative product index": _edit_record(lambda record, other: [record[0], -1, record[2]]),
-    "a record naming another product": _edit_record(
-        lambda record, other: [record[0], other[1], record[2]]
-    ),
-    "a target index past the id table": lambda root: _target_out_of_range(root, 1),
-    "a negative target index": lambda root: _target_out_of_range(root, -1),
-}
-
-
-@pytest.mark.parametrize("damage", DAMAGE)
-def test_a_damaged_per_object_line_falls_back_to_a_full_parse(
-    root: Path, parses, damage
-) -> None:
-    _reads(root)
-    _rewrite_in_place(_object(root, 5))
-    DAMAGE[damage](root)
-    parses.clear()
-    reads = _reads(root)
-    assert len(parses) == PRODUCTS
-    assert reads == _fresh_reads(root)
+    _edit_graph_line(root, edit)
 
 
 def _negative_product_index(root: Path) -> None:
     """Point the first product row of the graph line at id -1."""
-    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
-    ids, kinds, products, warnings = json.loads(graph_line)
-    products[0][0] = -1
-    graph_line = json.dumps([ids, kinds, products, warnings]).encode()
-    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + objects_line)
+
+    def edit(graph_line: list) -> list:
+        graph_line[2][0][0] = -1
+        return graph_line
+
+    _edit_graph_line(root, edit)
 
 
-# Damage to the graph line of a current snapshot that a list index would
-# still accept, naming the wrong entity.
+# Damage to the graph line of a current snapshot, each with an index that
+# names no entity or (as a list index would take a negative one) the wrong
+# one.
 NEGATIVE_INDEXES = {
+    "a target index past the id table": lambda root: _target_out_of_range(root, 1),
     "a negative target index": lambda root: _target_out_of_range(root, -1),
     "a negative product index": _negative_product_index,
 }
@@ -421,7 +355,7 @@ NEGATIVE_INDEXES = {
 
 @pytest.mark.parametrize("damage", NEGATIVE_INDEXES)
 def test_a_negative_index_in_a_current_snapshot_falls_back_to_a_full_parse(
-    root: Path, parses, damage
+    root: Path, parses, settled, damage
 ) -> None:
     _reads(root)
     NEGATIVE_INDEXES[damage](root)
@@ -431,33 +365,22 @@ def test_a_negative_index_in_a_current_snapshot_falls_back_to_a_full_parse(
     assert reads == _fresh_reads(root)
 
 
-def test_records_of_files_that_no_longer_exist_are_ignored(root: Path, parses) -> None:
+def test_a_snapshot_of_the_first_format_is_rebuilt(root: Path, parses, settled) -> None:
+    """A graph.json of the first format (a stamp that is a bare sha256 of
+    the objects, and a graph line) never matches, and is replaced by a
+    full parse."""
     _reads(root)
-    _object(root, 4).unlink()
-    _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])})
-    assert _object(root, 4).name in _objects_line(root)
-    parses.clear()
-    reads = _reads(root)
-    assert len(parses) == 1  # the new product
-    assert _object(root, 4).name not in _objects_line(root)
-    assert reads == _fresh_reads(root)
-
-
-def test_a_snapshot_of_the_first_format_is_rebuilt(root: Path, parses) -> None:
-    """A graph.json written before the per-object line existed (a stamp and
-    a graph line only) never matches, and is replaced by a full parse."""
-    _reads(root)
-    stamp, graph_line, _ = (root / "graph.json").read_bytes().split(b"\n", 2)
-    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line)
+    _, graph_line = _lines(root)
+    stamp = hashlib.sha256(b"".join(p.read_bytes() for p in (root / "objects").iterdir()))
+    (root / "graph.json").write_bytes(stamp.hexdigest().encode() + b"\n" + graph_line)
     _rewrite_in_place(_object(root, 1))
     parses.clear()
     reads = _reads(root)
     assert len(parses) == PRODUCTS
     assert reads == _fresh_reads(root)
-    assert len(_objects_line(root)) == PRODUCTS
 
 
-# Citations whose terminal classification a refresh must keep: each is
+# Citations whose terminal classification a rebuild must keep: each is
 # (citation key, entry) and weighs 0.1 in the citing map.
 CITATIONS = {
     "unregistered doi as article": ("articles", {"doi": "10.3000/unregistered"}),
@@ -512,7 +435,7 @@ CLASSIFY_STEPS = st.one_of(
 @given(steps=st.lists(CLASSIFY_STEPS, min_size=1, max_size=6))
 def test_terminal_classification_survives_a_refresh(steps, tmp_path) -> None:
     """Node shapes and warnings of `graph` equal a fresh copy's after every
-    change, while the maps of unchanged objects come from the snapshot."""
+    change to a registry whose snapshot was current."""
     names = sorted(CITATIONS)
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         root = Path(tmp) / "reg"
@@ -571,14 +494,6 @@ def test_a_refresh_that_fails_leaves_the_snapshot_as_it_was(root: Path, change, 
     assert (root / "graph.json").read_bytes() == before
 
 
-def _edit_graph_line(root: Path, edit) -> None:
-    """Replace the decoded graph line of graph.json by edit(graph line),
-    keeping the stamp line and the per-object line as they are."""
-    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
-    graph_line = json.dumps(edit(json.loads(graph_line))).encode()
-    (root / "graph.json").write_bytes(stamp + b"\n" + graph_line + b"\n" + objects_line)
-
-
 def _add_edge(source: str, target: str):
     def edit(graph_line: list) -> list:
         ids, _, products, _ = graph_line
@@ -593,19 +508,6 @@ def test_an_edge_added_to_the_graph_line_under_a_valid_stamp_is_not_trusted(root
     """p2 cites p1, so the added p1 -> p2 closes a cycle that only a rebuild sees."""
     _reads(root)
     _edit_graph_line(root, _add_edge("doi:10.1000/p1", "doi:10.1000/p2"))
-    assert _reads(root) == _fresh_reads(root)
-
-
-def test_a_category_flipped_in_the_per_object_line_is_not_trusted(root: Path) -> None:
-    _reads(root)
-    _rewrite_in_place(_object(root, 5))  # the next read refreshes
-    stamp, graph_line, objects_line = (root / "graph.json").read_bytes().split(b"\n", 2)
-    objects = json.loads(objects_line)
-    record = objects[_object(root, 1).name]
-    record[2] = "r" + record[2][1:]  # the author becomes an article
-    (root / "graph.json").write_bytes(
-        stamp + b"\n" + graph_line + b"\n" + json.dumps(objects).encode() + b"\n"
-    )
     assert _reads(root) == _fresh_reads(root)
 
 
@@ -654,35 +556,61 @@ def test_a_hit_writes_nothing(root: Path, settled) -> None:
     assert sorted(p.name for p in root.iterdir()) == [".lock", "graph.json", "objects"]
 
 
-def test_on_racily_clean_files_the_next_read_is_a_refresh_that_hashes_and_parses_none(
+def test_the_snapshot_is_a_stamp_line_and_a_graph_line(root: Path, settled) -> None:
+    graph = registry_module.Registry(root).load_graph()
+    data = (root / "graph.json").read_bytes()
+    assert data.count(b"\n") == 2 and data.endswith(b"\n")
+    stamp_line, graph_line = _lines(root)
+    tag, digest, vouched = json.loads(stamp_line)
+    assert tag == "credit-ledger graph snapshot 6"
+    assert digest == hashlib.sha256(graph_line).hexdigest()
+    assert sorted(vouched) == sorted(path.name for path in (root / "objects").iterdir())
+    assert None not in vouched.values()
+    assert json.loads(graph_line) == [graph.ids, graph.kinds, graph.products, list(graph.warnings)]
+
+
+def test_a_miss_returns_build_graph_of_one_load_all(root: Path, settled, monkeypatch) -> None:
+    loads: list[int] = []
+    built: list[object] = []
+    load_all, build = registry_module.Registry.load_all, registry_module.build_graph
+    monkeypatch.setattr(
+        registry_module.Registry, "load_all", lambda self: loads.append(1) or load_all(self)
+    )
+    monkeypatch.setattr(
+        registry_module, "build_graph", lambda maps: built.append(build(maps)) or built[-1]
+    )
+    registry = registry_module.Registry(root)
+    graph = registry.load_graph()  # no graph.json yet
+    assert (len(loads), built) == (1, [graph])
+    assert graph == build(load_all(registry))
+    del loads[:], built[:]
+    assert registry.load_graph() == graph
+    assert (loads, built) == ([], [])
+
+
+def test_on_racily_clean_files_every_read_rebuilds_until_they_settle(
     root: Path, parses, reads, monkeypatch
 ) -> None:
     """A snapshot vouches for no file changed within a tick of the scan
-    that recorded it, since a same-tick change could keep its stat. So the
-    next read is a refresh: it hashes every file against its recorded
-    digest, parses none, and rewrites graph.json."""
+    that recorded it, since a same-tick change could keep its stat. So
+    while the files are that fresh, every read parses each object once and
+    records null stats; once they have settled, the next read writes the
+    stats it vouches for, and the read after it is a hit."""
+    expected = _fresh_reads(root)
     _clock(monkeypatch, -60)
-    _run("graph", "--registry", str(root))
-    before = (root / "graph.json").stat()
+    for _ in range(2):
+        del parses[:], reads[:]
+        assert _reads(root) == expected
+        assert (len(parses), len(reads)) == (PRODUCTS * len(READS), PRODUCTS * len(READS))
+        assert list(_stamp(root)[2].values()) == [None] * PRODUCTS
+    _clock(monkeypatch, 60)
     del parses[:], reads[:]
-    _run("graph", "--registry", str(root))
-    assert (len(parses), len(reads)) == (0, PRODUCTS)
-    assert (root / "graph.json").stat().st_ino != before.st_ino
-
-
-def test_a_racily_clean_registry_with_a_damaged_per_object_line_parses_every_object(
-    root: Path, parses, monkeypatch
-) -> None:
-    """A snapshot vouches for no file changed within a tick of its scan, so
-    the next read refreshes; with the per-object line damaged, no digest
-    is left to hash those files against, and each is parsed."""
-    _clock(monkeypatch, -60)
-    _reads(root)
-    _truncate_objects_line(root)
-    parses.clear()
-    reads = _reads(root)
-    assert len(parses) == PRODUCTS
-    assert reads == _fresh_reads(root)
+    graph = _run("graph", "--registry", str(root))
+    assert (len(parses), len(reads)) == (PRODUCTS, PRODUCTS)
+    assert None not in _stamp(root)[2].values()
+    del parses[:], reads[:]
+    assert _run("graph", "--registry", str(root)) == graph
+    assert (parses, reads) == ([], [])
 
 
 def _fresh_graph(root: Path) -> tuple[int, str, str]:
@@ -697,12 +625,12 @@ def _touch(path: Path) -> None:
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
 
 
-# A change to one object file of a settled registry, and whether the next
-# read parses it after reading it.
+# A change to one object file of a settled registry, after which the next
+# read rebuilds.
 STAT_CHANGES = {
-    "touched to a new mtime": (_touch, 0),
+    "touched to a new mtime": _touch,
     # Size, inode and mtime stay; the ctime moves.
-    "rewritten in place with the same size": (_rewrite_in_place, 1),
+    "rewritten in place with the same size": _rewrite_in_place,
 }
 
 
@@ -711,24 +639,14 @@ def test_a_file_whose_stat_changed_is_read_and_hashed(
     root: Path, parses, reads, settled, change
 ) -> None:
     _run("graph", "--registry", str(root))
-    apply, parsed = STAT_CHANGES[change]
-    apply(_object(root, 2))
+    STAT_CHANGES[change](_object(root, 2))
     del parses[:], reads[:]
     graph = _run("graph", "--registry", str(root))
-    assert (len(parses), reads) == (parsed, [_object(root, 2).name])
+    assert (len(parses), len(reads)) == (PRODUCTS, PRODUCTS)
     assert graph == _fresh_graph(root)
     del parses[:], reads[:]
     assert _run("graph", "--registry", str(root)) == graph  # recorded anew
     assert (parses, reads) == ([], [])
-
-
-def test_a_refresh_after_an_ingest_reads_only_the_new_file(root: Path, parses, reads, settled):
-    _run("graph", "--registry", str(root))
-    _ingest(root, {PRODUCTS: _doc(PRODUCTS, WEIGHTS[0])})
-    del parses[:], reads[:]
-    graph = _run("graph", "--registry", str(root))
-    assert (len(parses), reads) == (1, [_object(root, PRODUCTS).name])
-    assert graph == _fresh_graph(root)
 
 
 def test_a_whole_second_mtime_is_given_a_filesystem_tick_of_two_seconds(
@@ -740,12 +658,14 @@ def test_a_whole_second_mtime_is_given_a_filesystem_tick_of_two_seconds(
     stat = _object(root, 2).stat()
     os.utime(_object(root, 2), ns=(stat.st_atime_ns, stat.st_mtime_ns // 10**9 * 10**9))
     _run("graph", "--registry", str(root))
+    vouched = _stamp(root)[2]
+    assert [name for name, stat in vouched.items() if stat is None] == [_object(root, 2).name]
     del reads[:]
     _run("graph", "--registry", str(root))
-    assert reads == [_object(root, 2).name]
+    assert len(reads) == PRODUCTS  # a miss
 
 
-@pytest.mark.parametrize("old_format", [3, 4])
+@pytest.mark.parametrize("old_format", [3, 4, 5])
 def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_format) -> None:
     """A snapshot's format tag also stands for the id rules its texts were
     made under. A graph line of an earlier format naming an id that the
@@ -762,25 +682,30 @@ def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_
     _ingest(root, {0: doc})
     assert _run("rank", "--registry", str(root))[0] == 0
     snapshot = root / "graph.json"
-    _, graph_line, objects_line = snapshot.read_bytes().split(b"\n", 2)
+    _, graph_line = _lines(root)
     assert b'"name:eve red"' in graph_line
-    graph_line = graph_line.replace(b'"name:eve red"', b'"name:eve\\u001b[31mred"') + b"\n"
+    graph_line = graph_line.replace(b'"name:eve red"', b'"name:eve\\u001b[31mred"')
+    # Formats 3 to 5 have three lines: the stamp, the graph line, and a
+    # per-object line of [digest, product index, category codes] records.
     # Formats 3 and 4 share one stamp: the tag, the scan start, the digests
     # of the two lines, and per object file its size, mtime, ctime, inode
-    # and digest. The scan starts a minute after the file last changed, so
-    # a reader of that format would serve the graph line unread.
+    # and digest. Format 5's stamp holds the tag, the two digests and per
+    # object file its size, mtime, ctime and inode. The scan starts a
+    # minute after the file last changed, so a reader of that format would
+    # serve the graph line unread.
     path = root / "objects" / (hashlib.sha256(b"doi:10.1000/eve").hexdigest() + ".jsonld")
     st = path.stat()
-    stats = {
-        path.name: [
-            st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino,
-            hashlib.sha256(path.read_bytes()).hexdigest(),
-        ]
-    }
-    scan_start = max(st.st_mtime_ns, st.st_ctime_ns) + 60 * 10**9
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    objects_line = json.dumps({path.name: [digest, 0, "a"]}).encode()
+    stat = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
     digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
-    stamp = json.dumps([f"credit-ledger graph snapshot {old_format}", scan_start, *digests, stats])
-    snapshot.write_bytes(stamp.encode() + b"\n" + graph_line + objects_line)
+    tag = f"credit-ledger graph snapshot {old_format}"
+    if old_format == 5:
+        stamp = json.dumps([tag, *digests, {path.name: stat}])
+    else:
+        scan_start = max(st.st_mtime_ns, st.st_ctime_ns) + 60 * 10**9
+        stamp = json.dumps([tag, scan_start, *digests, {path.name: [*stat, digest]}])
+    snapshot.write_bytes(b"\n".join([stamp.encode(), graph_line, objects_line, b""]))
 
     code, out, _ = _run("rank", "--registry", str(root))
     assert (code, out) == (0, "1  name:eve red  1.00000000000\n")
@@ -789,25 +714,29 @@ def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_
     assert _reads(root) == _fresh_reads(root)
 
 
-# Stamp lines of the current format tag that no writer makes: the stamp
+# Stamp lines of the current format tag that no writer makes, given the
+# graph line's digest and the stats the writer vouched for: the stamp
 # carries no digest of its own, so its shape is checked as it is read.
 FOREIGN_STAMPS = {
-    "stats a list": lambda digests: [*digests, []],
-    "stats null": lambda digests: [*digests, None],
-    "stats a number": lambda digests: [*digests, 7],
-    "one digest": lambda digests: [digests[0], {}],
-    "no stats": lambda digests: digests,
+    "stats a list": lambda digest, stats: [digest, []],
+    "stats null": lambda digest, stats: [digest, None],
+    "stats a number": lambda digest, stats: [digest, 7],
+    "no digest": lambda digest, stats: [stats],
+    "no stats": lambda digest, stats: [digest],
+    # Format 5's shape: a second digest, of a per-object line.
+    "two digests": lambda digest, stats: [digest, hashlib.sha256(b"{}").hexdigest(), stats],
 }
 
 
 @pytest.mark.parametrize("stamp", FOREIGN_STAMPS)
-def test_a_current_tag_over_a_foreign_stamp_is_rebuilt(root: Path, parses, stamp) -> None:
+def test_a_current_tag_over_a_foreign_stamp_is_rebuilt(
+    root: Path, parses, settled, stamp
+) -> None:
     _reads(root)
-    snapshot = root / "graph.json"
-    _, graph_line, objects_line = snapshot.read_bytes().split(b"\n", 2)
-    digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line[:-1])]
-    fields = ["credit-ledger graph snapshot 5", *FOREIGN_STAMPS[stamp](digests)]
-    snapshot.write_bytes(json.dumps(fields).encode() + b"\n" + graph_line + b"\n" + objects_line)
+    stamp_line, graph_line = _lines(root)
+    tag, digest, stats = json.loads(stamp_line)
+    fields = [tag, *FOREIGN_STAMPS[stamp](digest, stats)]
+    (root / "graph.json").write_bytes(json.dumps(fields).encode() + b"\n" + graph_line + b"\n")
     parses.clear()
     reads = _reads(root)
     assert len(parses) == PRODUCTS
@@ -854,21 +783,16 @@ def test_credit_on_a_fresh_snapshot_hashes_no_object_and_writes_nothing(
     _run("graph", "--registry", str(root))
     before = (root / "graph.json").stat()
     hashed: list[bytes] = []
-    described: list[object] = []
-    sha256, citations = hashlib.sha256, registry_module.citations
+    sha256 = hashlib.sha256
     monkeypatch.setattr(
         registry_module,
         "hashlib",
         SimpleNamespace(sha256=lambda data: hashed.append(bytes(data)) or sha256(data)),
     )
-    monkeypatch.setattr(
-        registry_module, "citations", lambda creditmap: described.append(creditmap) or citations(creditmap)
-    )
     for flags in ([], ["--format", "json"], ["--max-depth", "2"], ["--entity", "name:author 5"]):
         code, _, _ = _run(*CREDIT, *flags, "--registry", str(root))
         assert code == 0
     objects = {path.read_bytes() for path in (root / "objects").iterdir()}
-    assert described == []
     assert not objects & set(hashed)
     after = (root / "graph.json").stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
