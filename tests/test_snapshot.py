@@ -365,6 +365,30 @@ def test_a_negative_index_in_a_current_snapshot_falls_back_to_a_full_parse(
     assert reads == _fresh_reads(root)
 
 
+# Damage to the graph line of a snapshot that an object rewrite made stale.
+# A stale snapshot is rebuilt without its graph line being read.
+STALE_DAMAGE = {
+    "a negative target index": lambda root: _target_out_of_range(root, -1),
+    "a target index past the id table": lambda root: _target_out_of_range(root, 1),
+}
+
+
+@pytest.mark.parametrize("damage", STALE_DAMAGE)
+def test_a_stale_snapshot_with_a_damaged_graph_line_is_rebuilt(
+    root: Path, parses, settled, damage
+) -> None:
+    _reads(root)
+    _rewrite_in_place(_object(root, 5))
+    STALE_DAMAGE[damage](root)
+    parses.clear()
+    reads = _reads(root)
+    assert len(parses) == PRODUCTS
+    assert reads == _fresh_reads(root)
+    parses.clear()
+    assert _reads(root) == reads
+    assert parses == []
+
+
 def test_a_snapshot_of_the_first_format_is_rebuilt(root: Path, parses, settled) -> None:
     """A graph.json of the first format (a stamp that is a bare sha256 of
     the objects, and a graph line) never matches, and is replaced by a
