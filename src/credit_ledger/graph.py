@@ -22,11 +22,11 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import (
+    Category,
     CreditLedgerError,
     CreditMap,
     EntityId,
     IdScheme,
-    PERSON_CATEGORIES,
 )
 
 
@@ -242,7 +242,8 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
             t = index.get(target)
             if t is None or t >= count:
                 category = entry.category
-                if category in PERSON_CATEGORIES:
+                # By identity: `in` a set of members calls Enum.__hash__ in Python.
+                if category is Category.AUTHOR or category is Category.ACKNOWLEDGMENT:
                     kind = "p"
                 elif target.startswith("orcid:"):
                     kind = "p"

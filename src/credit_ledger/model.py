@@ -67,9 +67,6 @@ CATEGORY_ORDER: tuple[Category, ...] = (
     Category.OTHER,
 )
 
-#: Categories whose entries denote people rather than products.
-PERSON_CATEGORIES = frozenset({Category.AUTHOR, Category.ACKNOWLEDGMENT})
-
 
 class ProductKind(Enum):
     """Kind of scholarly product a credit map describes."""

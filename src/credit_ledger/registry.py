@@ -17,10 +17,10 @@ without blocking, so a FIFO cannot hang a read.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import os
 import time
+import zlib
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from stat import S_ISREG
@@ -41,7 +41,7 @@ from .model import (
 #: tag also stands for the id rules they were made under: it changes
 #: whenever EntityId refuses a text it used to accept, and a snapshot of
 #: the old tag is rebuilt from objects/.
-_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 6"
+_SNAPSHOT_FORMAT = "credit-ledger graph snapshot 7"
 #: How far a file timestamp may lag the clock, so that a snapshot vouches
 #: only for files older than its scan by more: two ticks of the kernel's
 #: coarse clock where files have sub-second times, and FAT's 2 s where an
@@ -106,14 +106,16 @@ def _read_regular(path: Path | str) -> tuple[bytes, os.stat_result]:
         if not S_ISREG(st.st_mode):
             raise OSError("not a regular file")
         data = os.read(fd, st.st_size + 1)
-        while chunk := os.read(fd, 1 << 16):
-            data += chunk
+        if len(data) > st.st_size:  # it grew; a short read of a regular file is its end
+            while chunk := os.read(fd, 1 << 16):
+                data += chunk
         return data, st
     finally:
         os.close(fd)
 
 
 def _object_name(product_id: EntityId) -> str:
+    import hashlib  # here, as loading OpenSSL costs a snapshot hit 3-5 ms
     return hashlib.sha256(product_id.text.encode("utf-8")).hexdigest() + ".jsonld"
 
 
@@ -155,8 +157,8 @@ class Registry:
         self._in_batch = False
         self._renamed = False
         # What the last load_all saw, for the graph.json written from its
-        # maps: its scan start, and the stat of each object file by name.
-        self._loaded: tuple[int, dict[str, list[int]]] | None = None
+        # maps: its scan start, the object file names and their stats.
+        self._loaded: tuple[int, list[str], list[int]] | None = None
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -309,16 +311,17 @@ class Registry:
         """
         self._loaded = None
         scan_start = time.time_ns()
-        stats: dict[str, list[int]] = {}  # name: size, mtime, ctime, inode
+        names = self._object_names()
+        stats: list[int] = []  # per name: size, mtime, ctime, inode
         registered: list[CreditMap] = []
-        for name in self._object_names():
+        for name in names:
             path = f"{self._objects}/{name}"  # no Path: 2,000 of them cost 12 ms
             data, st = self._read_bytes(path)
-            stats[name] = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+            stats += (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
             creditmap = self._registered_map(path, data)
             if creditmap is not None:
                 registered.append(creditmap)
-        self._loaded = scan_start, stats
+        self._loaded = scan_start, names, stats
         registered.sort(key=lambda m: m.product.id.text)
         return registered
 
@@ -329,9 +332,9 @@ class Registry:
         ignored."""
         if self._loaded is None:
             return
-        (scan_start, stats), self._loaded = self._loaded, None
-        if self._read_snapshot(stats) is None:
-            self._write_snapshot(scan_start, stats, graph)
+        (scan_start, names, stats), self._loaded = self._loaded, None
+        if self._read_snapshot(names, stats) is None:
+            self._write_snapshot(scan_start, names, stats, graph)
 
     def load_graph(self) -> CreditGraph:
         """The citation graph of every registered map, from the snapshot if fresh.
@@ -348,67 +351,72 @@ class Registry:
                 file, or does not parse.
             GraphError: the maps do not form a valid graph.
         """
-        stats: dict[str, list[int]] = {}  # as in load_all
-        for name in self._object_names():
-            path = f"{self._objects}/{name}"
+        names, stats = self._object_names(), []  # stats as in load_all
+        try:
+            dir_fd = os.open(self._objects, os.O_RDONLY) if names else -1
             try:
-                st = os.stat(path)
-            except OSError as exc:
-                raise StorageError(f"cannot stat {path}: {exc}") from exc
-            stats[name] = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
-        graph_line = self._read_snapshot(stats)
+                for name in names:
+                    st = os.stat(name, dir_fd=dir_fd)
+                    stats += (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+            finally:
+                if dir_fd >= 0:
+                    os.close(dir_fd)
+        except OSError as exc:
+            raise StorageError(f"cannot stat in {self._objects}: {exc}") from exc
+        graph_line = self._read_snapshot(names, stats)
         graph = None if graph_line is None else _decode_graph(graph_line)
         if graph is not None:
             return graph
         graph = build_graph(self.load_all())
-        (scan_start, stats), self._loaded = self._loaded, None
-        self._write_snapshot(scan_start, stats, graph)
+        (scan_start, names, stats), self._loaded = self._loaded, None
+        self._write_snapshot(scan_start, names, stats, graph)
         return graph
 
-    def _read_snapshot(self, stats: dict[str, list[int]]) -> bytes | None:
+    def _read_snapshot(self, names: list[str], stats: list[int]) -> bytes | None:
         """graph.json's graph line if the snapshot is a hit for these object
-        file stats: it vouches for exactly these stats, and its graph line
-        passes its digest. None for anything else, including a missing,
-        foreign or non-regular graph.json."""
+        files and their stats: it vouches for exactly these, and its graph
+        line passes its check. None for anything else, including a
+        missing, foreign or non-regular graph.json."""
         try:
             stamp, graph_line = _read_regular(self.root / "graph.json")[0].split(b"\n", 2)[:2]
-            tag, digest, vouched = json.loads(stamp)
+            tag, check, vouched_names, vouched = json.loads(stamp)
         except (OSError, *_SNAPSHOT_ERRORS):
             return None
-        if tag != _SNAPSHOT_FORMAT or vouched != stats:
+        if tag != _SNAPSHOT_FORMAT or vouched != stats or vouched_names != "/".join(names):
             return None
-        return graph_line if hashlib.sha256(graph_line).hexdigest() == digest else None
+        return graph_line if zlib.crc32(graph_line) == check else None
 
     def _write_snapshot(
-        self, scan_start: int, stats: dict[str, list[int]], graph: CreditGraph
+        self, scan_start: int, names: list[str], stats: list[int], graph: CreditGraph
     ) -> None:
         """Replace graph.json with a snapshot of graph; on any OSError go on
         without it. An empty graph (of an empty or missing registry) gets
         no file.
 
         The file has two lines. The stamp line holds the format tag, the
-        sha256 of the graph line, and by object file name the stat the
-        next read may trust: [size, st_mtime_ns, st_ctime_ns, st_ino] as
-        the scan that began at scan_start saw it, or None for a file whose
-        mtime or ctime is not older than scan_start by a tick, as a change
-        within that tick could keep its stat (git's racy-git rule). The
-        graph line holds graph's tables as they are (json writes each
-        weight as repr(weight), which reads back exactly). The file is
-        derived, so it is not fsynced: a torn or lost write fails the
-        digest or the parse on the next read and is rebuilt.
+        crc32 of the graph line, the object file names joined by "/", and
+        the stats the next read may trust: [size, st_mtime_ns, st_ctime_ns,
+        st_ino] of each file in name order, in one flat list, as the scan
+        that began at scan_start saw them; or null if any file's mtime or
+        ctime is not older than scan_start by a tick, as a change within
+        that tick could keep its stat (git's racy-git rule). The graph line
+        holds graph's tables as they are (json writes each weight as
+        repr(weight), which reads back exactly). The file is derived, so it
+        is not fsynced, and its check is for a torn or lost write, which
+        fails it or the parse on the next read and is rebuilt.
         """
         if not graph.products:
             return
         graph_line = json.dumps(
             [graph.ids, graph.kinds, graph.products, list(graph.warnings)], separators=(",", ":")
         ).encode()
-        vouched = {}
-        for name, (size, mtime, ctime, inode) in stats.items():
-            tick = _FINE_TICK_NS if mtime % 1_000_000_000 else _COARSE_TICK_NS
-            settled = max(mtime, ctime) + tick < scan_start
-            vouched[name] = [size, mtime, ctime, inode] if settled else None
+        settled = all(
+            max(mtime, ctime) + (_FINE_TICK_NS if mtime % 1_000_000_000 else _COARSE_TICK_NS)
+            < scan_start
+            for mtime, ctime in zip(stats[1::4], stats[2::4])
+        )
         stamp = json.dumps(
-            [_SNAPSHOT_FORMAT, hashlib.sha256(graph_line).hexdigest(), vouched],
+            [_SNAPSHOT_FORMAT, zlib.crc32(graph_line), "/".join(names), stats if settled else None],
             separators=(",", ":"),
         )
         with suppress(OSError):
@@ -419,7 +427,7 @@ class Registry:
 def _decode_graph(graph_line: bytes) -> CreditGraph | None:
     """The graph a snapshot's graph line holds, or None if it does not decode.
 
-    The line passed its digest, so it is this program's output and is
+    The line passed its check, so it is this program's output and is
     taken as it stands.
     """
     try:

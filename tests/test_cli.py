@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fcntl
+import gc
 import hashlib
 import json
 import os
@@ -10,8 +11,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     AUTHOR_C,
@@ -631,6 +635,62 @@ def test_rank_json_carries_rank_numbers(loaded_registry: str, run_cli) -> None:
     assert doc["max_depth"] is None
     assert [row["rank"] for row in doc["totals"]] == list(range(1, 10))
     assert doc["totals"][0]["entity"] == AUTHOR_C
+
+
+# Id texts with the characters JSON escapes: quotes, backslashes, control
+# characters, non-ASCII and astral code points.
+ID_TEXTS = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\x7f\u00e9\U0001f600')))
+
+
+@given(
+    scope=st.sampled_from(["all", "roots"]),
+    max_depth=st.none() | st.integers(),
+    rows=st.lists(st.tuples(ID_TEXTS, st.floats(allow_nan=False, allow_infinity=False))),
+)
+def test_the_rank_json_writer_prints_what_json_dumps_prints(scope, max_depth, rows) -> None:
+    ranked = [(SimpleNamespace(text=text), total) for text, total in rows]
+    doc = {
+        "scope": scope,
+        "max_depth": max_depth,
+        "totals": [
+            {"rank": i, "entity": text, "total": total}
+            for i, (text, total) in enumerate(rows, start=1)
+        ],
+    }
+    assert cli._rank_json(scope, max_depth, ranked) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_an_in_process_main_leaves_the_collector_as_it_was(
+    loaded_registry: str, run_cli, enabled: bool
+) -> None:
+    """The collector is frozen only at interpreter exit, so a caller of
+    main() in a running process finds it as it left it."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.isenabled(), gc.get_freeze_count()
+        for argv in (["rank", "--format", "json"], ["graph"], ["credit", "--product", PRODUCT_C]):
+            assert run_cli(*argv, "--registry", loaded_registry)[0] == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        gc.enable()
+
+
+def test_a_process_that_imports_the_cli_freezes_the_collector_at_exit() -> None:
+    """At exit the objects are frozen before the interpreter's last full
+    collections. atexit runs its handlers last in, first out, so one
+    registered before the import sees the frozen count."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "import credit_ledger.cli\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.split() == ["0", "True"]
 
 
 def test_graph_dot_export_is_deterministic(loaded_registry: str, run_cli) -> None:

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import credit_ledger
 from conftest import CORPUS_FILES, fixture_path
 
@@ -38,19 +40,29 @@ def _loaded_after(statements: str, *argv: str) -> set[str]:
     return set(json.loads(_child(f"{statements}\n{_LOADED}", *argv).stdout.splitlines()[-1]))
 
 
-def test_a_snapshot_hit_rank_loads_neither_the_parser_nor_dataclasses(tmp_path: Path) -> None:
-    registry = str(tmp_path / "reg")
-    cli = "import sys\nfrom credit_ledger.cli import main\n"
-    files = [str(fixture_path(name)) for name in CORPUS_FILES]
-    _child(cli + "sys.exit(main(sys.argv[1:]))", "ingest", "--registry", registry, *files)
-    _child(cli + "sys.exit(main(sys.argv[1:]))", "rank", "--registry", registry)
+_CLI = "import sys\nfrom credit_ledger.cli import main\n"
 
-    bare = _loaded_after("")
-    loaded = _loaded_after(
-        cli + "assert main(sys.argv[1:]) == 0", "rank", "--registry", registry
-    )
+
+def _loaded_by_a_hit(tmp_path: Path, command: str) -> set[str]:
+    """The modules that a snapshot-hit command loads beyond a bare interpreter."""
+    registry = str(tmp_path / "reg")
+    files = [str(fixture_path(name)) for name in CORPUS_FILES]
+    _child(_CLI + "sys.exit(main(sys.argv[1:]))", "ingest", "--registry", registry, *files)
+    _child(_CLI + "sys.exit(main(sys.argv[1:]))", "rank", "--registry", registry)
+    loaded = _loaded_after(_CLI + "assert main(sys.argv[1:]) == 0", command, "--registry", registry)
     assert "credit_ledger.registry" in loaded  # and as jsonld is not, it parsed nothing
-    assert sorted((loaded - bare) & set(UNUSED_BY_A_HIT)) == []
+    return loaded - _loaded_after("")
+
+
+def test_a_snapshot_hit_rank_loads_neither_the_parser_nor_dataclasses(tmp_path: Path) -> None:
+    assert sorted(_loaded_by_a_hit(tmp_path, "rank") & set(UNUSED_BY_A_HIT)) == []
+
+
+@pytest.mark.parametrize("command", ["rank", "graph"])
+def test_a_snapshot_hit_loads_no_openssl(tmp_path: Path, command: str) -> None:
+    """A hit checks the graph line with zlib.crc32; only a read that names
+    an object file (a miss, an ingest, credit) imports hashlib."""
+    assert sorted(_loaded_by_a_hit(tmp_path, command) & {"hashlib", "_hashlib"}) == []
 
 
 def test_importing_the_package_imports_no_module_of_it() -> None:

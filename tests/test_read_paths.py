@@ -83,11 +83,11 @@ def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool)
     registry written alike), and of a fresh build_graph of the maps the
     registry holds (their entries in stored order, as credit reads them).
     The registry's clock runs a minute ahead, so every file has settled."""
-    registry = _written(root / "refreshed", maps, late, force)
+    registry = _written(root / "missed", maps, late, force)
     credited = _written(root / "credited", maps, late, force)
     parse = registry_module.parse_creditmap
     with mock.patch.object(registry_module, "parse_creditmap", wraps=parse) as parses:
-        refreshed = registry.load_graph()
+        missed = registry.load_graph()
         assert parses.call_count == len(maps)
         parses.reset_mock()
         hit = registry.load_graph()
@@ -98,7 +98,7 @@ def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool)
         after_credit = credited.load_graph()
         assert parses.call_count == 0
     assert after_credit == graph
-    return refreshed, hit, after_credit, build_graph(registry.load_all())
+    return missed, hit, after_credit, build_graph(registry.load_all())
 
 
 @settings(
@@ -107,19 +107,19 @@ def _read_paths(root: Path, maps: list[CreditMap], late: CreditMap, force: bool)
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(maps=dags(max_products=8, max_cites=3), data=st.data())
-def test_fresh_hit_and_refresh_give_identical_answers(maps, data, tmp_path) -> None:
+def test_fresh_hit_and_miss_give_identical_answers(maps, data, tmp_path) -> None:
     late = data.draw(st.sampled_from(maps))
     force = data.draw(st.booleans())
     settled = SimpleNamespace(time_ns=lambda: time.time_ns() + 60 * 10**9)
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp, mock.patch.object(
         registry_module, "time", settled
     ):
-        refreshed, hit, after_credit, fresh = _read_paths(Path(tmp), maps, late, force)
+        missed, hit, after_credit, fresh = _read_paths(Path(tmp), maps, late, force)
     want = _answers(fresh, maps)
-    assert _answers(refreshed, maps) == want
+    assert _answers(missed, maps) == want
     assert _answers(hit, maps) == want
     assert _answers(after_credit, maps) == want
-    assert refreshed == hit == after_credit == fresh
+    assert missed == hit == after_credit == fresh
 
     plain = as_plain(maps)
     ranks, credits, _, _ = want

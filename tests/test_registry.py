@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from credit_ledger import (
     parse_creditmap,
     serialize_creditmap,
 )
+from credit_ledger import registry as registry_module
 from credit_ledger.registry import (
     DuplicateProduct,
     NotFound,
@@ -216,3 +218,25 @@ def test_registry_layout_is_created_lazily(tmp_path: Path) -> None:
     assert registry.load_all() == []
     registry.ingest(_doc("alpha"))
     assert (registry.root / "objects").is_dir()
+
+
+@pytest.mark.parametrize("size", [0, 1, 70_000])
+def test_a_regular_file_is_read_in_one_read_call(tmp_path: Path, monkeypatch, size: int) -> None:
+    """A read that returns no more than the file's size has reached its end."""
+    path = tmp_path / "file"
+    path.write_bytes(b"x" * size)
+    calls: list[int] = []
+    read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: calls.append(n) or read(fd, n))
+    assert registry_module._read_regular(path)[0] == b"x" * size
+    assert calls == [size + 1]
+
+
+def test_a_file_that_grew_after_its_fstat_is_read_to_its_end(tmp_path: Path, monkeypatch) -> None:
+    path = tmp_path / "file"
+    path.write_bytes(b"x" * 200_000)
+    fstat = os.fstat
+    monkeypatch.setattr(
+        os, "fstat", lambda fd: SimpleNamespace(st_mode=fstat(fd).st_mode, st_size=10)
+    )
+    assert registry_module._read_regular(path)[0] == b"x" * 200_000

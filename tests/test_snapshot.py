@@ -20,6 +20,7 @@ import re
 import shutil
 import tempfile
 import time
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -313,6 +314,8 @@ CHANGES = {
 def test_a_refresh_parses_only_the_objects_that_changed(
     root: Path, parses, settled, change
 ) -> None:
+    """The read after any change rebuilds from every object file; the
+    read after no change parses none."""
     _reads(root)
     CHANGES[change](root)
     parses.clear()  # ingest parses its input documents too
@@ -457,7 +460,7 @@ CLASSIFY_STEPS = st.one_of(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(steps=st.lists(CLASSIFY_STEPS, min_size=1, max_size=6))
-def test_terminal_classification_survives_a_refresh(steps, tmp_path) -> None:
+def test_terminal_classification_survives_a_rebuild(steps, tmp_path) -> None:
     """Node shapes and warnings of `graph` equal a fresh copy's after every
     change to a registry whose snapshot was current."""
     names = sorted(CITATIONS)
@@ -508,7 +511,7 @@ def _close_a_cycle(root: Path) -> None:
     ],
     ids=["a cycle", "an object that does not parse"],
 )
-def test_a_refresh_that_fails_leaves_the_snapshot_as_it_was(root: Path, change, exit_code) -> None:
+def test_a_rebuild_that_fails_leaves_the_snapshot_as_it_was(root: Path, change, exit_code) -> None:
     _reads(root)
     before = (root / "graph.json").read_bytes()
     change(root)
@@ -585,11 +588,16 @@ def test_the_snapshot_is_a_stamp_line_and_a_graph_line(root: Path, settled) -> N
     data = (root / "graph.json").read_bytes()
     assert data.count(b"\n") == 2 and data.endswith(b"\n")
     stamp_line, graph_line = _lines(root)
-    tag, digest, vouched = json.loads(stamp_line)
-    assert tag == "credit-ledger graph snapshot 6"
-    assert digest == hashlib.sha256(graph_line).hexdigest()
-    assert sorted(vouched) == sorted(path.name for path in (root / "objects").iterdir())
-    assert None not in vouched.values()
+    tag, check, names, stats = json.loads(stamp_line)
+    assert tag == "credit-ledger graph snapshot 7"
+    assert check == zlib.crc32(graph_line)
+    objects = sorted((root / "objects").iterdir())
+    assert names == "/".join(path.name for path in objects)
+    assert stats == [
+        field
+        for st in map(os.stat, objects)
+        for field in (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+    ]
     assert json.loads(graph_line) == [graph.ids, graph.kinds, graph.products, list(graph.warnings)]
 
 
@@ -618,20 +626,20 @@ def test_on_racily_clean_files_every_read_rebuilds_until_they_settle(
     """A snapshot vouches for no file changed within a tick of the scan
     that recorded it, since a same-tick change could keep its stat. So
     while the files are that fresh, every read parses each object once and
-    records null stats; once they have settled, the next read writes the
-    stats it vouches for, and the read after it is a hit."""
+    records null for the stats; once they have settled, the next read
+    writes the stats it vouches for, and the read after it is a hit."""
     expected = _fresh_reads(root)
     _clock(monkeypatch, -60)
     for _ in range(2):
         del parses[:], reads[:]
         assert _reads(root) == expected
         assert (len(parses), len(reads)) == (PRODUCTS * len(READS), PRODUCTS * len(READS))
-        assert list(_stamp(root)[2].values()) == [None] * PRODUCTS
+        assert _stamp(root)[3] is None
     _clock(monkeypatch, 60)
     del parses[:], reads[:]
     graph = _run("graph", "--registry", str(root))
     assert (len(parses), len(reads)) == (PRODUCTS, PRODUCTS)
-    assert None not in _stamp(root)[2].values()
+    assert len(_stamp(root)[3]) == 4 * PRODUCTS
     del parses[:], reads[:]
     assert _run("graph", "--registry", str(root)) == graph
     assert (parses, reads) == ([], [])
@@ -659,7 +667,7 @@ STAT_CHANGES = {
 
 
 @pytest.mark.parametrize("change", STAT_CHANGES)
-def test_a_file_whose_stat_changed_is_read_and_hashed(
+def test_a_file_whose_stat_changed_makes_a_rebuild(
     root: Path, parses, reads, settled, change
 ) -> None:
     _run("graph", "--registry", str(root))
@@ -679,17 +687,18 @@ def test_a_whole_second_mtime_is_given_a_filesystem_tick_of_two_seconds(
     """An mtime in whole seconds may come from a filesystem that keeps only
     seconds, where a file can change a second after its recorded mtime."""
     _clock(monkeypatch, 1)  # past the 20 ms tick of sub-second times
+    _run("graph", "--registry", str(root))
+    assert _stamp(root)[3] is not None
     stat = _object(root, 2).stat()
     os.utime(_object(root, 2), ns=(stat.st_atime_ns, stat.st_mtime_ns // 10**9 * 10**9))
     _run("graph", "--registry", str(root))
-    vouched = _stamp(root)[2]
-    assert [name for name, stat in vouched.items() if stat is None] == [_object(root, 2).name]
+    assert _stamp(root)[3] is None  # that file has not settled, so none is vouched for
     del reads[:]
     _run("graph", "--registry", str(root))
     assert len(reads) == PRODUCTS  # a miss
 
 
-@pytest.mark.parametrize("old_format", [3, 4, 5])
+@pytest.mark.parametrize("old_format", [3, 4, 5, 6])
 def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_format) -> None:
     """A snapshot's format tag also stands for the id rules its texts were
     made under. A graph line of an earlier format naming an id that the
@@ -714,9 +723,11 @@ def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_
     # Formats 3 and 4 share one stamp: the tag, the scan start, the digests
     # of the two lines, and per object file its size, mtime, ctime, inode
     # and digest. Format 5's stamp holds the tag, the two digests and per
-    # object file its size, mtime, ctime and inode. The scan starts a
-    # minute after the file last changed, so a reader of that format would
-    # serve the graph line unread.
+    # object file its size, mtime, ctime and inode. Format 6 has no
+    # per-object line, and its stamp holds the tag, the graph line's
+    # digest and the stats of format 5. The scan starts a minute after the
+    # file last changed, so a reader of that format would serve the graph
+    # line unread.
     path = root / "objects" / (hashlib.sha256(b"doi:10.1000/eve").hexdigest() + ".jsonld")
     st = path.stat()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -724,12 +735,16 @@ def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_
     stat = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
     digests = [hashlib.sha256(line).hexdigest() for line in (graph_line, objects_line)]
     tag = f"credit-ledger graph snapshot {old_format}"
-    if old_format == 5:
+    lines = [graph_line, objects_line]
+    if old_format == 6:
+        stamp = json.dumps([tag, digests[0], {path.name: stat}])
+        lines = [graph_line]
+    elif old_format == 5:
         stamp = json.dumps([tag, *digests, {path.name: stat}])
     else:
         scan_start = max(st.st_mtime_ns, st.st_ctime_ns) + 60 * 10**9
         stamp = json.dumps([tag, scan_start, *digests, {path.name: [*stat, digest]}])
-    snapshot.write_bytes(b"\n".join([stamp.encode(), graph_line, objects_line, b""]))
+    snapshot.write_bytes(b"\n".join([stamp.encode(), *lines, b""]))
 
     code, out, _ = _run("rank", "--registry", str(root))
     assert (code, out) == (0, "1  name:eve red  1.00000000000\n")
@@ -739,16 +754,26 @@ def test_a_snapshot_written_under_older_id_rules_is_rebuilt(tmp_path: Path, old_
 
 
 # Stamp lines of the current format tag that no writer makes, given the
-# graph line's digest and the stats the writer vouched for: the stamp
-# carries no digest of its own, so its shape is checked as it is read.
+# graph line, its check, the joined names and the stats the writer
+# vouched for: the stamp carries no check of its own, so its shape is
+# checked as it is read.
 FOREIGN_STAMPS = {
-    "stats a list": lambda digest, stats: [digest, []],
-    "stats null": lambda digest, stats: [digest, None],
-    "stats a number": lambda digest, stats: [digest, 7],
-    "no digest": lambda digest, stats: [stats],
-    "no stats": lambda digest, stats: [digest],
-    # Format 5's shape: a second digest, of a per-object line.
-    "two digests": lambda digest, stats: [digest, hashlib.sha256(b"{}").hexdigest(), stats],
+    "stats a list": lambda line, check, names, stats: [check, names, []],
+    "stats null": lambda line, check, names, stats: [check, names, None],
+    "stats a number": lambda line, check, names, stats: [check, names, 7],
+    "no digest": lambda line, check, names, stats: [names, stats],
+    "no stats": lambda line, check, names, stats: [check, names],
+    # Format 5's shape: a second check, of a per-object line.
+    "two digests": lambda line, check, names, stats: [check, zlib.crc32(b"{}"), names, stats],
+    # The same stats under the names in reverse order.
+    "other names": lambda line, check, names, stats: [
+        check, "/".join(names.split("/")[::-1]), stats
+    ],
+    # Format 6's stamp: the sha256 of the graph line and the stats by name.
+    "format 6's stamp": lambda line, check, names, stats: [
+        hashlib.sha256(line).hexdigest(),
+        {name: stats[4 * i:4 * i + 4] for i, name in enumerate(names.split("/"))},
+    ],
 }
 
 
@@ -758,8 +783,8 @@ def test_a_current_tag_over_a_foreign_stamp_is_rebuilt(
 ) -> None:
     _reads(root)
     stamp_line, graph_line = _lines(root)
-    tag, digest, stats = json.loads(stamp_line)
-    fields = [tag, *FOREIGN_STAMPS[stamp](digest, stats)]
+    tag, check, names, stats = json.loads(stamp_line)
+    fields = [tag, *FOREIGN_STAMPS[stamp](graph_line, check, names, stats)]
     (root / "graph.json").write_bytes(json.dumps(fields).encode() + b"\n" + graph_line + b"\n")
     parses.clear()
     reads = _reads(root)
@@ -804,20 +829,28 @@ def test_after_a_write_and_a_credit_the_next_read_is_a_hit(
 def test_credit_on_a_fresh_snapshot_hashes_no_object_and_writes_nothing(
     root: Path, settled, monkeypatch
 ) -> None:
+    """Its hit test computes one crc32, over the graph line; the sha256s
+    it computes are of product ids, for the object names."""
     _run("graph", "--registry", str(root))
     before = (root / "graph.json").stat()
     hashed: list[bytes] = []
-    sha256 = hashlib.sha256
+    checked: list[bytes] = []
+    sha256, crc32 = hashlib.sha256, zlib.crc32
+    monkeypatch.setattr(
+        hashlib, "sha256", lambda data: hashed.append(bytes(data)) or sha256(data)
+    )
     monkeypatch.setattr(
         registry_module,
-        "hashlib",
-        SimpleNamespace(sha256=lambda data: hashed.append(bytes(data)) or sha256(data)),
+        "zlib",
+        SimpleNamespace(crc32=lambda data: checked.append(bytes(data)) or crc32(data)),
     )
-    for flags in ([], ["--format", "json"], ["--max-depth", "2"], ["--entity", "name:author 5"]):
-        code, _, _ = _run(*CREDIT, *flags, "--registry", str(root))
+    flags = ([], ["--format", "json"], ["--max-depth", "2"], ["--entity", "name:author 5"])
+    for flag in flags:
+        code, _, _ = _run(*CREDIT, *flag, "--registry", str(root))
         assert code == 0
+    assert checked == [_lines(root)[1]] * len(flags)
     objects = {path.read_bytes() for path in (root / "objects").iterdir()}
-    assert not objects & set(hashed)
+    assert hashed and not objects & set(hashed)
     after = (root / "graph.json").stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
