@@ -25,11 +25,9 @@ _MODULES = {
     "DuplicateProductId": "graph",
     "EntityId": "model",
     "EntryDisplay": "model",
-    "GraphEdge": "graph",
     "GraphError": "graph",
     "IdScheme": "model",
     "InvalidIdentifier": "model",
-    "NodeKind": "graph",
     "NotFound": "registry",
     "ParseError": "jsonld",
     "ParseMode": "jsonld",

@@ -16,10 +16,7 @@ products it cites, in time linear in the edges it follows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from enum import Enum
-from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 from .model import (
     Category,
@@ -51,24 +48,6 @@ class CycleError(GraphError):
         super().__init__(f"citation cycle: {path}")
 
 
-class NodeKind(Enum):
-    REGISTERED_PRODUCT = "registered_product"
-    TERMINAL_PERSON = "terminal_person"
-    TERMINAL_PRODUCT = "terminal_product"
-
-
-class GraphEdge(NamedTuple):
-    """One weighted citation; its source is the key it is stored under."""
-
-    target: EntityId
-    weight: float
-
-
-_KINDS = {
-    "r": NodeKind.REGISTERED_PRODUCT,
-    "p": NodeKind.TERMINAL_PERSON,
-    "t": NodeKind.TERMINAL_PRODUCT,
-}
 _SCHEMES = {scheme.value: scheme for scheme in IdScheme}
 # EntityId's slot descriptors, which set a field past the frozen __setattr__.
 _set_scheme, _set_value, _set_text = (
@@ -102,8 +81,9 @@ class CreditGraph:
     anomalies found during the build. Graphs compare equal when these four
     are equal.
 
-    nodes and edges give the same graph keyed by EntityId, built on first
-    use.
+    nodes and edges give the same graph keyed by id text. Nothing in the
+    package reads them: they stay only for the benchmark's tracer
+    (perfbench/tracing.py), which counts nodes and edges through them.
     """
 
     def __init__(
@@ -121,9 +101,6 @@ class CreditGraph:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._tables() == other._tables()
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._tables()  # not the views built on first use
 
     def __repr__(self) -> str:
         return "CreditGraph(ids={!r}, kinds={!r}, products={!r}, warnings={!r})".format(
@@ -150,26 +127,18 @@ class CreditGraph:
                     cited[target] = 1
         return [i for i in range(count) if not cited[i]]
 
-    @cached_property
-    def _entities(self) -> list[EntityId]:
-        return [_entity(text) for text in self.ids]
+    @property
+    def nodes(self) -> dict[str, str]:
+        """Each node's kind letter, by id text, built on every access."""
+        return dict(zip(self.ids, self.kinds))
 
-    @cached_property
-    def nodes(self) -> Mapping[EntityId, NodeKind]:
-        """The kind of every node, by id."""
-        return MappingProxyType(dict(zip(self._entities, map(_KINDS.__getitem__, self.kinds))))
-
-    @cached_property
-    def edges(self) -> Mapping[EntityId, tuple[GraphEdge, ...]]:
-        """Each registered product's outgoing edges, in entry order."""
-        entities = self._entities
-        return MappingProxyType({
-            entities[i]: tuple(
-                GraphEdge(entities[target], weight)
-                for target, weight in zip(row[1::2], row[2::2])
-            )
-            for i, row in enumerate(self.products)
-        })
+    @property
+    def edges(self) -> dict[str, list[tuple[str, float]]]:
+        """Each registered product's (target id text, weight) pairs in entry
+        order, by id text, built on every access."""
+        ids = self.ids
+        return {ids[row[0]]: list(zip(map(ids.__getitem__, row[1::2]), row[2::2]))
+                for row in self.products}
 
 
 def _depth_first(

@@ -47,9 +47,8 @@ _SNAPSHOT_FORMAT = "credit-ledger graph snapshot 7"
 #: coarse clock where files have sub-second times, and FAT's 2 s where an
 #: mtime in whole seconds shows a filesystem that may keep only seconds.
 _FINE_TICK_NS, _COARSE_TICK_NS = 20_000_000, 2_000_000_000
-#: What decoding a torn or foreign snapshot line can raise.
-_SNAPSHOT_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError,
-                    RecursionError)
+#: What splitting, decoding and unpacking a torn or foreign snapshot line raise.
+_SNAPSHOT_ERRORS = (ValueError, TypeError, RecursionError)
 
 
 def _from_jsonld(name: str):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import fcntl
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import credit_ledger
 from credit_ledger import CreditMap, parse_creditmap
 from credit_ledger.cli import main as cli_main
 
@@ -40,6 +43,18 @@ def fixture_path(name: str) -> Path:
 
 def fixture_bytes(name: str) -> bytes:
     return (FIXTURES / name).read_bytes()
+
+
+def cli_process(*argv: str, stdin=None) -> subprocess.CompletedProcess:
+    """Run the CLI as its own process, with this package on its path; a
+    hang fails the test after a minute."""
+    package_parent = str(Path(credit_ledger.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "credit_ledger.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdin=stdin, capture_output=True, text=True, timeout=60,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from credit_ledger import (
     Category,
     CreditEntry,
+    CreditGraph,
     CreditMap,
     EntityId,
     IdScheme,
@@ -79,6 +80,17 @@ def as_plain(maps: list[CreditMap]) -> dict[str, list[tuple[str, float]]]:
     return {
         m.product.id.text: [(e.entity.text, e.weight) for e in m.entries]
         for m in maps
+    }
+
+
+def adjacency(graph: CreditGraph) -> dict[str, list[tuple[str, float]]]:
+    """A graph's product rows as id-text adjacency lists, in as_plain's
+    shape: each registered product's (target, weight) pairs in entry order,
+    the products in index order."""
+    ids = graph.ids
+    return {
+        ids[row[0]]: [(ids[target], weight) for target, weight in zip(row[1::2], row[2::2])]
+        for row in graph.products
     }
 
 

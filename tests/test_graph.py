@@ -16,9 +16,7 @@ from credit_ledger import (
     CreditMap,
     CycleError,
     EntityId,
-    GraphEdge,
     IdScheme,
-    NodeKind,
     ProductKind,
     ProductMeta,
     Registry,
@@ -36,7 +34,7 @@ from conftest import (
     PRODUCT_C,
     fixture_bytes,
 )
-from corpus import make_corpus
+from corpus import adjacency, make_corpus
 
 
 def _pid(text: str) -> EntityId:
@@ -53,13 +51,10 @@ def _map(pid: str, *entries: tuple[str, Category, float]) -> CreditMap:
 
 def test_fixture_corpus_node_classification(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    kinds = {pid.text: kind for pid, kind in graph.nodes.items()}
-    assert kinds[PRODUCT_A] is NodeKind.REGISTERED_PRODUCT
-    assert kinds[PRODUCT_B] is NodeKind.REGISTERED_PRODUCT
-    assert kinds[PRODUCT_C] is NodeKind.REGISTERED_PRODUCT
-    assert kinds[DEV1] is NodeKind.TERMINAL_PERSON
-    assert kinds[AUTHOR_B] is NodeKind.TERMINAL_PERSON
-    assert kinds["url:https://github.com/example/sparsekit"] is NodeKind.TERMINAL_PRODUCT
+    kinds = dict(zip(graph.ids, graph.kinds))
+    assert kinds[PRODUCT_A] == kinds[PRODUCT_B] == kinds[PRODUCT_C] == "r"
+    assert kinds[DEV1] == kinds[AUTHOR_B] == "p"
+    assert kinds["url:https://github.com/example/sparsekit"] == "t"
     assert graph.warnings == ()
 
 
@@ -71,9 +66,9 @@ def test_fixture_corpus_roots_and_registered(corpus_maps) -> None:
 
 def test_edges_preserve_entry_order_and_weights(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    out = graph.edges[_pid(PRODUCT_A)]
-    assert [e.weight for e in out] == [0.5, 0.2, 0.1, 0.05, 0.05, 0.05, 0.05]
-    assert out[0].target.text == DEV1
+    row = graph.products[graph.product_index(_pid(PRODUCT_A))]
+    assert row[2::2] == [0.5, 0.2, 0.1, 0.05, 0.05, 0.05, 0.05]
+    assert graph.ids[row[1]] == DEV1
 
 
 def test_build_is_independent_of_input_order(corpus_maps) -> None:
@@ -108,7 +103,7 @@ def test_orcid_cited_as_software_is_classified_as_person() -> None:
         ("orcid:0000-0002-1825-0097", Category.SOFTWARE, 0.5),
     )
     graph = build_graph([m])
-    assert graph.nodes[_pid("orcid:0000-0002-1825-0097")] is NodeKind.TERMINAL_PERSON
+    assert graph.kinds[graph.ids.index("orcid:0000-0002-1825-0097")] == "p"
     assert len(graph.warnings) == 1
     assert "person" in graph.warnings[0]
 
@@ -127,7 +122,7 @@ def test_person_classification_wins_over_product() -> None:
     )
     for ordering in ([a, b], [b, a]):
         graph = build_graph(ordering)
-        assert graph.nodes[_pid(shared)] is NodeKind.TERMINAL_PERSON
+        assert graph.kinds[graph.ids.index(shared)] == "p"
         assert any("person" in w for w in graph.warnings)
 
 
@@ -135,6 +130,15 @@ def _order(graph: CreditGraph, start: list[EntityId] | None = None) -> list[Enti
     """topological_order, from and to ids rather than product indexes."""
     indexes = None if start is None else [graph.product_index(p) for p in start]
     return [graph.entity(i) for i in topological_order(graph, indexes)]
+
+
+def _assert_cited_before_citing(graph: CreditGraph, order: list[int]) -> None:
+    """Every registered product a product of order cites comes before it."""
+    position = {i: k for k, i in enumerate(order)}
+    for i in order:
+        for target in graph.products[i][1::2]:
+            if target < len(graph.products):
+                assert position[target] < position[i]
 
 
 def test_topological_order_puts_cited_before_citing(corpus_maps) -> None:
@@ -167,14 +171,9 @@ def test_topological_order_on_random_corpora() -> None:
     for _ in range(20):
         maps = make_corpus(rng, max_products=30)
         graph = build_graph(maps)
-        order = _order(graph)
-        assert sorted(e.text for e in order) == graph.ids[: len(graph.products)]
-        position = {pid: i for i, pid in enumerate(order)}
-        for source, out in graph.edges.items():
-            for edge in out:
-                if edge.target in graph.edges:
-                    assert position[edge.target] < position[source]
-
+        order = topological_order(graph)
+        assert sorted(order) == list(range(len(graph.products)))
+        _assert_cited_before_citing(graph, order)
 
 
 def test_topological_order_from_start_products_keeps_only_the_reachable() -> None:
@@ -182,22 +181,20 @@ def test_topological_order_from_start_products_keeps_only_the_reachable() -> Non
     for _ in range(20):
         maps = make_corpus(rng, max_products=30)
         graph = build_graph(maps)
-        registered = [graph.entity(i) for i in range(len(graph.products))]
-        start = rng.sample(registered, rng.randint(1, min(3, len(registered))))
+        count = len(graph.products)
+        start = rng.sample(range(count), rng.randint(1, min(3, count)))
         reachable = set(start)
         stack = list(start)
         while stack:
-            for edge in graph.edges[stack.pop()]:
-                if edge.target in graph.edges and edge.target not in reachable:
-                    reachable.add(edge.target)
-                    stack.append(edge.target)
-        order = _order(graph, start)
+            for target in graph.products[stack.pop()][1::2]:
+                if target < count and target not in reachable:
+                    reachable.add(target)
+                    stack.append(target)
+        order = topological_order(graph, start)
         assert len(order) == len(reachable) and set(order) == reachable
-        position = {pid: i for i, pid in enumerate(order)}
-        for source in order:
-            for edge in graph.edges[source]:
-                if edge.target in graph.edges:
-                    assert position[edge.target] < position[source]
+        _assert_cited_before_citing(graph, order)
+        registered = [graph.entity(i) for i in range(count)]
+        assert _order(graph, [graph.entity(i) for i in start]) == [graph.entity(i) for i in order]
         assert _order(graph, registered) == _order(graph)
         assert _order(graph, []) == []
 
@@ -261,13 +258,9 @@ def test_build_refuses_exactly_the_cyclic_corpora(seed: int, back_edges: int) ->
         assert again.value.witness == first.value.witness
     else:
         graph = build_graph(shuffled)
-        order = _order(graph)
-        assert sorted(e.text for e in order) == graph.ids[: len(graph.products)]
-        position = {pid: i for i, pid in enumerate(order)}
-        for source, out in graph.edges.items():
-            for edge in out:
-                if edge.target in graph.edges:
-                    assert position[edge.target] < position[source]
+        order = topological_order(graph)
+        assert sorted(order) == list(range(len(graph.products)))
+        _assert_cited_before_citing(graph, order)
 
 
 def test_two_product_cycle_is_detected_with_witness() -> None:
@@ -366,24 +359,24 @@ def test_dangling_references_sorts_citers() -> None:
 
 def test_empty_corpus_builds_an_empty_graph() -> None:
     graph = build_graph([])
-    assert graph.nodes == {}
+    assert (graph.ids, graph.kinds, graph.products) == ([], "", [])
     assert topological_order(graph) == []
     assert dangling_references(graph) == []
 
 
 FIXTURE_NODES = [
-    ("doi:10.9999/a", NodeKind.REGISTERED_PRODUCT),
-    ("doi:10.9999/b", NodeKind.REGISTERED_PRODUCT),
-    ("doi:10.9999/c", NodeKind.REGISTERED_PRODUCT),
-    ("orcid:0000-0002-1825-0097", NodeKind.TERMINAL_PERSON),
-    ("orcid:0000-0001-5109-3700", NodeKind.TERMINAL_PERSON),
-    ("orcid:0000-0002-1694-233X", NodeKind.TERMINAL_PERSON),
-    ("url:https://github.com/example/sparsekit", NodeKind.TERMINAL_PRODUCT),
-    ("url:https://github.com/example/gridgen", NodeKind.TERMINAL_PRODUCT),
-    ("url:https://github.com/example/quadrature", NodeKind.TERMINAL_PRODUCT),
-    ("url:https://github.com/example/meshio", NodeKind.TERMINAL_PRODUCT),
-    ("orcid:0000-0002-7007-4334", NodeKind.TERMINAL_PERSON),
-    ("orcid:0000-0003-0204-8772", NodeKind.TERMINAL_PERSON),
+    ("doi:10.9999/a", "r"),
+    ("doi:10.9999/b", "r"),
+    ("doi:10.9999/c", "r"),
+    ("orcid:0000-0002-1825-0097", "p"),
+    ("orcid:0000-0001-5109-3700", "p"),
+    ("orcid:0000-0002-1694-233X", "p"),
+    ("url:https://github.com/example/sparsekit", "t"),
+    ("url:https://github.com/example/gridgen", "t"),
+    ("url:https://github.com/example/quadrature", "t"),
+    ("url:https://github.com/example/meshio", "t"),
+    ("orcid:0000-0002-7007-4334", "p"),
+    ("orcid:0000-0003-0204-8772", "p"),
 ]
 FIXTURE_EDGES = [
     (
@@ -411,11 +404,7 @@ def test_views_and_dangling_references_of_the_fixtures_on_every_read_path(
         registry.ingest(fixture_bytes(name))
     graphs = [build_graph(corpus_maps), registry.load_graph(), registry.load_graph()]
     for graph in graphs:  # a fresh build, a snapshot miss and a hit
-        nodes = [(pid.text, kind) for pid, kind in graph.nodes.items()]
-        edges = [
-            (pid.text, [(edge.target.text, edge.weight) for edge in out])
-            for pid, out in graph.edges.items()
-        ]
-        assert (nodes, edges) == (FIXTURE_NODES, FIXTURE_EDGES)
+        nodes = list(zip(graph.ids, graph.kinds))
+        assert (nodes, list(adjacency(graph).items())) == (FIXTURE_NODES, FIXTURE_EDGES)
         assert dangling_references(graph) == dangling_references(graphs[0])
-        assert all(isinstance(edge, GraphEdge) for out in graph.edges.values() for edge in out)
+        assert (graph.nodes, graph.edges) == (dict(nodes), adjacency(graph))

@@ -35,7 +35,7 @@ from credit_ledger import (
     transitive_credit,
 )
 from credit_ledger import registry as registry_module
-from corpus import as_plain, dags
+from corpus import adjacency, as_plain, dags
 from oracles import credit_by_paths
 
 DEPTHS = (None, 1, 2)
@@ -53,7 +53,7 @@ def _answers(graph, maps: list[CreditMap]):
         for m in maps
         for depth in DEPTHS
     ]
-    views = (list(graph.nodes.items()), list(graph.edges.items()), dangling_references(graph))
+    views = (list(zip(graph.ids, graph.kinds)), adjacency(graph), dangling_references(graph))
     return ranks, credits, views, graph.warnings
 
 

@@ -311,7 +311,7 @@ CHANGES = {
 
 
 @pytest.mark.parametrize("change", CHANGES)
-def test_a_refresh_parses_only_the_objects_that_changed(
+def test_any_change_rebuilds_from_every_object_no_change_parses_none(
     root: Path, parses, settled, change
 ) -> None:
     """The read after any change rebuilds from every object file; the

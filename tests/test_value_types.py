@@ -119,7 +119,9 @@ def test_an_unpickled_id_is_canonical_and_hashes_as_its_value() -> None:
 
 def test_a_graph_with_its_views_built_still_pickles_as_its_tables() -> None:
     graph = VALUES["CreditGraph"][0]()
-    assert len(graph.nodes) == 2 and len(graph.edges) == 1
+    assert graph.nodes == {"doi:10.1000/x": "r", "name:a": "p"}
+    assert graph.edges == {"doi:10.1000/x": [("name:a", 1.0)]}
+    assert vars(graph).keys() == {"ids", "kinds", "products", "warnings"}
     assert pickle.loads(pickle.dumps(graph)) == graph
     assert copy.deepcopy(graph).edges == graph.edges
 
@@ -172,6 +174,7 @@ def test_dir_lists_every_export_and_star_import_binds_them() -> None:
 def test_an_unknown_name_raises_attribute_error() -> None:
     with pytest.raises(AttributeError, match="no_such_name"):
         credit_ledger.no_such_name  # noqa: B018
-    assert not hasattr(credit_ledger, "GraphEdges")
+    for name in ("GraphEdges", "GraphEdge", "NodeKind"):
+        assert not hasattr(credit_ledger, name)
     with pytest.raises(ImportError):
         exec("from credit_ledger import no_such_name", {})
