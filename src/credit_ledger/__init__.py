@@ -34,7 +34,6 @@ _MODULES = {
     "ParseWarning": "jsonld",
     "ProductKind": "model",
     "ProductMeta": "model",
-    "PropagationOptions": "engine",
     "RankScope": "engine",
     "Registry": "registry",
     "RegistryError": "registry",

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable
 
-from .engine import PropagationOptions, RankScope, aggregate_rank, transitive_credit
+from .engine import RankScope, aggregate_rank, transitive_credit
 from .graph import CreditGraph, build_graph
 from .model import (
     CreditLedgerError,
@@ -176,74 +176,72 @@ class UsageError(CreditLedgerError):
     """An option value the command cannot use (exit 2)."""
 
 
-def _parse_cli_id(text: str, what: str) -> EntityId:
+def _parse_cli_id(text: str, what: str) -> str:
+    """The canonical id text of an option value."""
     try:
-        return EntityId.from_text(text)
+        return EntityId.from_text(text).text
     except InvalidIdentifier as exc:
         raise UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _options(args: argparse.Namespace) -> PropagationOptions:
-    try:
-        return PropagationOptions(max_depth=args.max_depth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _max_depth(args: argparse.Namespace) -> int | None:
+    """--max-depth, refused before the registry is read if it is below 1."""
+    if args.max_depth is not None and args.max_depth < 1:
+        raise UsageError(f"max_depth must be >= 1, got {args.max_depth}")
+    return args.max_depth
 
 
 def cmd_credit(args: argparse.Namespace) -> int:
     product = _parse_cli_id(args.product, "--product")
     entity = _parse_cli_id(args.entity, "--entity") if args.entity else None
-    options = _options(args)
+    max_depth = _max_depth(args)
     registry = Registry(args.registry)
     graph = _warn(build_graph(registry.load_all()))
     registry.refresh_snapshot(graph)  # so the rank or graph after a write is a hit
-    allocation = transitive_credit(graph, product, options)
+    allocation = transitive_credit(graph, product, max_depth)
     if entity is not None:
         share = allocation.shares.get(entity, 0.0)
         if args.format == "json":
-            doc = {"product": product.text, "entity": entity.text, "credit": share}
+            doc = {"product": product, "entity": entity, "credit": share}
             print(json.dumps(doc, indent=2))
         else:
             print(_fraction(share))
         return 0
 
-    rows = allocation.shares.items()
+    shares = allocation.shares
     if args.format == "json":
-        doc = {
-            "product": product.text,
-            "max_depth": options.max_depth,
-            "truncated_at": allocation.truncated_at,
-            "shares": {eid.text: share for eid, share in rows},
-        }
+        doc = {"product": product, "max_depth": max_depth,
+               "truncated_at": allocation.truncated_at, "shares": shares}
         print(json.dumps(doc, indent=2))
     else:
-        width = max((len(eid.text) for eid, _ in rows), default=0)
-        for eid, share in rows:
-            print(f"{eid.text:<{width}}  {_fraction(share)}")
+        width = max(map(len, shares), default=0)
+        for text, share in shares.items():
+            print(f"{text:<{width}}  {_fraction(share)}")
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     scope = RankScope(args.scope)
-    options = _options(args)
-    rows = aggregate_rank(_warn(Registry(args.registry).load_graph()), scope, options)
+    max_depth = _max_depth(args)
+    rows = aggregate_rank(_warn(Registry(args.registry).load_graph()), scope, max_depth)
     if args.format == "json":
-        print(_rank_json(scope.value, options.max_depth, rows))
+        print(_rank_json(scope.value, max_depth, rows))
     else:
         rank_width = len(str(len(rows))) if rows else 1
-        id_width = max((len(eid.text) for eid, _ in rows), default=0)
-        for i, (eid, total) in enumerate(rows, start=1):
-            print(f"{i:>{rank_width}}  {eid.text:<{id_width}}  {_fraction(total)}")
+        id_width = max((len(text) for text, _ in rows), default=0)
+        for i, (text, total) in enumerate(rows, start=1):
+            print(f"{i:>{rank_width}}  {text:<{id_width}}  {_fraction(total)}")
     return 0
 
 
-def _rank_json(scope: str, max_depth: int | None, rows: list[tuple[EntityId, float]]) -> str:
+def _rank_json(scope: str, max_depth: int | None, rows: list[tuple[str, float]]) -> str:
     """json.dumps(doc, indent=2) of the rank document, byte for byte, at C
-    speed: json runs its pure-Python encoder whenever indent is set."""
+    speed: before Python 3.13, json runs its pure-Python encoder whenever
+    indent is set."""
     totals = ",\n".join(
-        f'    {{\n      "rank": {i},\n      "entity": {_json_str(eid.text)},\n'
+        f'    {{\n      "rank": {i},\n      "entity": {_json_str(text)},\n'
         f'      "total": {float.__repr__(total)}\n    }}'
-        for i, (eid, total) in enumerate(rows, start=1)
+        for i, (text, total) in enumerate(rows, start=1)
     )
     totals = f"[\n{totals}\n  ]" if rows else "[]"
     depth = "null" if max_depth is None else int.__repr__(max_depth)

@@ -15,7 +15,8 @@ shares always sum to 1, at any depth limit.
 
 The engine works on the graph's node indexes: a node is a registered
 product exactly when it has a row of edges, and any other target is a
-terminal. Ids are built only for the entities a result names.
+terminal. Products are asked for, and results name entities, by
+canonical id text.
 """
 
 from __future__ import annotations
@@ -25,43 +26,22 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .graph import CreditGraph, GraphError, topological_order
-from .model import EntityId
 
 
 class UnknownProduct(GraphError):
     """The requested product id is not a registered product in the graph."""
 
 
-class _Options(NamedTuple):
-    max_depth: int | None = None
-
-
-class PropagationOptions(_Options):
-    """Knobs for credit propagation.
-
-    max_depth limits how many citation steps from the root are expanded:
-    registered products sitting exactly max_depth steps down are treated as
-    terminals and absorb their share. None means unlimited.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, max_depth: int | None = None) -> PropagationOptions:
-        if max_depth is not None and max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-        return super().__new__(cls, max_depth)
-
-
 class Allocation(NamedTuple):
-    """Credit shares of one product, keyed by terminal entity id, in
+    """Credit shares of one product, keyed by terminal entity id text, in
     aggregate_rank's order: descending share, ties by id text.
 
     truncated_at is the depth limit that actually cut off expansion, or
     None when no registered product was truncated.
     """
 
-    product: EntityId
-    shares: Mapping[EntityId, float]
+    product: str
+    shares: Mapping[str, float]
     truncated_at: int | None = None
 
 
@@ -83,7 +63,12 @@ def _sweep(
     citation step, which advances only under a depth limit: a registered
     product reached at step max_depth absorbs its mass, and the flag says
     whether any did.
+
+    Raises:
+        ValueError: max_depth is below 1.
     """
+    if max_depth is not None and max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     products = graph.products
     count = len(products)
     advance = 0 if max_depth is None else 1
@@ -104,54 +89,55 @@ def _sweep(
     return {node: math.fsum(parts) for node, parts in buckets.items()}, truncated
 
 
-def _ranked(graph: CreditGraph, shares: dict[int, float]) -> list[tuple[EntityId, float]]:
-    """Each node's share under its id, by descending share, ties by id text."""
+def _ranked(graph: CreditGraph, shares: dict[int, float]) -> list[tuple[str, float]]:
+    """Each node's share under its id text, by descending share, ties by id text."""
     ids = graph.ids
     ranked = sorted(shares.items(), key=lambda item: (-item[1], ids[item[0]]))
-    return [(graph.entity(node), share) for node, share in ranked]
+    return [(ids[node], share) for node, share in ranked]
 
 
 def transitive_credit(
-    graph: CreditGraph,
-    product: EntityId,
-    options: PropagationOptions | None = None,
+    graph: CreditGraph, product: str, max_depth: int | None = None
 ) -> Allocation:
-    """Propagate credit from a registered product down to terminals.
+    """Propagate credit from a registered product, by id text, down to terminals.
 
     Shares multiply along citation paths and sum per entity; the result
     conserves the unit total at any depth limit. Deterministic for a given
     corpus, independent of corpus input order.
 
+    max_depth limits how many citation steps from the root are expanded:
+    registered products sitting exactly max_depth steps down are treated as
+    terminals and absorb their share. None means unlimited.
+
     Raises:
         UnknownProduct: product is not registered in this graph.
+        ValueError: max_depth is below 1.
     """
-    options = options or PropagationOptions()
     index = graph.product_index(product)
     if index is None:
-        raise UnknownProduct(f"{product.text} is not a registered product")
-    shares, truncated = _sweep(graph, [index], options.max_depth)
+        raise UnknownProduct(f"{product} is not a registered product")
+    shares, truncated = _sweep(graph, [index], max_depth)
     return Allocation(
         product=product,
         shares=dict(_ranked(graph, shares)),
-        truncated_at=options.max_depth if truncated else None,
+        truncated_at=max_depth if truncated else None,
     )
 
 
 def aggregate_rank(
     graph: CreditGraph,
     scope: RankScope = RankScope.ALL_PRODUCTS,
-    options: PropagationOptions | None = None,
-) -> list[tuple[EntityId, float]]:
-    """Total credit per entity, summed over products in scope, descending.
+    max_depth: int | None = None,
+) -> list[tuple[str, float]]:
+    """Total credit per entity id text, summed over products in scope, descending.
 
     Scope ALL_PRODUCTS sums every registered product's allocation;
     ROOTS_ONLY sums only products nothing else cites. Ties are ordered by
-    canonical id text.
+    canonical id text. max_depth is as for transitive_credit.
     """
-    options = options or PropagationOptions()
     if scope is RankScope.ALL_PRODUCTS:
         in_scope: Sequence[int] = range(len(graph.products))
     else:
         in_scope = graph.root_indexes()
-    totals, _ = _sweep(graph, in_scope, options.max_depth)
+    totals, _ = _sweep(graph, in_scope, max_depth)
     return _ranked(graph, totals)

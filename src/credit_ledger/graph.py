@@ -3,10 +3,11 @@
 The graph keeps what propagation needs, in the layout of the registry
 snapshot's graph line: a table of node id texts, one kind code per node,
 and per registered product its outgoing edges (target index and weight,
-in entry order), so reading a snapshot builds no object per node. The
-build is deterministic for a given corpus regardless of input order, and
-any directed cycle among registered products is rejected with a witness
-path, so every CreditGraph is acyclic.
+in entry order), so reading a snapshot builds no object per node. Past
+build_graph, an entity is its canonical id text. The build is
+deterministic for a given corpus regardless of input order, and any
+directed cycle among registered products is rejected with a witness path,
+so every CreditGraph is acyclic.
 
 One depth-first search serves both the cycle check and the order in which
 propagation visits products: its post-order puts every product after the
@@ -18,13 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable
 
-from .model import (
-    Category,
-    CreditLedgerError,
-    CreditMap,
-    EntityId,
-    IdScheme,
-)
+from .model import Category, CreditLedgerError, CreditMap
 
 
 class GraphError(CreditLedgerError):
@@ -38,35 +33,13 @@ class DuplicateProductId(GraphError):
 class CycleError(GraphError):
     """The registered products contain a citation cycle.
 
-    witness is a product id path whose consecutive pairs are all edges and
-    whose first and last element are the same node.
+    witness is a path of product id texts whose consecutive pairs are all
+    edges and whose first and last element are the same node.
     """
 
-    def __init__(self, witness: list[EntityId]):
+    def __init__(self, witness: list[str]):
         self.witness = witness
-        path = " -> ".join(e.text for e in witness)
-        super().__init__(f"citation cycle: {path}")
-
-
-_SCHEMES = {scheme.value: scheme for scheme in IdScheme}
-# EntityId's slot descriptors, which set a field past the frozen __setattr__.
-_set_scheme, _set_value, _set_text = (
-    EntityId.scheme.__set__, EntityId.value.__set__, EntityId.text.__set__
-)
-
-
-def _entity(text: str) -> EntityId:
-    """The EntityId of a canonical id text this graph holds.
-
-    Every text in a graph came from an EntityId, so it is rebuilt without
-    EntityId's canonicalization and checks.
-    """
-    scheme, _, value = text.partition(":")
-    eid = object.__new__(EntityId)
-    _set_scheme(eid, _SCHEMES[scheme])
-    _set_value(eid, value)
-    _set_text(eid, text)
-    return eid
+        super().__init__(f"citation cycle: {' -> '.join(witness)}")
 
 
 class CreditGraph:
@@ -107,15 +80,11 @@ class CreditGraph:
             *self._tables()
         )
 
-    def entity(self, index: int) -> EntityId:
-        """The id of node index."""
-        return _entity(self.ids[index])
-
-    def product_index(self, product: EntityId) -> int | None:
-        """The index of a registered product, or None if it is not one."""
-        text, count = product.text, len(self.products)
-        i = bisect_left(self.ids, text, 0, count)
-        return i if i < count and self.ids[i] == text else None
+    def product_index(self, product: str) -> int | None:
+        """The index of a registered product's id text, or None if it is not one."""
+        count = len(self.products)
+        i = bisect_left(self.ids, product, 0, count)
+        return i if i < count and self.ids[i] == product else None
 
     def root_indexes(self) -> list[int]:
         """Indexes of the registered products no registered product cites."""
@@ -237,7 +206,7 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
 
     _, witness = _depth_first(rows, range(count))
     if witness is not None:
-        raise CycleError([_entity(ids[i]) for i in witness])
+        raise CycleError([ids[i] for i in witness])
 
     return CreditGraph(ids=ids, kinds="".join(kinds), products=rows, warnings=tuple(warnings))
 
@@ -259,8 +228,9 @@ def topological_order(graph: CreditGraph, start: Iterable[int] | None = None) ->
     return order
 
 
-def dangling_references(graph: CreditGraph) -> list[tuple[EntityId, list[EntityId]]]:
-    """Terminal products and the registered products citing each of them.
+def dangling_references(graph: CreditGraph) -> list[tuple[str, list[str]]]:
+    """Terminal products and the registered products citing each of them, as
+    id texts.
 
     People are terminal by nature and are not reported; this lists cited
     products that are absent from the registry. Both levels are sorted by
@@ -273,6 +243,6 @@ def dangling_references(graph: CreditGraph) -> list[tuple[EntityId, list[EntityI
                 citers.setdefault(target, set()).add(i)
     ids = graph.ids
     return [
-        (graph.entity(target), [graph.entity(i) for i in sorted(citers[target])])
+        (ids[target], [ids[i] for i in sorted(citers[target])])
         for target in sorted(citers, key=ids.__getitem__)
     ]

@@ -292,9 +292,13 @@ class Registry:
             StorageError: the object file is unreadable or holds another product.
         """
         path = self._object_path(product_id)
-        if not path.exists():
-            raise NotFound(f"no registered product {product_id.text}")
-        creditmap = self._parse_object(path, self._read_bytes(path)[0])
+        try:
+            data, _ = _read_regular(path)
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            raise NotFound(f"no registered product {product_id.text}") from exc
+        except OSError as exc:
+            raise StorageError(f"cannot read {path}: {exc}") from exc
+        creditmap = self._parse_object(path, data)
         if creditmap.product.id != product_id:
             raise StorageError(
                 f"{path} holds {creditmap.product.id.text}, expected {product_id.text}"

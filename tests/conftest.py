@@ -45,16 +45,21 @@ def fixture_bytes(name: str) -> bytes:
     return (FIXTURES / name).read_bytes()
 
 
-def cli_process(*argv: str, stdin=None) -> subprocess.CompletedProcess:
-    """Run the CLI as its own process, with this package on its path; a
-    hang fails the test after a minute."""
+def python_process(*args: str, stdin=None) -> subprocess.CompletedProcess:
+    """Run the interpreter with args as its own process, with this package
+    on its path; a hang fails the test after a minute."""
     package_parent = str(Path(credit_ledger.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "credit_ledger.cli", *argv],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         stdin=stdin, capture_output=True, text=True, timeout=60,
     )
+
+
+def cli_process(*argv: str, stdin=None) -> subprocess.CompletedProcess:
+    """Run the CLI as its own process (see python_process)."""
+    return python_process("-m", "credit_ledger.cli", *argv, stdin=stdin)
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,6 @@ import conftest
 
 from credit_ledger import (
     CycleError,
-    EntityId,
-    PropagationOptions,
     build_graph,
     canonicalize_id,
     parse_creditmap,
@@ -59,9 +57,8 @@ def test_acceptance_worked_example_credit_flow() -> None:
     try:
         start = time.perf_counter()
         graph = _load_fixture_graph()
-        dev1 = EntityId.from_text(DEV1)
-        one_step = transitive_credit(graph, EntityId.from_text(PRODUCT_B)).shares.get(dev1, 0.0)
-        two_step = transitive_credit(graph, EntityId.from_text(PRODUCT_C)).shares.get(dev1, 0.0)
+        one_step = transitive_credit(graph, PRODUCT_B).shares.get(DEV1, 0.0)
+        two_step = transitive_credit(graph, PRODUCT_C).shares.get(DEV1, 0.0)
         elapsed = time.perf_counter() - start
         ok = (
             abs(one_step - 0.125) <= 1e-12
@@ -116,9 +113,7 @@ def test_acceptance_credit_conservation() -> None:
             graph = build_graph(maps)
             for creditmap in maps:
                 for depth in (None, 1, 2, 3):
-                    allocation = transitive_credit(
-                        graph, creditmap.product.id, PropagationOptions(max_depth=depth)
-                    )
+                    allocation = transitive_credit(graph, creditmap.product.id.text, depth)
                     error = abs(math.fsum(allocation.shares.values()) - 1.0)
                     worst = max(worst, error)
                     checked += 1
@@ -144,17 +139,15 @@ def test_acceptance_path_oracle_equivalence() -> None:
             graph = build_graph(maps)
             plain = as_plain(maps)
             for creditmap in maps:
-                pid = creditmap.product.id
-                got = {
-                    e.text: s for e, s in transitive_credit(graph, pid).shares.items()
-                }
-                want = credit_by_paths(plain, pid.text)
-                assert got.keys() == want.keys(), pid.text
+                pid = creditmap.product.id.text
+                got = transitive_credit(graph, pid).shares
+                want = credit_by_paths(plain, pid)
+                assert got.keys() == want.keys(), pid
                 for key in want:
                     error = abs(got[key] - want[key])
                     worst = max(worst, error)
                     compared += 1
-                    assert error <= 1e-12, f"{pid.text} -> {key}: off by {error}"
+                    assert error <= 1e-12, f"{pid} -> {key}: off by {error}"
         ok = True
         detail = f"{compared} shares compared, worst deviation {worst:.3e}"
     finally:
@@ -173,7 +166,7 @@ def test_acceptance_chain_multiplication() -> None:
             for _ in range(25):
                 maps, lead, hops, lead_weight = make_chain(rng, length)
                 graph = build_graph(maps)
-                got = transitive_credit(graph, maps[-1].product.id).shares.get(lead, 0.0)
+                got = transitive_credit(graph, maps[-1].product.id.text).shares.get(lead.text, 0.0)
                 want = lead_weight
                 for hop in hops:
                     want *= hop
@@ -202,7 +195,7 @@ def test_acceptance_cycle_rejection(run_cli, tmp_path: Path) -> None:
         except CycleError as exc:
             witness = exc.witness
         assert witness is not None, "cycle was not detected"
-        cited = {(m.product.id, e.entity) for m in maps for e in m.entries}
+        cited = {(m.product.id.text, e.entity.text) for m in maps for e in m.entries}
         assert len(witness) >= 2 and witness[0] == witness[-1]
         for source, target in zip(witness, witness[1:]):
             assert (source, target) in cited, "witness edge not in the corpus"
@@ -220,7 +213,7 @@ def test_acceptance_cycle_rejection(run_cli, tmp_path: Path) -> None:
         assert code == 1, f"expected exit 1, got {code}"
         assert "citation cycle" in err
         ok = True
-        detail = "witness " + " -> ".join(e.text for e in witness)
+        detail = "witness " + " -> ".join(witness)
     finally:
         _report("cycle-rejection", ok, detail)
 

@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -648,7 +647,6 @@ ID_TEXTS = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\x7f\u00e9\U
     rows=st.lists(st.tuples(ID_TEXTS, st.floats(allow_nan=False, allow_infinity=False))),
 )
 def test_the_rank_json_writer_prints_what_json_dumps_prints(scope, max_depth, rows) -> None:
-    ranked = [(SimpleNamespace(text=text), total) for text, total in rows]
     doc = {
         "scope": scope,
         "max_depth": max_depth,
@@ -657,7 +655,7 @@ def test_the_rank_json_writer_prints_what_json_dumps_prints(scope, max_depth, ro
             for i, (text, total) in enumerate(rows, start=1)
         ],
     }
-    assert cli._rank_json(scope, max_depth, ranked) == json.dumps(doc, indent=2)
+    assert cli._rank_json(scope, max_depth, rows) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

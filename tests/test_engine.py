@@ -9,8 +9,6 @@ import pytest
 
 from credit_ledger import (
     Allocation,
-    EntityId,
-    PropagationOptions,
     RankScope,
     aggregate_rank,
     build_graph,
@@ -36,16 +34,8 @@ LIBS = tuple(
 )
 
 
-def _pid(text: str) -> EntityId:
-    return EntityId.from_text(text)
-
-
-def _shares_by_text(allocation: Allocation) -> dict[str, float]:
-    return {entity.text: share for entity, share in allocation.shares.items()}
-
-
 def _assert_shares(allocation: Allocation, expected: dict[str, float]) -> None:
-    got = _shares_by_text(allocation)
+    got = allocation.shares
     assert got.keys() == expected.keys()
     for key, value in expected.items():
         assert got[key] == pytest.approx(value, abs=1e-12), key
@@ -53,7 +43,7 @@ def _assert_shares(allocation: Allocation, expected: dict[str, float]) -> None:
 
 def test_one_hop_allocation(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    allocation = transitive_credit(graph, _pid(PRODUCT_B))
+    allocation = transitive_credit(graph, PRODUCT_B)
     _assert_shares(
         allocation,
         {
@@ -69,7 +59,7 @@ def test_one_hop_allocation(corpus_maps) -> None:
 
 def test_two_hop_allocation(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    allocation = transitive_credit(graph, _pid(PRODUCT_C))
+    allocation = transitive_credit(graph, PRODUCT_C)
     _assert_shares(
         allocation,
         {
@@ -86,7 +76,7 @@ def test_two_hop_allocation(corpus_maps) -> None:
 def test_entity_credit_worked_values(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
     def share(product: str, entity: str) -> float:
-        return transitive_credit(graph, _pid(product)).shares.get(_pid(entity), 0.0)
+        return transitive_credit(graph, product).shares.get(entity, 0.0)
 
     assert share(PRODUCT_B, DEV1) == pytest.approx(0.125, abs=1e-12)
     assert share(PRODUCT_C, DEV1) == pytest.approx(0.0125, abs=1e-12)
@@ -95,26 +85,22 @@ def test_entity_credit_worked_values(corpus_maps) -> None:
 
 def test_depth_one_equals_direct_credit(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    options = PropagationOptions(max_depth=1)
     for creditmap in corpus_maps:
-        limited = transitive_credit(graph, creditmap.product.id, options)
-        assert limited.shares == {e.entity: e.weight for e in creditmap.entries}
+        limited = transitive_credit(graph, creditmap.product.id.text, 1)
+        assert limited.shares == {e.entity.text: e.weight for e in creditmap.entries}
 
 
 def test_truncation_marker_is_set_only_when_a_product_was_cut(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    options = PropagationOptions(max_depth=1)
     # A cites no registered product, so depth 1 cuts nothing
-    assert transitive_credit(graph, _pid(PRODUCT_A), options).truncated_at is None
-    assert transitive_credit(graph, _pid(PRODUCT_B), options).truncated_at == 1
-    assert transitive_credit(graph, _pid(PRODUCT_C), options).truncated_at == 1
+    assert transitive_credit(graph, PRODUCT_A, max_depth=1).truncated_at is None
+    assert transitive_credit(graph, PRODUCT_B, max_depth=1).truncated_at == 1
+    assert transitive_credit(graph, PRODUCT_C, max_depth=1).truncated_at == 1
 
 
 def test_depth_two_absorbs_shares_at_the_cutoff(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    allocation = transitive_credit(
-        graph, _pid(PRODUCT_C), PropagationOptions(max_depth=2)
-    )
+    allocation = transitive_credit(graph, PRODUCT_C, max_depth=2)
     _assert_shares(
         allocation,
         {AUTHOR_C: 0.9, AUTHOR_B: 0.075, PRODUCT_A: 0.025},
@@ -124,8 +110,8 @@ def test_depth_two_absorbs_shares_at_the_cutoff(corpus_maps) -> None:
 
 def test_deep_enough_limit_matches_unlimited(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    unlimited = transitive_credit(graph, _pid(PRODUCT_C))
-    deep = transitive_credit(graph, _pid(PRODUCT_C), PropagationOptions(max_depth=3))
+    unlimited = transitive_credit(graph, PRODUCT_C)
+    deep = transitive_credit(graph, PRODUCT_C, max_depth=3)
     assert deep.shares == unlimited.shares
     assert deep.truncated_at is None
 
@@ -133,20 +119,26 @@ def test_deep_enough_limit_matches_unlimited(corpus_maps) -> None:
 def test_unknown_products_are_rejected(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
     with pytest.raises(UnknownProduct):
-        transitive_credit(graph, _pid("doi:10.9999/zzz"))
+        transitive_credit(graph, "doi:10.9999/zzz")
     with pytest.raises(UnknownProduct):
-        transitive_credit(graph, _pid(DEV1))  # a person, not a product
+        transitive_credit(graph, DEV1)  # a person, not a product
 
 
 @pytest.mark.parametrize("bad_depth", [0, -1])
-def test_depth_limit_must_be_positive(bad_depth: int) -> None:
-    with pytest.raises(ValueError):
-        PropagationOptions(max_depth=bad_depth)
+def test_depth_limit_must_be_positive(corpus_maps, bad_depth: int) -> None:
+    graph = build_graph(corpus_maps)
+    message = f"max_depth must be >= 1, got {bad_depth}"
+    with pytest.raises(ValueError, match=message):
+        transitive_credit(graph, PRODUCT_C, bad_depth)
+    with pytest.raises(ValueError, match=message):
+        aggregate_rank(graph, RankScope.ROOTS_ONLY, bad_depth)
+    with pytest.raises(ValueError, match=message):
+        aggregate_rank(build_graph([]), max_depth=bad_depth)
 
 
 def test_rank_over_all_fixture_products(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    ranking = [(e.text, total) for e, total in aggregate_rank(graph)]
+    ranking = aggregate_rank(graph)
     expected = [
         (AUTHOR_C, 0.9),
         (AUTHOR_B, 0.825),
@@ -168,18 +160,18 @@ def test_rank_without_the_second_paper_favors_dev1(corpus_maps) -> None:
     # B's author leads with 0.75; over the roots (B alone) dev1 holds 0.125
     graph = build_graph(corpus_maps[:2])
     ranking = aggregate_rank(graph)
-    assert ranking[0][0].text == AUTHOR_B
-    totals = {e.text: total for e, total in ranking}
+    assert ranking[0][0] == AUTHOR_B
+    totals = dict(ranking)
     assert totals[DEV1] == pytest.approx(0.625, abs=1e-12)
     roots_only = aggregate_rank(graph, RankScope.ROOTS_ONLY)
-    roots_totals = {e.text: total for e, total in roots_only}
+    roots_totals = dict(roots_only)
     assert roots_totals[DEV1] == pytest.approx(0.125, abs=1e-12)
 
 
 def test_rank_roots_only_sums_root_allocations(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    ranking = {e.text: t for e, t in aggregate_rank(graph, RankScope.ROOTS_ONLY)}
-    allocation = _shares_by_text(transitive_credit(graph, _pid(PRODUCT_C)))
+    ranking = dict(aggregate_rank(graph, RankScope.ROOTS_ONLY))
+    allocation = transitive_credit(graph, PRODUCT_C).shares
     assert ranking.keys() == allocation.keys()
     for key, value in allocation.items():
         assert ranking[key] == pytest.approx(value, abs=1e-12)
@@ -187,7 +179,7 @@ def test_rank_roots_only_sums_root_allocations(corpus_maps) -> None:
 
 def test_rank_breaks_ties_by_id_text(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    ranking = [e.text for e, _ in aggregate_rank(graph)]
+    ranking = [text for text, _ in aggregate_rank(graph)]
     tied = [name for name in ranking if name.startswith("url:")]
     assert tied == sorted(tied)
 
@@ -204,8 +196,7 @@ def test_conservation_on_random_corpora() -> None:
         graph = build_graph(maps)
         for creditmap in maps:
             for depth in depth_options:
-                options = PropagationOptions(max_depth=depth)
-                allocation = transitive_credit(graph, creditmap.product.id, options)
+                allocation = transitive_credit(graph, creditmap.product.id.text, depth)
                 total = math.fsum(allocation.shares.values())
                 assert abs(total - 1.0) <= 1e-9
 
@@ -217,11 +208,10 @@ def test_mass_push_propagation_matches_path_enumeration() -> None:
         graph = build_graph(maps)
         plain = as_plain(maps)
         for creditmap in maps:
-            pid = creditmap.product.id
+            pid = creditmap.product.id.text
             for depth in (None, 1, 2, 3):
-                options = PropagationOptions(max_depth=depth)
-                got = _shares_by_text(transitive_credit(graph, pid, options))
-                want = credit_by_paths(plain, pid.text, max_depth=depth)
+                got = transitive_credit(graph, pid, depth).shares
+                want = credit_by_paths(plain, pid, max_depth=depth)
                 assert got.keys() == want.keys()
                 for key in want:
                     assert got[key] == pytest.approx(want[key], abs=1e-12), key
@@ -232,8 +222,8 @@ def test_chain_credit_is_the_product_of_edge_weights() -> None:
     for length in range(1, 9):
         maps, lead, hops, lead_weight = make_chain(rng, length)
         graph = build_graph(maps)
-        end = maps[-1].product.id
-        got = transitive_credit(graph, end).shares.get(lead, 0.0)
+        end = maps[-1].product.id.text
+        got = transitive_credit(graph, end).shares.get(lead.text, 0.0)
         want = lead_weight
         for hop in hops:
             want *= hop
@@ -243,15 +233,15 @@ def test_chain_credit_is_the_product_of_edge_weights() -> None:
 def test_deep_chain_depth_limits_need_no_recursion() -> None:
     maps, _, _, _ = make_chain(random.Random(404), 1500)
     graph = build_graph(maps)
-    end = maps[-1].product.id
+    end = maps[-1].product.id.text
 
-    cut = transitive_credit(graph, end, PropagationOptions(max_depth=1200))
+    cut = transitive_credit(graph, end, max_depth=1200)
     assert abs(math.fsum(cut.shares.values()) - 1.0) <= 1e-9
     assert cut.truncated_at == 1200
 
     unlimited = transitive_credit(graph, end)
-    huge = transitive_credit(graph, end, PropagationOptions(max_depth=10**9))
+    huge = transitive_credit(graph, end, max_depth=10**9)
     assert huge == unlimited
 
-    ranking = aggregate_rank(graph, RankScope.ROOTS_ONLY, PropagationOptions(max_depth=1200))
+    ranking = aggregate_rank(graph, RankScope.ROOTS_ONLY, max_depth=1200)
     assert dict(ranking) == cut.shares

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from credit_ledger import (
     CreditGraph,
     CreditMap,
-    EntityId,
-    PropagationOptions,
     RankScope,
     aggregate_rank,
     build_graph,
@@ -35,17 +33,16 @@ def _at_depth(
     return exact[-1] if depth is None else exact[min(depth, len(exact)) - 1]
 
 
-def _assert_agrees(got: dict[EntityId, float], want: dict[str, Fraction]) -> None:
-    by_text = {entity.text: value for entity, value in got.items()}
-    assert by_text.keys() == want.keys()
+def _assert_agrees(got: dict[str, float], want: dict[str, Fraction]) -> None:
+    assert got.keys() == want.keys()
     for key, exact in want.items():
-        assert math.isclose(by_text[key], exact, rel_tol=TOLERANCE, abs_tol=TOLERANCE), key
+        assert math.isclose(got[key], exact, rel_tol=TOLERANCE, abs_tol=TOLERANCE), key
 
 
-def _check_credit(graph, plain, product: EntityId, depths) -> None:
-    exact = exact_credit_by_depth(plain, [product.text])
+def _check_credit(graph, plain, product: str, depths) -> None:
+    exact = exact_credit_by_depth(plain, [product])
     for depth in depths:
-        allocation = transitive_credit(graph, product, PropagationOptions(max_depth=depth))
+        allocation = transitive_credit(graph, product, depth)
         shares, truncated = _at_depth(exact, depth)
         _assert_agrees(allocation.shares, shares)
         assert abs(math.fsum(allocation.shares.values()) - 1.0) <= 1e-9
@@ -58,7 +55,7 @@ def _check_rank(graph, plain, scope: RankScope, depths) -> None:
     )
     exact = exact_credit_by_depth(plain, [graph.ids[i] for i in in_scope])
     for depth in depths:
-        ranking = aggregate_rank(graph, scope, PropagationOptions(max_depth=depth))
+        ranking = aggregate_rank(graph, scope, depth)
         _assert_agrees(dict(ranking), _at_depth(exact, depth)[0])
 
 
@@ -70,7 +67,7 @@ def test_random_dags_agree_with_exact_arithmetic_at_every_depth(maps) -> None:
     longest = len(exact_credit_by_depth(plain, list(plain)))
     depths = [None, *range(1, longest + 1)]
     for creditmap in maps:
-        _check_credit(graph, plain, creditmap.product.id, depths)
+        _check_credit(graph, plain, creditmap.product.id.text, depths)
     for scope in RankScope:
         _check_rank(graph, plain, scope, depths)
 
@@ -80,8 +77,8 @@ def test_random_dags_agree_with_exact_arithmetic_at_every_depth(maps) -> None:
 def test_long_chains_agree_with_exact_arithmetic(maps, data) -> None:
     graph = build_graph(maps)
     plain = as_plain(maps)
-    top = maps[-1].product.id
-    longest = len(exact_credit_by_depth(plain, [top.text]))
+    top = maps[-1].product.id.text
+    longest = len(exact_credit_by_depth(plain, [top]))
     every_depth = [None, *range(1, longest + 1)]
     _check_credit(graph, plain, top, every_depth)
     _check_rank(graph, plain, RankScope.ROOTS_ONLY, every_depth)
@@ -97,12 +94,12 @@ def test_results_are_bit_identical_for_any_ingestion_order(maps, data) -> None:
     def results(corpus: list[CreditMap]):
         graph = build_graph(corpus)
         allocations = [
-            transitive_credit(graph, m.product.id, PropagationOptions(max_depth=depth))
+            transitive_credit(graph, m.product.id.text, depth)
             for m in maps
             for depth in (None, 1, 2, 3)
         ]
         rankings = [
-            aggregate_rank(graph, scope, PropagationOptions(max_depth=depth))
+            aggregate_rank(graph, scope, depth)
             for scope in RankScope
             for depth in (None, 2)
         ]
@@ -134,15 +131,14 @@ def test_results_are_bit_identical_for_any_visiting_order(maps) -> None:
         warnings=graph.warnings,
     )
     for depth in (None, 1, 3):
-        options = PropagationOptions(max_depth=depth)
         for creditmap in maps:
-            pid = creditmap.product.id
-            assert transitive_credit(reversed_graph, pid, options) == transitive_credit(
-                graph, pid, options
+            pid = creditmap.product.id.text
+            assert transitive_credit(reversed_graph, pid, depth) == transitive_credit(
+                graph, pid, depth
             )
         for scope in RankScope:
-            assert aggregate_rank(reversed_graph, scope, options) == aggregate_rank(
-                graph, scope, options
+            assert aggregate_rank(reversed_graph, scope, depth) == aggregate_rank(
+                graph, scope, depth
             )
 
 
@@ -153,6 +149,5 @@ def test_shares_iterate_in_rank_order_at_every_depth(maps) -> None:
     graph = build_graph(maps)
     for creditmap in maps:
         for depth in (None, *range(1, len(maps) + 2)):
-            options = PropagationOptions(max_depth=depth)
-            rows = list(transitive_credit(graph, creditmap.product.id, options).shares.items())
-            assert rows == sorted(rows, key=lambda row: (-row[1], row[0].text))
+            rows = list(transitive_credit(graph, creditmap.product.id.text, depth).shares.items())
+            assert rows == sorted(rows, key=lambda row: (-row[1], row[0]))

@@ -91,10 +91,13 @@ def test_text_survives_copy_and_deepcopy() -> None:
 
 def test_a_graph_entity_carries_the_text_of_its_node(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    for i, text in enumerate(graph.ids):
-        entity = graph.entity(i)
+    cited = {e.entity for m in corpus_maps for e in m.entries}
+    by_text = {eid.text: eid for eid in cited | {m.product.id for m in corpus_maps}}
+    assert sorted(graph.ids) == sorted(by_text)
+    for text in graph.ids:
+        entity = EntityId.from_text(text)
+        assert entity == by_text[text]
         assert entity.text == text == f"{entity.scheme.value}:{entity.value}"
-        assert entity == EntityId.from_text(text)
 
 
 def test_a_registry_read_canonicalizes_each_distinct_raw_id_once(tmp_path, monkeypatch) -> None:

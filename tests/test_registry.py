@@ -124,6 +124,34 @@ def test_get_after_its_object_file_is_deleted_is_not_found(registry: Registry) -
     assert registry.load_all() == []
 
 
+@pytest.mark.parametrize(
+    "error,outcome",
+    [
+        (FileNotFoundError(errno.ENOENT, "gone"), NotFound),
+        (NotADirectoryError(errno.ENOTDIR, "not a directory"), NotFound),
+        (PermissionError(errno.EACCES, "denied"), StorageError),
+    ],
+    ids=["removed", "under-a-file", "unreadable"],
+)
+def test_get_reads_once_and_maps_a_missing_file_to_not_found(
+    registry: Registry, monkeypatch, error: OSError, outcome: type
+) -> None:
+    """An object file removed after any check, or under a path that is not
+    a directory, is NotFound; any other read failure is a StorageError."""
+    product_id = registry.ingest(_doc("alpha"))
+    reads = []
+
+    def failing_read(path):
+        reads.append(path)
+        raise error
+
+    monkeypatch.setattr(registry_module, "_read_regular", failing_read)
+    with pytest.raises(outcome) as excinfo:
+        registry.get(product_id)
+    assert type(excinfo.value) is outcome and excinfo.value.__cause__ is error
+    assert reads == [_object_file(registry, product_id)]
+
+
 def test_object_file_holding_another_product_is_reported(registry: Registry) -> None:
     alpha = registry.ingest(_doc("alpha"))
     beta = registry.ingest(_doc("beta"))

@@ -1,12 +1,14 @@
 """The registry against an in-memory model, over any sequence of operations.
 
 A hypothesis state machine ingests (with and without --force), deletes and
-touches object files, runs what credit runs (which may rewrite graph.json)
-and damages graph.json, and after every step checks every read of the
-registry against a dict of the maps that should be registered. The
-registry's clock runs either with the files' clock, so that every file is
-within a timestamp tick of each read, or a minute ahead, so that every file
-has settled and an unchanged registry is a snapshot hit.
+touches object files, copies one under a name that is not its digest (a
+stray copy, which every read skips) and removes the copy, runs what credit
+runs (which may rewrite graph.json) and damages graph.json, and after
+every step checks every read of the registry against a dict of the maps
+that should be registered. The registry's clock runs either with the
+files' clock, so that every file is within a timestamp tick of each read,
+or a minute ahead, so that every file has settled and an unchanged
+registry is a snapshot hit.
 """
 
 from __future__ import annotations
@@ -96,6 +98,19 @@ class RegistryMachine(RuleBasedStateMachine):
             self.clock += 1_000_000_007  # a new mtime that no tick rounding hides
             os.utime(self._object(i), ns=(self.clock, self.clock))
 
+    def _stray(self) -> Path:
+        """A name that is no registered product's digest."""
+        return self.root / "objects" / _object_name(EntityId.from_text("doi:10.1000/stray"))
+
+    @rule(i=st.integers(0, PRODUCTS - 1))
+    def copy_object_file_to_a_stray_name(self, i: int) -> None:
+        if self._object(i).exists():
+            self._stray().write_bytes(self._object(i).read_bytes())
+
+    @rule()
+    def remove_the_stray_copy(self) -> None:
+        self._stray().unlink(missing_ok=True)
+
     @rule(ahead_s=st.sampled_from([0, 60]))
     def set_registry_clock(self, ahead_s: int) -> None:
         self.ahead_ns = ahead_s * 10**9
@@ -144,6 +159,6 @@ class RegistryMachine(RuleBasedStateMachine):
 
 
 RegistryMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=12, deadline=None
+    max_examples=40, stateful_step_count=12, deadline=None
 )
 test_registry_agrees_with_a_dict_model = RegistryMachine.TestCase

@@ -22,8 +22,10 @@ from credit_ledger import (
     ParseWarning,
     ProductKind,
     ProductMeta,
-    PropagationOptions,
     Violation,
+    aggregate_rank,
+    build_graph,
+    transitive_credit,
 )
 from credit_ledger.model import NO_EXTRA
 
@@ -54,8 +56,9 @@ VALUES = {
     "CreditMap": (lambda: CreditMap(_meta(), (_entry(1.0),)), CreditMap(_meta(), ())),
     "Violation": (lambda: Violation("WeightSum", "m"), Violation("NoAuthor", "m")),
     "ParseWarning": (lambda: ParseWarning("UnknownKey", "m"), ParseWarning("UnknownType", "m")),
-    "Allocation": (lambda: Allocation(DOI, {DOI: 1.0}, 2), Allocation(DOI, {DOI: 1.0})),
-    "PropagationOptions": (lambda: PropagationOptions(3), PropagationOptions()),
+    "Allocation": (
+        lambda: Allocation(DOI.text, {"name:a": 1.0}, 2), Allocation(DOI.text, {"name:a": 1.0})
+    ),
     "CreditGraph": (
         lambda: CreditGraph(["doi:10.1000/x", "name:a"], "rp", [[0, 1, 1.0]], ("w",)),
         CreditGraph(["doi:10.1000/x", "name:a"], "rp", [[0, 1, 1.0]]),
@@ -128,10 +131,11 @@ def test_a_graph_with_its_views_built_still_pickles_as_its_tables() -> None:
 
 @pytest.mark.parametrize("depth", [0, -1])
 def test_a_depth_limit_below_one_is_refused(depth: int) -> None:
-    with pytest.raises(ValueError, match="max_depth must be >= 1"):
-        PropagationOptions(max_depth=depth)
-    with pytest.raises(ValueError):
-        PropagationOptions(depth)
+    graph = build_graph([CreditMap(_meta(), (_entry(1.0),))])
+    with pytest.raises(ValueError, match=f"max_depth must be >= 1, got {depth}"):
+        transitive_credit(graph, DOI.text, max_depth=depth)
+    with pytest.raises(ValueError, match=f"max_depth must be >= 1, got {depth}"):
+        aggregate_rank(graph, max_depth=depth)
 
 
 def test_the_default_extra_is_one_empty_mapping_that_cannot_be_filled() -> None:
@@ -174,7 +178,7 @@ def test_dir_lists_every_export_and_star_import_binds_them() -> None:
 def test_an_unknown_name_raises_attribute_error() -> None:
     with pytest.raises(AttributeError, match="no_such_name"):
         credit_ledger.no_such_name  # noqa: B018
-    for name in ("GraphEdges", "GraphEdge", "NodeKind"):
+    for name in ("GraphEdges", "GraphEdge", "NodeKind", "PropagationOptions"):
         assert not hasattr(credit_ledger, name)
     with pytest.raises(ImportError):
         exec("from credit_ledger import no_such_name", {})
