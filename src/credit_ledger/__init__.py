@@ -23,7 +23,6 @@ _MODULES = {
     "CycleError": "graph",
     "DuplicateProduct": "registry",
     "DuplicateProductId": "graph",
-    "EntityId": "model",
     "EntryDisplay": "model",
     "GraphError": "graph",
     "IdScheme": "model",
@@ -44,8 +43,10 @@ _MODULES = {
     "WEIGHT_SUM_TOLERANCE": "model",
     "aggregate_rank": "engine",
     "build_graph": "graph",
+    "canonical_id": "model",
     "canonicalize_id": "model",
     "dangling_references": "graph",
+    "id_from_text": "model",
     "parse_creditmap": "jsonld",
     "serialize_creditmap": "jsonld",
     "topological_order": "graph",

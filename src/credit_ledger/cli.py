@@ -21,9 +21,8 @@ from .engine import RankScope, aggregate_rank, transitive_credit
 from .graph import CreditGraph, build_graph
 from .model import (
     CreditLedgerError,
-    EntityId,
-    IdScheme,
     InvalidIdentifier,
+    id_from_text,
     validate_creditmap,
 )
 from .registry import (
@@ -154,13 +153,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     def store(path: str, data: bytes) -> None:
         product_id = registry.ingest(data, force=args.force)
-        if product_id.scheme is IdScheme.NAME:
+        if product_id.startswith("name:"):
             print(
                 f"warning: {path}: product has no persistent identifier; "
-                f"registered as {product_id.text}",
+                f"registered as {product_id}",
                 file=sys.stderr,
             )
-        print(f"registered {product_id.text}")
+        print(f"registered {product_id}")
 
     with registry.batch():
         return _each_file(args.files, store)
@@ -179,7 +178,7 @@ class UsageError(CreditLedgerError):
 def _parse_cli_id(text: str, what: str) -> str:
     """The canonical id text of an option value."""
     try:
-        return EntityId.from_text(text).text
+        return id_from_text(text)
     except InvalidIdentifier as exc:
         raise UsageError(f"bad {what} {text!r}: {exc}") from exc
 

@@ -163,8 +163,8 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
         DuplicateProductId: two maps share one canonical product id.
         CycleError: the registered products cite each other in a cycle.
     """
-    maps = sorted(maps, key=lambda creditmap: creditmap.product.id.text)
-    ids = [creditmap.product.id.text for creditmap in maps]
+    maps = sorted(maps, key=lambda creditmap: creditmap.product.id)
+    ids = [creditmap.product.id for creditmap in maps]
     for first, second in zip(ids, ids[1:]):
         if first == second:
             raise DuplicateProductId(f"duplicate product id {first}")
@@ -176,7 +176,7 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
     for i, creditmap in enumerate(maps):
         row: list = [i]
         for entry in creditmap.entries:
-            target = entry.entity.text
+            target = entry.entity
             t = index.get(target)
             if t is None or t >= count:
                 category = entry.category

@@ -22,12 +22,12 @@ from .model import (
     CreditEntry,
     CreditLedgerError,
     CreditMap,
-    EntityId,
     EntryDisplay,
     IdScheme,
     MalformedDoi,
     ProductKind,
     ProductMeta,
+    canonical_id,
 )
 
 #: The only @context this profile accepts.
@@ -193,20 +193,20 @@ _ID_CACHE_SIZE = 16_384
 
 
 @lru_cache(maxsize=_ID_CACHE_SIZE)
-def _canonical_id(raw: str) -> EntityId:
+def _canonical_id(raw: str) -> str:
     """canonicalize_id(raw), computed once per distinct raw text.
 
-    Documents repeat ids (people across maps, products cited by many), and
-    an EntityId is immutable, so one instance serves every equal text. A
-    call that raises caches nothing.
+    Documents repeat ids (people across maps, products cited by many), so
+    one canonicalization serves every equal text. A call that raises
+    caches nothing.
     """
     return model.canonicalize_id(raw)
 
 
-# EntityId(scheme, raw) per scheme, computed once per distinct raw text.
-_url_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(EntityId, IdScheme.URL))
-_email_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(EntityId, IdScheme.EMAIL))
-_name_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(EntityId, IdScheme.NAME))
+# canonical_id(scheme, raw) per scheme, computed once per distinct raw text.
+_url_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, IdScheme.URL))
+_email_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, IdScheme.EMAIL))
+_name_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, IdScheme.NAME))
 
 
 #: Entry keys that name the entity directly, after @id and doi, strongest
@@ -222,7 +222,7 @@ _ENTRY_ID_KEYS = (
 _ENTRY_TEXT_KEYS = ("@type", "name", "headline", "email", "license", "codeRepository", "url")
 
 
-def _entry_identity(obj: dict[str, Any], group: str, i: int) -> tuple[EntityId, str]:
+def _entry_identity(obj: dict[str, Any], group: str, i: int) -> tuple[str, str]:
     """The entity that entry i of group names, and the key that names it.
 
     Precedence: @id, doi, codeRepository, url, email, name, headline. The
@@ -238,7 +238,7 @@ def _entry_identity(obj: dict[str, Any], group: str, i: int) -> tuple[EntityId, 
         if raw.__class__ is not str:
             _require_str(raw, f"{group}[{i}].doi")
         entity = _canonical_id(raw)
-        if entity.scheme is not IdScheme.DOI:
+        if not entity.startswith("doi:"):
             raise MalformedDoi(f"{group}[{i}]: doi key holds {raw!r}, which is not a DOI")
         return entity, "doi"
     for key, make_id in _ENTRY_ID_KEYS:
@@ -321,14 +321,14 @@ def _parse_entry_group(
     ]
 
 
-def _product_identity(doc: dict[str, Any]) -> EntityId:
+def _product_identity(doc: dict[str, Any]) -> str:
     """The product a document names. Precedence: @id, doi, url, headline."""
     if "@id" in doc:
         return _canonical_id(_require_str(doc["@id"], "@id"))
     if "doi" in doc:
         raw = _require_str(doc["doi"], "doi")
         entity = _canonical_id(raw)
-        if entity.scheme is not IdScheme.DOI:
+        if not entity.startswith("doi:"):
             raise MalformedDoi(f"doi: doi key holds {raw!r}, which is not a DOI")
         return entity
     if "url" in doc:
@@ -478,13 +478,12 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
     if d.headline is not None:
         obj["headline"] = d.headline
 
-    scheme = entry.entity.scheme
-    value = entry.entity.value
-    if scheme is IdScheme.ORCID:
+    scheme, _, value = entry.entity.partition(":")
+    if scheme == "orcid":
         obj["@id"] = f"http://orcid.org/{value}"
-    elif scheme is IdScheme.DOI:
+    elif scheme == "doi":
         obj["doi"] = value
-    elif scheme is IdScheme.URL and d.repository is None:
+    elif scheme == "url" and d.repository is None:
         if entry.category is Category.SOFTWARE or d.url is not None:
             obj["codeRepository"] = value
         else:
@@ -502,13 +501,13 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
         obj[key] = val
     # An ORCID or DOI sits under @id or doi, the two strongest keys; any
     # other id may be hidden behind a descriptive key written above.
-    if scheme is not IdScheme.ORCID and scheme is not IdScheme.DOI:
+    if scheme not in ("orcid", "doi"):
         try:
             rederived = _entry_identity(obj, "entry", 0)[0]
         except CreditLedgerError:
             rederived = None
         if rederived != entry.entity:
-            obj = {"@id": entry.entity.text, **obj}
+            obj = {"@id": entry.entity, **obj}
     obj["creditWeight"] = _render_weight(entry.weight)
     return obj
 
@@ -531,20 +530,20 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
     doc: dict[str, Any] = {"@context": SCHEMA_ORG_CONTEXT}
     doc["@type"] = _KIND_TO_PRODUCT_TYPE[meta.kind]
 
-    scheme = meta.id.scheme
-    if scheme is IdScheme.ORCID:
-        doc["@id"] = f"http://orcid.org/{meta.id.value}"
-    elif scheme is IdScheme.DOI:
-        doc["doi"] = meta.id.value
-    elif scheme is IdScheme.URL:
-        doc["url"] = meta.id.value
+    scheme, _, value = meta.id.partition(":")
+    if scheme == "orcid":
+        doc["@id"] = f"http://orcid.org/{value}"
+    elif scheme == "doi":
+        doc["doi"] = value
+    elif scheme == "url":
+        doc["url"] = value
     else:
         try:
             rederived = _product_identity({"headline": meta.headline})
         except CreditLedgerError:
             rederived = None
         if rederived != meta.id:
-            doc["@id"] = meta.id.text
+            doc["@id"] = meta.id
 
     if meta.headline:
         doc["headline"] = meta.headline

@@ -1,9 +1,10 @@
 """Core domain types: canonical entity identifiers, credit entries, credit maps.
 
 A credit map assigns fractional weights to everything that contributed to a
-scholarly product. Weights within one map sum to 1, every contribution is
-identified by a canonical EntityId, and downstream modules (graph, engine)
-treat these values as immutable.
+scholarly product. Weights within one map sum to 1, and every contribution
+is identified by its canonical id text `<scheme>:<value>`, a str
+(canonical_id, canonicalize_id and id_from_text make one). Downstream
+modules (graph, engine) treat these values as immutable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class CreditLedgerError(Exception):
 
 
 class InvalidIdentifier(CreditLedgerError):
-    """An identifier string cannot be turned into a canonical EntityId."""
+    """An identifier string cannot be turned into a canonical id text."""
 
 
 class EmptyIdentifier(InvalidIdentifier):
@@ -106,97 +107,67 @@ def validate_orcid_checksum(digits: str) -> bool:
     return bare[15].upper() == expected
 
 
-class EntityId:
-    """Canonical identifier for a person or product.
+class IdText(str):
+    """A canonical id text, a str in every way. `.text` returns it as a plain
+    str, for callers written when an id was an object holding its text."""
+    __slots__ = ()
+    text = property(str.__str__)
 
-    Values are normalized on construction (DOIs lowercased, URLs stripped of
-    trailing slashes, names lowercased with whitespace collapsed) and then
-    validated, so an EntityId that exists is canonical: no value holds a
-    control character, and only a name holds whitespace. Ids are immutable
-    and compare by value. text, the canonical text form
-    `<scheme>:<value>`, is kept beside them.
+
+def canonical_id(scheme: IdScheme, value: str) -> str:
+    """The canonical id text `<scheme>:<value>` of value under scheme.
+
+    The value is normalized (DOIs lowercased, URLs stripped of trailing
+    slashes, names lowercased with whitespace collapsed) and then
+    validated, so a text returned here is canonical: no value holds a
+    control character, and only a name holds whitespace.
     """
-
-    __slots__ = ("scheme", "value", "text")
-    scheme: IdScheme
-    value: str
-    text: str
-
-    def __init__(self, scheme: IdScheme, value: str) -> None:
-        raw = value.strip()
-        if not raw:
-            raise EmptyIdentifier(f"empty {scheme.value} identifier")
-        if scheme is IdScheme.ORCID:
-            raw = raw.upper()
-            if not _ORCID_RE.fullmatch(raw):
-                raise MalformedOrcid(f"not a hyphenated ORCID: {raw!r}")
-            if not validate_orcid_checksum(raw):
-                raise MalformedOrcid(f"ORCID checksum failure: {raw!r}")
-        elif scheme is IdScheme.DOI:
-            raw = raw.lower()
-            if not raw.startswith("10.") or "/" not in raw or _SPACE_OR_CONTROL.search(raw):
-                raise MalformedDoi(f"not a DOI: {raw!r}")
-        elif scheme is IdScheme.URL:
-            raw = raw.rstrip("/")
-            if not raw.lower().startswith(("http://", "https://")) or _SPACE_OR_CONTROL.search(raw):
-                raise InvalidIdentifier(f"not an absolute http(s) URL: {raw!r}")
-        elif scheme is IdScheme.EMAIL:
-            raw = raw.lower()
-            if "@" not in raw or _SPACE_OR_CONTROL.search(raw):
-                raise InvalidIdentifier(f"not an email address: {raw!r}")
-        else:
-            raw = " ".join(raw.lower().split())
-            if _CONTROL.search(raw):
-                raise InvalidIdentifier(f"control character in name: {raw!r}")
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "value", raw)
-        object.__setattr__(self, "text", f"{scheme.value}:{raw}")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value and self.scheme is other.scheme
-
-    def __hash__(self) -> int:
-        # A str caches its hash, so an id is hashed once; hashing (scheme,
-        # value) would call Enum.__hash__ in Python on every dict operation.
-        # Ids that differ only in scheme merely collide.
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"EntityId(scheme={self.scheme!r}, value={self.value!r})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, (self.scheme, self.value)
-
-    @classmethod
-    def from_text(cls, text: str) -> EntityId:
-        """Parse the canonical text form produced by `.text`."""
-        scheme_name, sep, value = text.partition(":")
-        if not sep:
-            raise InvalidIdentifier(f"missing scheme prefix: {text!r}")
-        try:
-            scheme = IdScheme(scheme_name)
-        except ValueError:
-            raise InvalidIdentifier(f"unknown scheme {scheme_name!r} in {text!r}") from None
-        return cls(scheme, value)
-
-    def __str__(self) -> str:
-        return self.text
+    raw = value.strip()
+    if not raw:
+        raise EmptyIdentifier(f"empty {scheme.value} identifier")
+    if scheme is IdScheme.ORCID:
+        raw = raw.upper()
+        if not _ORCID_RE.fullmatch(raw):
+            raise MalformedOrcid(f"not a hyphenated ORCID: {raw!r}")
+        if not validate_orcid_checksum(raw):
+            raise MalformedOrcid(f"ORCID checksum failure: {raw!r}")
+    elif scheme is IdScheme.DOI:
+        raw = raw.lower()
+        if not raw.startswith("10.") or "/" not in raw or _SPACE_OR_CONTROL.search(raw):
+            raise MalformedDoi(f"not a DOI: {raw!r}")
+    elif scheme is IdScheme.URL:
+        raw = raw.rstrip("/")
+        if not raw.lower().startswith(("http://", "https://")) or _SPACE_OR_CONTROL.search(raw):
+            raise InvalidIdentifier(f"not an absolute http(s) URL: {raw!r}")
+    elif scheme is IdScheme.EMAIL:
+        raw = raw.lower()
+        if "@" not in raw or _SPACE_OR_CONTROL.search(raw):
+            raise InvalidIdentifier(f"not an email address: {raw!r}")
+    else:
+        raw = " ".join(raw.lower().split())
+        if _CONTROL.search(raw):
+            raise InvalidIdentifier(f"control character in name: {raw!r}")
+    return IdText(f"{scheme.value}:{raw}")
 
 
-def canonicalize_id(raw: str) -> EntityId:
-    """Detect the identifier scheme of a raw string and canonicalize it.
+def id_from_text(text: str) -> str:
+    """The canonical id text of a `<scheme>:<value>` text."""
+    scheme_name, sep, value = text.partition(":")
+    if not sep:
+        raise InvalidIdentifier(f"missing scheme prefix: {text!r}")
+    try:
+        scheme = IdScheme(scheme_name)
+    except ValueError:
+        raise InvalidIdentifier(f"unknown scheme {scheme_name!r} in {text!r}") from None
+    return canonical_id(scheme, value)
+
+
+def canonicalize_id(raw: str) -> str:
+    """Detect the identifier scheme of a raw string; its canonical id text.
 
     Detection precedence: ORCID (URI, orcid: prefix, or bare), DOI (URI,
     doi: prefix, or bare 10.x/...), absolute http(s) URL, email address,
-    free-text name. Idempotent over its own rendered text form.
+    free-text name. Idempotent over its own output.
 
     Args:
         raw: identifier as found in a document.
@@ -219,21 +190,21 @@ def canonicalize_id(raw: str) -> EntityId:
         ("name:", IdScheme.NAME),
     ):
         if lowered.startswith(prefix):
-            return EntityId(scheme, text[len(prefix):])
+            return canonical_id(scheme, text[len(prefix):])
 
     if m := _ORCID_URI_RE.fullmatch(text):
-        return EntityId(IdScheme.ORCID, m.group(1))
+        return canonical_id(IdScheme.ORCID, m.group(1))
     if _ORCID_RE.fullmatch(text.upper()):
-        return EntityId(IdScheme.ORCID, text)
+        return canonical_id(IdScheme.ORCID, text)
     if m := _DOI_URI_RE.fullmatch(text):
-        return EntityId(IdScheme.DOI, m.group(1))
+        return canonical_id(IdScheme.DOI, m.group(1))
     if text.startswith("10.") and "/" in text:
-        return EntityId(IdScheme.DOI, text)
+        return canonical_id(IdScheme.DOI, text)
     if lowered.startswith(("http://", "https://")):
-        return EntityId(IdScheme.URL, text)
+        return canonical_id(IdScheme.URL, text)
     if "@" in text and not any(c.isspace() for c in text):
-        return EntityId(IdScheme.EMAIL, text)
-    return EntityId(IdScheme.NAME, text)
+        return canonical_id(IdScheme.EMAIL, text)
+    return canonical_id(IdScheme.NAME, text)
 
 
 class _Empty(Mapping):
@@ -290,7 +261,7 @@ class CreditEntry(NamedTuple):
     so that broken states remain representable as violation values.
     """
 
-    entity: EntityId
+    entity: str
     category: Category
     weight: float
     display: EntryDisplay = EntryDisplay()
@@ -299,7 +270,7 @@ class CreditEntry(NamedTuple):
 class ProductMeta(NamedTuple):
     """Identity and descriptive fields of the product a map belongs to."""
 
-    id: EntityId
+    id: str
     kind: ProductKind
     headline: str = ""
     date_created: date | None = None
@@ -343,7 +314,7 @@ def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
             violations.append(
                 Violation(
                     NON_POSITIVE_WEIGHT,
-                    f"entry {position} ({entry.entity.text}) has weight "
+                    f"entry {position} ({entry.entity}) has weight "
                     f"{entry.weight!r}, outside (0, 1]",
                 )
             )
@@ -354,20 +325,12 @@ def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
             Violation(WEIGHT_SUM, f"credit weights sum to {total!r}, not 1")
         )
 
-    seen: dict[EntityId, int] = {}
-    reported: set[EntityId] = set()
+    seen: dict[str, int] = {}  # in order of first appearance
     for entry in creditmap.entries:
         seen[entry.entity] = seen.get(entry.entity, 0) + 1
-    for entry in creditmap.entries:
-        eid = entry.entity
-        if seen[eid] > 1 and eid not in reported:
-            reported.add(eid)
-            violations.append(
-                Violation(
-                    DUPLICATE_ENTITY,
-                    f"{eid.text} appears {seen[eid]} times",
-                )
-            )
+    for entity, count in seen.items():
+        if count > 1:
+            violations.append(Violation(DUPLICATE_ENTITY, f"{entity} appears {count} times"))
 
     if not any(e.category is Category.AUTHOR for e in creditmap.entries):
         violations.append(Violation(NO_AUTHOR, "no author entry"))

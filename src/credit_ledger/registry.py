@@ -27,20 +27,14 @@ from stat import S_ISREG
 from typing import Iterator
 
 from .graph import CreditGraph, build_graph
-from .model import (
-    CreditLedgerError,
-    CreditMap,
-    EntityId,
-    Violation,
-    validate_creditmap,
-)
+from .model import CreditLedgerError, CreditMap, Violation, validate_creditmap
 
 
 #: Leads the stamp line, so a snapshot of another layout never matches. A
 #: hit serves the graph line's id texts without parsing them again, so the
 #: tag also stands for the id rules they were made under: it changes
-#: whenever EntityId refuses a text it used to accept, and a snapshot of
-#: the old tag is rebuilt from objects/.
+#: whenever the id rules refuse a text they used to accept, and a snapshot
+#: of the old tag is rebuilt from objects/.
 _SNAPSHOT_FORMAT = "credit-ledger graph snapshot 7"
 #: How far a file timestamp may lag the clock, so that a snapshot vouches
 #: only for files older than its scan by more: two ticks of the kernel's
@@ -113,9 +107,9 @@ def _read_regular(path: Path | str) -> tuple[bytes, os.stat_result]:
         os.close(fd)
 
 
-def _object_name(product_id: EntityId) -> str:
+def _object_name(product_id: str) -> str:
     import hashlib  # here, as loading OpenSSL costs a snapshot hit 3-5 ms
-    return hashlib.sha256(product_id.text.encode("utf-8")).hexdigest() + ".jsonld"
+    return hashlib.sha256(product_id.encode("utf-8")).hexdigest() + ".jsonld"
 
 
 class RegistryError(CreditLedgerError):
@@ -163,7 +157,9 @@ class Registry:
     def batch(self) -> Iterator[None]:
         """Hold the write lock across several ingests.
 
-        The lock is taken once, without blocking; on exit, normal or not,
+        The lock is taken once, without blocking, and then every .tmp-*
+        file in objects/ is removed. That lists objects/, so a loop of
+        library ingests should share one batch. On exit, normal or not,
         objects/ is fsynced once if any object was renamed into place, and
         then the lock is released. Re-entrant: a nested batch joins the
         open one.
@@ -191,6 +187,11 @@ class Registry:
                 raise StorageError(
                     f"registry at {self.root} is locked by another writer"
                 ) from exc
+            # Only the lock holder writes into objects/, so a temp file
+            # there now was left by a writer that died.
+            for path in self._objects.glob(".tmp-*"):
+                with suppress(OSError):
+                    path.unlink()
             self._in_batch, self._renamed = True, False
             try:
                 yield
@@ -211,7 +212,7 @@ class Registry:
         except OSError as exc:
             raise StorageError(f"cannot sync {self._objects}: {exc}") from exc
 
-    def _object_path(self, product_id: EntityId) -> Path:
+    def _object_path(self, product_id: str) -> Path:
         return self._objects / _object_name(product_id)
 
     def _read_bytes(self, path: Path | str) -> tuple[bytes, os.stat_result]:
@@ -248,7 +249,7 @@ class Registry:
         creditmap = self._parse_object(path, data)
         return creditmap if _object_name(creditmap.product.id) == os.path.basename(path) else None
 
-    def ingest(self, text: str | bytes, *, force: bool = False) -> EntityId:
+    def ingest(self, text: str | bytes, *, force: bool = False) -> str:
         """Validate a document and store its normalized form.
 
         Runs inside the open batch, or in a batch of its own when none is
@@ -260,7 +261,7 @@ class Registry:
                 instead of raising DuplicateProduct.
 
         Returns:
-            The canonical product id the document was registered under.
+            The canonical product id text the document was registered under.
 
         Raises:
             ValidationFailed: the parsed map has validation violations.
@@ -276,7 +277,7 @@ class Registry:
         path = self._object_path(product_id)
         with self.batch():
             if not force and path.exists():
-                raise DuplicateProduct(f"{product_id.text} is already registered")
+                raise DuplicateProduct(f"{product_id} is already registered")
             try:
                 _replace_file(path, serialize_creditmap(creditmap), sync=True)
             except OSError as exc:
@@ -284,8 +285,9 @@ class Registry:
             self._renamed = True
         return product_id
 
-    def get(self, product_id: EntityId) -> CreditMap:
-        """Load the registered document for a canonical product id.
+    def get(self, product_id: str) -> CreditMap:
+        """Load the registered document for a canonical product id text; a
+        text that is not canonical is not found.
 
         Raises:
             NotFound: nothing registered under this id.
@@ -295,13 +297,13 @@ class Registry:
         try:
             data, _ = _read_regular(path)
         except (FileNotFoundError, NotADirectoryError) as exc:
-            raise NotFound(f"no registered product {product_id.text}") from exc
+            raise NotFound(f"no registered product {product_id}") from exc
         except OSError as exc:
             raise StorageError(f"cannot read {path}: {exc}") from exc
         creditmap = self._parse_object(path, data)
         if creditmap.product.id != product_id:
             raise StorageError(
-                f"{path} holds {creditmap.product.id.text}, expected {product_id.text}"
+                f"{path} holds {creditmap.product.id}, expected {product_id}"
             )
         return creditmap
 
@@ -325,7 +327,7 @@ class Registry:
             if creditmap is not None:
                 registered.append(creditmap)
         self._loaded = scan_start, names, stats
-        registered.sort(key=lambda m: m.product.id.text)
+        registered.sort(key=lambda m: m.product.id)
         return registered
 
     def refresh_snapshot(self, graph: CreditGraph) -> None:

@@ -17,8 +17,6 @@ from credit_ledger import (
     CreditEntry,
     CreditGraph,
     CreditMap,
-    EntityId,
-    IdScheme,
     ProductKind,
     ProductMeta,
 )
@@ -30,8 +28,8 @@ def simplex(rng: random.Random, n: int) -> list[float]:
     return [p / total for p in parts]
 
 
-def _product_id(i: int) -> EntityId:
-    return EntityId(IdScheme.DOI, f"10.7777/p{i}")
+def _product_id(i: int) -> str:
+    return f"doi:10.7777/p{i}"
 
 
 def make_corpus(
@@ -60,13 +58,13 @@ def make_corpus(
                     continue
                 slot = "external"
             if slot == "author":
-                entity = EntityId(IdScheme.NAME, f"person {i} {serial}")
+                entity = f"name:person {i} {serial}"
                 entries.append(CreditEntry(entity, Category.AUTHOR, weight))
             elif slot == "person":
-                entity = EntityId(IdScheme.EMAIL, f"p{i}x{serial}@example.org")
+                entity = f"email:p{i}x{serial}@example.org"
                 entries.append(CreditEntry(entity, Category.ACKNOWLEDGMENT, weight))
             else:
-                entity = EntityId(IdScheme.URL, f"https://example.org/ext/{i}/{serial}")
+                entity = f"url:https://example.org/ext/{i}/{serial}"
                 category = rng.choice([Category.SOFTWARE, Category.OTHER])
                 entries.append(CreditEntry(entity, category, weight))
             serial += 1
@@ -78,7 +76,7 @@ def make_corpus(
 def as_plain(maps: list[CreditMap]) -> dict[str, list[tuple[str, float]]]:
     """Corpus reduced to id-text adjacency lists for the path oracle."""
     return {
-        m.product.id.text: [(e.entity.text, e.weight) for e in m.entries]
+        m.product.id: [(e.entity, e.weight) for e in m.entries]
         for m in maps
     }
 
@@ -94,8 +92,8 @@ def adjacency(graph: CreditGraph) -> dict[str, list[tuple[str, float]]]:
     }
 
 
-def _dag_product_id(i: int) -> EntityId:
-    return EntityId(IdScheme.DOI, f"10.7777/d{i}")
+def _dag_product_id(i: int) -> str:
+    return f"doi:10.7777/d{i}"
 
 
 @st.composite
@@ -112,7 +110,7 @@ def dags(draw, max_products: int, chain: bool = False, max_cites: int = 2) -> li
             cited = set(draw(st.lists(st.integers(0, i - 1), max_size=max_cites))) if i else set()
         people = draw(st.sets(st.integers(0, 7), min_size=1, max_size=3))
         targets = [(_dag_product_id(j), Category.ARTICLE) for j in sorted(cited)]
-        targets += [(EntityId(IdScheme.NAME, f"person {k}"), Category.AUTHOR) for k in sorted(people)]
+        targets += [(f"name:person {k}", Category.AUTHOR) for k in sorted(people)]
         raw = draw(st.lists(st.integers(1, 20), min_size=len(targets), max_size=len(targets)))
         entries = tuple(
             CreditEntry(entity, category, part / sum(raw))
@@ -125,20 +123,20 @@ def dags(draw, max_products: int, chain: bool = False, max_cites: int = 2) -> li
 def make_chain(
     rng: random.Random,
     length: int,
-) -> tuple[list[CreditMap], EntityId, list[float], float]:
+) -> tuple[list[CreditMap], str, list[float], float]:
     """Linear citation chain c0 <- c1 <- ... <- c{length}.
 
     Returns the maps, the lead author of c0, the per-hop citation
     weights, and the lead author's direct weight on c0.
     """
-    lead = EntityId(IdScheme.NAME, "chain lead author")
+    lead = "name:chain lead author"
     lead_weight = rng.uniform(0.1, 0.9)
     first = CreditMap(
         ProductMeta(_chain_id(0), ProductKind.CODE, "Chain 0"),
         (
             CreditEntry(lead, Category.AUTHOR, lead_weight),
             CreditEntry(
-                EntityId(IdScheme.NAME, "chain co author"),
+                "name:chain co author",
                 Category.AUTHOR,
                 1.0 - lead_weight,
             ),
@@ -154,7 +152,7 @@ def make_chain(
                 ProductMeta(_chain_id(k), ProductKind.SCHOLARLY_ARTICLE, f"Chain {k}"),
                 (
                     CreditEntry(
-                        EntityId(IdScheme.NAME, f"chain author {k}"),
+                        f"name:chain author {k}",
                         Category.AUTHOR,
                         1.0 - hop,
                     ),
@@ -165,5 +163,5 @@ def make_chain(
     return maps, lead, hop_weights, lead_weight
 
 
-def _chain_id(k: int) -> EntityId:
-    return EntityId(IdScheme.DOI, f"10.7777/c{k}")
+def _chain_id(k: int) -> str:
+    return f"doi:10.7777/c{k}"

@@ -113,12 +113,12 @@ def test_acceptance_credit_conservation() -> None:
             graph = build_graph(maps)
             for creditmap in maps:
                 for depth in (None, 1, 2, 3):
-                    allocation = transitive_credit(graph, creditmap.product.id.text, depth)
+                    allocation = transitive_credit(graph, creditmap.product.id, depth)
                     error = abs(math.fsum(allocation.shares.values()) - 1.0)
                     worst = max(worst, error)
                     checked += 1
                     assert error <= 1e-9, (
-                        f"{creditmap.product.id.text} at depth {depth}: off by {error}"
+                        f"{creditmap.product.id} at depth {depth}: off by {error}"
                     )
         ok = True
         detail = f"{checked} allocations, worst deviation {worst:.3e}"
@@ -139,7 +139,7 @@ def test_acceptance_path_oracle_equivalence() -> None:
             graph = build_graph(maps)
             plain = as_plain(maps)
             for creditmap in maps:
-                pid = creditmap.product.id.text
+                pid = creditmap.product.id
                 got = transitive_credit(graph, pid).shares
                 want = credit_by_paths(plain, pid)
                 assert got.keys() == want.keys(), pid
@@ -166,7 +166,7 @@ def test_acceptance_chain_multiplication() -> None:
             for _ in range(25):
                 maps, lead, hops, lead_weight = make_chain(rng, length)
                 graph = build_graph(maps)
-                got = transitive_credit(graph, maps[-1].product.id.text).shares.get(lead.text, 0.0)
+                got = transitive_credit(graph, maps[-1].product.id).shares.get(lead, 0.0)
                 want = lead_weight
                 for hop in hops:
                     want *= hop
@@ -195,7 +195,7 @@ def test_acceptance_cycle_rejection(run_cli, tmp_path: Path) -> None:
         except CycleError as exc:
             witness = exc.witness
         assert witness is not None, "cycle was not detected"
-        cited = {(m.product.id.text, e.entity.text) for m in maps for e in m.entries}
+        cited = {(m.product.id, e.entity) for m in maps for e in m.entries}
         assert len(witness) >= 2 and witness[0] == witness[-1]
         for source, target in zip(witness, witness[1:]):
             assert (source, target) in cited, "witness edge not in the corpus"
@@ -231,7 +231,7 @@ def test_acceptance_orcid_checksum_suite() -> None:
         for orcid in known:
             assert validate_orcid_checksum(orcid), orcid
             assert orcid_is_valid(orcid), orcid
-            assert canonicalize_id(orcid).text == f"orcid:{orcid}"
+            assert canonicalize_id(orcid) == f"orcid:{orcid}"
 
         subject = known[0]
         digit_positions = [i for i, ch in enumerate(subject) if ch.isdigit()][:15]

@@ -185,9 +185,9 @@ def test_mutated_documents_never_crash_and_never_break_later_reads(data) -> None
         _run("ingest", "--registry", registry, *force, *paths)
 
         maps = Registry(registry).load_all()
-        products = {m.product.id.text for m in maps}
+        products = {m.product.id for m in maps}
         edges = {
-            m.product.id.text: {e.entity.text for e in m.entries} & products for m in maps
+            m.product.id: {e.entity for e in m.entries} & products for m in maps
         }
         cyclic = _has_cycle(edges)
         reads = [("rank",), ("graph",)] + [("credit", "--product", p) for p in sorted(products)]

@@ -86,8 +86,8 @@ def test_entity_credit_worked_values(corpus_maps) -> None:
 def test_depth_one_equals_direct_credit(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
     for creditmap in corpus_maps:
-        limited = transitive_credit(graph, creditmap.product.id.text, 1)
-        assert limited.shares == {e.entity.text: e.weight for e in creditmap.entries}
+        limited = transitive_credit(graph, creditmap.product.id, 1)
+        assert limited.shares == {e.entity: e.weight for e in creditmap.entries}
 
 
 def test_truncation_marker_is_set_only_when_a_product_was_cut(corpus_maps) -> None:
@@ -196,7 +196,7 @@ def test_conservation_on_random_corpora() -> None:
         graph = build_graph(maps)
         for creditmap in maps:
             for depth in depth_options:
-                allocation = transitive_credit(graph, creditmap.product.id.text, depth)
+                allocation = transitive_credit(graph, creditmap.product.id, depth)
                 total = math.fsum(allocation.shares.values())
                 assert abs(total - 1.0) <= 1e-9
 
@@ -208,7 +208,7 @@ def test_mass_push_propagation_matches_path_enumeration() -> None:
         graph = build_graph(maps)
         plain = as_plain(maps)
         for creditmap in maps:
-            pid = creditmap.product.id.text
+            pid = creditmap.product.id
             for depth in (None, 1, 2, 3):
                 got = transitive_credit(graph, pid, depth).shares
                 want = credit_by_paths(plain, pid, max_depth=depth)
@@ -222,8 +222,8 @@ def test_chain_credit_is_the_product_of_edge_weights() -> None:
     for length in range(1, 9):
         maps, lead, hops, lead_weight = make_chain(rng, length)
         graph = build_graph(maps)
-        end = maps[-1].product.id.text
-        got = transitive_credit(graph, end).shares.get(lead.text, 0.0)
+        end = maps[-1].product.id
+        got = transitive_credit(graph, end).shares.get(lead, 0.0)
         want = lead_weight
         for hop in hops:
             want *= hop
@@ -233,7 +233,7 @@ def test_chain_credit_is_the_product_of_edge_weights() -> None:
 def test_deep_chain_depth_limits_need_no_recursion() -> None:
     maps, _, _, _ = make_chain(random.Random(404), 1500)
     graph = build_graph(maps)
-    end = maps[-1].product.id.text
+    end = maps[-1].product.id
 
     cut = transitive_credit(graph, end, max_depth=1200)
     assert abs(math.fsum(cut.shares.values()) - 1.0) <= 1e-9

@@ -67,7 +67,7 @@ def test_random_dags_agree_with_exact_arithmetic_at_every_depth(maps) -> None:
     longest = len(exact_credit_by_depth(plain, list(plain)))
     depths = [None, *range(1, longest + 1)]
     for creditmap in maps:
-        _check_credit(graph, plain, creditmap.product.id.text, depths)
+        _check_credit(graph, plain, creditmap.product.id, depths)
     for scope in RankScope:
         _check_rank(graph, plain, scope, depths)
 
@@ -77,7 +77,7 @@ def test_random_dags_agree_with_exact_arithmetic_at_every_depth(maps) -> None:
 def test_long_chains_agree_with_exact_arithmetic(maps, data) -> None:
     graph = build_graph(maps)
     plain = as_plain(maps)
-    top = maps[-1].product.id.text
+    top = maps[-1].product.id
     longest = len(exact_credit_by_depth(plain, [top]))
     every_depth = [None, *range(1, longest + 1)]
     _check_credit(graph, plain, top, every_depth)
@@ -94,7 +94,7 @@ def test_results_are_bit_identical_for_any_ingestion_order(maps, data) -> None:
     def results(corpus: list[CreditMap]):
         graph = build_graph(corpus)
         allocations = [
-            transitive_credit(graph, m.product.id.text, depth)
+            transitive_credit(graph, m.product.id, depth)
             for m in maps
             for depth in (None, 1, 2, 3)
         ]
@@ -132,7 +132,7 @@ def test_results_are_bit_identical_for_any_visiting_order(maps) -> None:
     )
     for depth in (None, 1, 3):
         for creditmap in maps:
-            pid = creditmap.product.id.text
+            pid = creditmap.product.id
             assert transitive_credit(reversed_graph, pid, depth) == transitive_credit(
                 graph, pid, depth
             )
@@ -149,5 +149,5 @@ def test_shares_iterate_in_rank_order_at_every_depth(maps) -> None:
     graph = build_graph(maps)
     for creditmap in maps:
         for depth in (None, *range(1, len(maps) + 2)):
-            rows = list(transitive_credit(graph, creditmap.product.id.text, depth).shares.items())
+            rows = list(transitive_credit(graph, creditmap.product.id, depth).shares.items())
             assert rows == sorted(rows, key=lambda row: (-row[1], row[0]))

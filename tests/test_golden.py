@@ -1,13 +1,17 @@
 """Golden CLI outputs: stdout of every read command on the fixture corpus,
-and of `validate` over every fixture.
+and of `validate` over every fixture; and the golden stored bytes of every
+fixture that parses.
 
 Each credit-*, rank-* and graph file under fixtures/golden/ is the exact
 stdout of one `credit-ledger` command run on a registry holding the three
 corpus fixtures; each validate* file is the stdout of `validate` over
 fixtures/*.jsonld and fixtures/invalid/*.jsonld, named relative to the
-repository root, which exits 1. A change that alters any byte of
-`credit`, `rank`, `graph` or `validate` output fails here. To rewrite the
-files after an intended output change, run
+repository root, which exits 1. Each file under fixtures/golden/objects/
+is serialize_creditmap(parse_creditmap(f)), the bytes the registry stores,
+of the fixture of that name in fixtures/, fixtures/invalid/ or
+fixtures/stored/. A change that alters any byte of `credit`, `rank`,
+`graph` or `validate` output, or of a stored document, fails here. To
+rewrite the files after an intended output change, run
 `PYTHONPATH=src python tests/test_golden.py` from the repository root.
 """
 
@@ -24,8 +28,11 @@ import pytest
 
 from conftest import CORPUS_FILES, DEV1, PRODUCT_A, PRODUCT_B, PRODUCT_C, fixture_path
 from credit_ledger.cli import main as cli_main
+from credit_ledger.jsonld import parse_creditmap, serialize_creditmap
+from credit_ledger.model import CreditLedgerError
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+OBJECTS = GOLDEN / "objects"
 
 
 def _cases() -> dict[str, tuple[str, ...]]:
@@ -55,6 +62,23 @@ def _validate_files() -> list[str]:
     fixtures = GOLDEN.parent
     files = sorted(fixtures.glob("*.jsonld")) + sorted((fixtures / "invalid").glob("*.jsonld"))
     return [str(path.relative_to(ROOT)) for path in files]
+
+
+def _stored_bytes() -> dict[str, bytes]:
+    """The normalized bytes of every fixture that parses, by file name."""
+    fixtures = GOLDEN.parent
+    stored: dict[str, bytes] = {}
+    for folder in (fixtures, fixtures / "invalid", fixtures / "stored"):
+        for path in sorted(folder.glob("*.jsonld")):
+            try:
+                creditmap, _ = parse_creditmap(path.read_bytes())
+            except CreditLedgerError:
+                continue
+            stored[path.name] = serialize_creditmap(creditmap)
+    return stored
+
+
+STORED = _stored_bytes()
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -93,8 +117,15 @@ def test_validate_output_matches_golden_file(name: str, monkeypatch) -> None:
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(STORED))
+def test_stored_bytes_match_golden_file(name: str) -> None:
+    assert STORED[name] == (OBJECTS / name).read_bytes()
+
+
 def test_every_golden_file_has_a_case() -> None:
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *VALIDATE_CASES])
+    outputs = sorted(p.name for p in GOLDEN.iterdir() if p.is_file())
+    assert outputs == sorted([*CASES, *VALIDATE_CASES])
+    assert sorted(p.name for p in OBJECTS.iterdir()) == sorted(STORED)
 
 
 if __name__ == "__main__":
@@ -107,6 +138,9 @@ if __name__ == "__main__":
             if code != 0:
                 sys.exit(f"{name}: exit {code}")
             (GOLDEN / name).write_text(out, encoding="utf-8")
+    OBJECTS.mkdir(exist_ok=True)
+    for name, data in STORED.items():
+        (OBJECTS / name).write_bytes(data)
     os.chdir(ROOT)
     for name, argv in VALIDATE_CASES.items():
         code, out = _run([*argv, *_validate_files()])

@@ -15,13 +15,12 @@ from credit_ledger import (
     CreditGraph,
     CreditMap,
     CycleError,
-    EntityId,
-    IdScheme,
     ProductKind,
     ProductMeta,
     Registry,
     build_graph,
     dangling_references,
+    id_from_text,
     topological_order,
 )
 from credit_ledger.graph import DuplicateProductId
@@ -37,15 +36,11 @@ from conftest import (
 from corpus import adjacency, make_corpus
 
 
-def _pid(text: str) -> EntityId:
-    return EntityId.from_text(text)
-
-
 def _map(pid: str, *entries: tuple[str, Category, float]) -> CreditMap:
-    meta = ProductMeta(id=_pid(pid), kind=ProductKind.CODE, headline=pid)
+    meta = ProductMeta(id=id_from_text(pid), kind=ProductKind.CODE, headline=pid)
     return CreditMap(
         meta,
-        tuple(CreditEntry(_pid(t), c, w) for t, c, w in entries),
+        tuple(CreditEntry(id_from_text(t), c, w) for t, c, w in entries),
     )
 
 
@@ -202,7 +197,7 @@ def test_topological_order_from_start_products_keeps_only_the_reachable() -> Non
 
 def _assert_valid_witness(witness: list[str], maps: list[CreditMap]) -> None:
     cited = {
-        (m.product.id.text, e.entity.text) for m in maps for e in m.entries
+        (m.product.id, e.entity) for m in maps for e in m.entries
     }
     assert len(witness) >= 2
     assert witness[0] == witness[-1]
@@ -216,7 +211,7 @@ def _has_cycle(maps: list[CreditMap]) -> bool:
         m.product.id: [e.entity for e in m.entries] for m in maps
     }
     for start in cites:
-        seen: set[EntityId] = set()
+        seen: set[str] = set()
         stack = [t for t in cites[start] if t in cites]
         while stack:
             node = stack.pop()

@@ -1,5 +1,5 @@
-"""Each distinct raw id text is canonicalized once per process, and an
-EntityId carries its canonical text.
+"""Each distinct raw id text is canonicalized once per process, and an id
+is its canonical text.
 
 The parser keeps the ids it made from raw texts in bounded caches (see
 jsonld._canonical_id), so these tests check what a cache could break: a
@@ -18,7 +18,7 @@ import random
 import pytest
 
 from corpus import make_corpus
-from credit_ledger import EntityId, IdScheme, build_graph, jsonld, model
+from credit_ledger import build_graph, id_from_text, jsonld, model
 from credit_ledger.jsonld import parse_creditmap, serialize_creditmap
 from credit_ledger.model import InvalidIdentifier, MalformedDoi, MalformedOrcid
 from credit_ledger.registry import Registry
@@ -62,42 +62,46 @@ def test_the_forms_of_one_doi_give_one_id() -> None:
     ids = [parse_creditmap(_document(form, {"doi": form}))[0] for form in forms]
     products = {creditmap.product.id for creditmap in ids}
     cited = {creditmap.entries[0].entity for creditmap in ids}
-    assert products == cited == {EntityId(IdScheme.DOI, "10.1/x")}
-    assert {eid.text for eid in products | cited} == {"doi:10.1/x"}
+    assert products == cited == {"doi:10.1/x"}
 
 
-def test_text_is_the_canonical_form_and_cannot_be_assigned_or_deleted() -> None:
-    eid = EntityId(IdScheme.NAME, "  Ada   Park ")
-    assert eid.text == "name:ada park" == f"{eid.scheme.value}:{eid.value}"
-    with pytest.raises(AttributeError):
-        eid.text = "name:someone else"
-    with pytest.raises(AttributeError):
-        del eid.text
-    assert eid.text == "name:ada park"
+def _parsed_ids() -> tuple[str, ...]:
+    """A parsed map's product id and entity: str canonical texts, whose
+    `.text` is the same text as a plain str."""
+    creditmap, _ = parse_creditmap(
+        _document("10.1/X", {"@id": "http://orcid.org/0000-0002-1825-0097"})
+    )
+    ids = creditmap.product.id, creditmap.entries[0].entity
+    assert ids == ("doi:10.1/x", "orcid:0000-0002-1825-0097")
+    _assert_texts(ids, ids)
+    return ids
+
+
+def _assert_texts(got: tuple[str, ...], ids: tuple[str, ...]) -> None:
+    assert got == ids
+    assert [type(text) for text in got] == [type(text) for text in ids]
+    assert all(isinstance(text, str) for text in got)
+    assert [(text.text, type(text.text)) for text in got] == [(text, str) for text in ids]
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_text_survives_pickle_at_every_protocol(protocol: int) -> None:
-    eid = EntityId(IdScheme.ORCID, "0000-0002-1825-0097")
-    again = pickle.loads(pickle.dumps(eid, protocol=protocol))
-    assert (again, again.text) == (eid, "orcid:0000-0002-1825-0097")
+    ids = _parsed_ids()
+    _assert_texts(pickle.loads(pickle.dumps(ids, protocol=protocol)), ids)
 
 
 def test_text_survives_copy_and_deepcopy() -> None:
-    eid = EntityId(IdScheme.URL, "https://example.org/x/")
-    for again in (copy.copy(eid), copy.deepcopy(eid)):
-        assert (again, again.text) == (eid, "url:https://example.org/x")
+    ids = _parsed_ids()
+    _assert_texts(copy.copy(ids), ids)
+    _assert_texts(copy.deepcopy(ids), ids)
 
 
 def test_a_graph_entity_carries_the_text_of_its_node(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
     cited = {e.entity for m in corpus_maps for e in m.entries}
-    by_text = {eid.text: eid for eid in cited | {m.product.id for m in corpus_maps}}
-    assert sorted(graph.ids) == sorted(by_text)
+    assert sorted(graph.ids) == sorted(cited | {m.product.id for m in corpus_maps})
     for text in graph.ids:
-        entity = EntityId.from_text(text)
-        assert entity == by_text[text]
-        assert entity.text == text == f"{entity.scheme.value}:{entity.value}"
+        assert id_from_text(text) == text
 
 
 def test_a_registry_read_canonicalizes_each_distinct_raw_id_once(tmp_path, monkeypatch) -> None:
@@ -110,7 +114,7 @@ def test_a_registry_read_canonicalizes_each_distinct_raw_id_once(tmp_path, monke
     calls: collections.Counter[str] = collections.Counter()
     canonicalize_id = model.canonicalize_id
 
-    def counting(raw: str) -> EntityId:
+    def counting(raw: str) -> str:
         calls[raw] += 1
         return canonicalize_id(raw)
 

@@ -68,7 +68,7 @@ def test_a_snapshot_hit_loads_no_openssl(tmp_path: Path, command: str) -> None:
 def test_importing_the_package_imports_no_module_of_it() -> None:
     loaded = _loaded_after("import credit_ledger")
     assert sorted(m for m in loaded if m.startswith("credit_ledger.")) == []
-    assert "credit_ledger.jsonld" not in _loaded_after("from credit_ledger import Registry, EntityId")
+    assert "credit_ledger.jsonld" not in _loaded_after("from credit_ledger import Registry, canonical_id")
 
 
 def test_parsing_a_document_loads_the_parser_on_first_use() -> None:

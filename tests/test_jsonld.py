@@ -14,13 +14,13 @@ from credit_ledger import (
     Category,
     CreditEntry,
     CreditMap,
-    EntityId,
     EntryDisplay,
     IdScheme,
     InvalidIdentifier,
     ParseMode,
     ProductKind,
     ProductMeta,
+    canonical_id,
     parse_creditmap,
     serialize_creditmap,
     validate_creditmap,
@@ -54,7 +54,7 @@ def test_golden_document_parses_without_warnings(golden_bytes: bytes) -> None:
 def test_golden_document_product_metadata(golden_bytes: bytes) -> None:
     creditmap, _ = parse_creditmap(golden_bytes)
     meta = creditmap.product
-    assert meta.id.text == "name:implementing transitive credit with json-ld"
+    assert meta.id == "name:implementing transitive credit with json-ld"
     assert meta.kind is ProductKind.SCHOLARLY_ARTICLE
     assert meta.headline == "Implementing Transitive Credit with JSON-LD"
     assert meta.date_created == date(2014, 7, 10)
@@ -68,7 +68,7 @@ def test_golden_document_product_metadata(golden_bytes: bytes) -> None:
 
 def test_golden_document_entries(golden_bytes: bytes) -> None:
     creditmap, _ = parse_creditmap(golden_bytes)
-    triples = [(e.entity.text, e.category, e.weight) for e in creditmap.entries]
+    triples = [(e.entity, e.category, e.weight) for e in creditmap.entries]
     assert triples == [
         ("orcid:0000-0001-5934-7525", Category.AUTHOR, 0.25),
         ("orcid:0000-0002-7217-4494", Category.AUTHOR, 0.25),
@@ -111,10 +111,10 @@ def test_person_snippet_identity_is_the_orcid() -> None:
     obj = json.loads(data)
     from credit_ledger import canonicalize_id
 
-    assert canonicalize_id(obj["@id"]).text == "orcid:0000-0001-5934-7525"
+    assert canonicalize_id(obj["@id"]) == "orcid:0000-0001-5934-7525"
 
     creditmap, warnings = parse_creditmap(data)
-    assert creditmap.product.id.text == "orcid:0000-0001-5934-7525"
+    assert creditmap.product.id == "orcid:0000-0001-5934-7525"
     assert creditmap.product.kind is ProductKind.OTHER  # Person is not a product type
     assert creditmap.entries == ()
     assert sorted(w.code for w in warnings) == ["UnknownKey", "UnknownType"]
@@ -143,7 +143,7 @@ def test_single_author_object_is_accepted() -> None:
     entry = creditmap.entries[0]
     assert entry.category is Category.AUTHOR
     assert entry.weight == 1.0
-    assert entry.entity.text == "name:solo author"
+    assert entry.entity == "name:solo author"
 
 
 def test_full_weight_serializes_without_decimal_point() -> None:
@@ -198,7 +198,7 @@ def test_doi_key_must_hold_a_doi() -> None:
 
 def test_headline_stands_in_for_a_missing_product_id() -> None:
     creditmap, _ = parse_creditmap(_doc(doi=None, headline="A Headline Only"))
-    assert creditmap.product.id.text == "name:a headline only"
+    assert creditmap.product.id == "name:a headline only"
 
 
 @pytest.mark.parametrize(
@@ -310,7 +310,7 @@ def test_a_top_level_key_named_like_a_citation_member_is_refused(mode: ParseMode
         parse_creditmap(json.dumps(doc).encode(), mode=mode)
     del doc["citation.articles"]
     creditmap, _ = parse_creditmap(json.dumps(doc).encode(), mode=mode)
-    assert [e.entity.text for e in creditmap.entries] == ["name:solo author", "doi:10.1/y"]
+    assert [e.entity for e in creditmap.entries] == ["name:solo author", "doi:10.1/y"]
 
 
 ORCID_POOL = (
@@ -329,7 +329,7 @@ nonblank = st.text(min_size=1, max_size=24).filter(lambda s: s.split())
 
 def _is_name(text: str) -> bool:
     try:
-        EntityId(IdScheme.NAME, text)
+        canonical_id(IdScheme.NAME, text)
     except InvalidIdentifier:
         return False
     return True
@@ -356,19 +356,19 @@ def profile_entries(draw) -> list[CreditEntry]:
         name = email = repository = url = None
         if scheme == "name":
             name = f"{draw(name_text)} {i}"
-            entity = EntityId(IdScheme.NAME, name)
+            entity = canonical_id(IdScheme.NAME, name)
         else:
             name = draw(st.none() | nonblank)
             if scheme == "email":
                 value = f"user{i}@example.org"
-                entity = EntityId(IdScheme.EMAIL, value)
+                entity = canonical_id(IdScheme.EMAIL, value)
                 email = value
             elif scheme == "orcid":
-                entity = EntityId(IdScheme.ORCID, ORCID_POOL[i])
+                entity = canonical_id(IdScheme.ORCID, ORCID_POOL[i])
             elif scheme == "doi":
-                entity = EntityId(IdScheme.DOI, f"10.2000/e{i}")
+                entity = canonical_id(IdScheme.DOI, f"10.2000/e{i}")
             else:
-                entity = EntityId(IdScheme.URL, f"https://example.org/ref/{i}")
+                entity = canonical_id(IdScheme.URL, f"https://example.org/ref/{i}")
             if scheme in ("orcid", "doi"):
                 # display-only links; for weaker schemes these keys would
                 # take over as the identity on reparse
@@ -398,14 +398,14 @@ def profile_maps(draw) -> CreditMap:
     id_kind = draw(st.sampled_from(["doi", "url", "name", "orcid", "email"]))
     if id_kind == "name":
         headline = draw(name_text)
-        product_id = EntityId(IdScheme.NAME, headline)
+        product_id = canonical_id(IdScheme.NAME, headline)
     else:
         headline = draw(st.just("") | nonblank)
         product_id = {
-            "doi": EntityId(IdScheme.DOI, "10.2000/self"),
-            "url": EntityId(IdScheme.URL, "https://example.org/self"),
-            "orcid": EntityId(IdScheme.ORCID, "0000-0003-0204-8772"),
-            "email": EntityId(IdScheme.EMAIL, "owner@example.org"),
+            "doi": canonical_id(IdScheme.DOI, "10.2000/self"),
+            "url": canonical_id(IdScheme.URL, "https://example.org/self"),
+            "orcid": canonical_id(IdScheme.ORCID, "0000-0003-0204-8772"),
+            "email": canonical_id(IdScheme.EMAIL, "owner@example.org"),
         }[id_kind]
     date_created = draw(st.none() | st.dates(date(1900, 1, 1), date(2100, 12, 31)))
     keywords = tuple(draw(st.lists(keyword, max_size=4)))

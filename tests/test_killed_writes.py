@@ -7,7 +7,8 @@ os.fsync, ends the process with os._exit at its k-th call, for each k
 until the batch completes. After each killed run the only files left over
 are .tmp-* files; rank, graph and credit exit 0 with an empty stderr and
 print what they print for the registry holding the batch's first k-1
-documents; and running the ingest again completes the batch. A rank whose
+documents; and running the ingest again completes the batch and removes
+the .tmp-* files. A rank whose
 snapshot rewrite is killed before its rename is checked the same way.
 
 A rename lost after the process has ended (power loss) needs a
@@ -145,6 +146,7 @@ def test_an_ingest_killed_at_any_call_leaves_a_state_every_read_serves(
         assert len(_temp_files(root, objects)) == (1 if k <= len(batch) else 0)
         assert _outputs(run_cli, root) == outputs
         assert run_cli("ingest", "--force", "--registry", str(root), *batch)[0] == 0
+        assert _temp_files(root, final[0]) == []  # the re-run removed the dead writer's
         assert _outputs(run_cli, root) == final[1]
     else:
         pytest.fail(f"the ingest was still killed at os.{call} call {k}")

@@ -2,26 +2,21 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import credit_ledger
 from credit_ledger import (
     Category,
     CreditEntry,
     CreditMap,
-    EntityId,
     IdScheme,
     ProductKind,
     ProductMeta,
     Violation,
+    canonical_id,
     canonicalize_id,
+    id_from_text,
     validate_creditmap,
     validate_orcid_checksum,
 )
@@ -54,14 +49,14 @@ CANONICAL_CASES = [
 
 @pytest.mark.parametrize("raw,expected", CANONICAL_CASES)
 def test_canonicalize_known_forms(raw: str, expected: str) -> None:
-    assert canonicalize_id(raw).text == expected
+    assert canonicalize_id(raw) == expected
 
 
 @pytest.mark.parametrize("raw,expected", CANONICAL_CASES)
 def test_canonicalize_is_idempotent_on_known_forms(raw: str, expected: str) -> None:
     first = canonicalize_id(raw)
-    assert canonicalize_id(first.text) == first
-    assert EntityId.from_text(expected) == first
+    assert canonicalize_id(first) == first
+    assert id_from_text(expected) == first
 
 
 @given(st.text(max_size=60))
@@ -70,17 +65,16 @@ def test_canonicalize_is_idempotent_when_it_succeeds(raw: str) -> None:
         first = canonicalize_id(raw)
     except InvalidIdentifier:
         return
-    assert canonicalize_id(first.text) == first
+    assert canonicalize_id(first) == first
 
 
 def test_doi_uri_beats_plain_url() -> None:
-    assert canonicalize_id("https://doi.org/10.1/x").scheme is IdScheme.DOI
-    assert canonicalize_id("https://orcid.org/0000-0002-7217-4494").scheme is IdScheme.ORCID
+    assert canonicalize_id("https://doi.org/10.1/x").startswith("doi:")
+    assert canonicalize_id("https://orcid.org/0000-0002-7217-4494").startswith("orcid:")
 
 
 def test_string_with_spaces_around_at_sign_is_a_name() -> None:
-    entity = canonicalize_id("mesh group @ example")
-    assert entity.scheme is IdScheme.NAME
+    assert canonicalize_id("mesh group @ example") == "name:mesh group @ example"
 
 
 @pytest.mark.parametrize(
@@ -90,7 +84,7 @@ def test_string_with_spaces_around_at_sign_is_a_name() -> None:
 def test_known_orcids_pass_checksum(orcid: str) -> None:
     assert validate_orcid_checksum(orcid)
     assert orcid_is_valid(orcid)
-    assert canonicalize_id(orcid).scheme is IdScheme.ORCID
+    assert canonicalize_id(orcid) == f"orcid:{orcid}"
 
 
 @given(st.text(alphabet="0123456789", min_size=15, max_size=15))
@@ -105,7 +99,7 @@ def test_checksum_accepts_exactly_the_oracle_digit(base: str) -> None:
 def test_minted_orcids_are_accepted(base: str) -> None:
     minted = mint_orcid(base)
     assert validate_orcid_checksum(minted)
-    assert canonicalize_id(minted).text == f"orcid:{minted}"
+    assert canonicalize_id(minted) == f"orcid:{minted}"
 
 
 @pytest.mark.parametrize("raw", ["", "   ", "\t\n"])
@@ -130,11 +124,11 @@ def test_doi_prefix_requires_doi_shape() -> None:
 
 def test_explicit_scheme_values_are_validated() -> None:
     with pytest.raises(InvalidIdentifier):
-        EntityId(IdScheme.URL, "ftp://example.org/x")
+        canonical_id(IdScheme.URL, "ftp://example.org/x")
     with pytest.raises(InvalidIdentifier):
-        EntityId(IdScheme.EMAIL, "not an address")
+        canonical_id(IdScheme.EMAIL, "not an address")
     with pytest.raises(InvalidIdentifier):
-        EntityId(IdScheme.ORCID, "0000")
+        canonical_id(IdScheme.ORCID, "0000")
 
 
 @pytest.mark.parametrize(
@@ -145,7 +139,7 @@ def test_explicit_scheme_values_are_validated() -> None:
 def test_doi_and_url_values_refuse_whitespace_and_control_characters(raw: str) -> None:
     scheme = IdScheme.DOI if raw.startswith("10.") else IdScheme.URL
     with pytest.raises(InvalidIdentifier):
-        EntityId(scheme, raw)
+        canonical_id(scheme, raw)
     with pytest.raises(InvalidIdentifier):
         canonicalize_id(raw)
 
@@ -157,55 +151,31 @@ def test_doi_and_url_values_refuse_whitespace_and_control_characters(raw: str) -
 )
 def test_name_and_email_values_refuse_control_characters(scheme: IdScheme, raw: str) -> None:
     with pytest.raises(InvalidIdentifier):
-        EntityId(scheme, raw)
+        canonical_id(scheme, raw)
     with pytest.raises(InvalidIdentifier):
         canonicalize_id(f"{scheme.value}:{raw}")
 
 
 def test_name_whitespace_collapses_before_the_control_check() -> None:
-    assert EntityId(IdScheme.NAME, " Eve\t\n\x1cRed ").value == "eve red"
+    assert canonical_id(IdScheme.NAME, " Eve\t\n\x1cRed ") == "name:eve red"
 
 
 def test_from_text_requires_a_known_scheme() -> None:
-    with pytest.raises(InvalidIdentifier):
-        EntityId.from_text("10.5334/jors.be")
-    with pytest.raises(InvalidIdentifier):
-        EntityId.from_text("handle:10.5334/jors.be")
-
-
-def test_unpickled_id_is_found_as_a_key_under_another_hash_seed() -> None:
-    src = str(Path(credit_ledger.__file__).resolve().parents[1])
-
-    def run(code: str, seed: str, stdin: bytes = b"") -> bytes:
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", code], input=stdin, env=env,
-            capture_output=True, timeout=60, check=True,
-        )
-        return done.stdout
-
-    pickled = run(
-        "import pickle, sys; from credit_ledger import EntityId; "
-        "sys.stdout.buffer.write(pickle.dumps(EntityId.from_text('doi:10.1/x')))",
-        seed="1",
-    )
-    found = run(
-        "import pickle, sys; from credit_ledger import EntityId; "
-        "eid = pickle.loads(sys.stdin.buffer.read()); "
-        "print({EntityId.from_text('doi:10.1/x'): 'found'}.get(eid))",
-        seed="2",
-        stdin=pickled,
-    )
-    assert found == b"found\n"
+    with pytest.raises(InvalidIdentifier) as missing:
+        id_from_text("10.5334/jors.be")
+    assert str(missing.value) == "missing scheme prefix: '10.5334/jors.be'"
+    with pytest.raises(InvalidIdentifier) as unknown:
+        id_from_text("handle:10.5334/jors.be")
+    assert str(unknown.value) == "unknown scheme 'handle' in 'handle:10.5334/jors.be'"
 
 
 def _entry(text: str, category: Category, weight: float) -> CreditEntry:
-    return CreditEntry(EntityId.from_text(text), category, weight)
+    return CreditEntry(id_from_text(text), category, weight)
 
 
 def _creditmap(*entries: CreditEntry) -> CreditMap:
     meta = ProductMeta(
-        id=EntityId.from_text("doi:10.1000/demo"),
+        id=id_from_text("doi:10.1000/demo"),
         kind=ProductKind.SCHOLARLY_ARTICLE,
         headline="Demo",
     )

@@ -23,8 +23,6 @@ from credit_ledger import (
     Category,
     CreditEntry,
     CreditMap,
-    EntityId,
-    IdScheme,
     RankScope,
     Registry,
     aggregate_rank,
@@ -48,7 +46,7 @@ def _answers(graph, maps: list[CreditMap]):
         for depth in DEPTHS
     ]
     credits = [
-        transitive_credit(graph, m.product.id.text, depth)
+        transitive_credit(graph, m.product.id, depth)
         for m in maps
         for depth in DEPTHS
     ]
@@ -58,7 +56,7 @@ def _answers(graph, maps: list[CreditMap]):
 
 def _placeholder(creditmap: CreditMap) -> CreditMap:
     """Another map for the same product, which a --force ingest replaces."""
-    author = CreditEntry(EntityId(IdScheme.NAME, "placeholder"), Category.AUTHOR, 1.0)
+    author = CreditEntry("name:placeholder", Category.AUTHOR, 1.0)
     return CreditMap(creditmap.product, (author,))
 
 
@@ -125,7 +123,7 @@ def test_fresh_hit_and_miss_give_identical_answers(maps, data, tmp_path) -> None
     allocations = iter(credits)
     for creditmap in maps:
         for depth in DEPTHS:
-            oracle = credit_by_paths(plain, creditmap.product.id.text, depth)
+            oracle = credit_by_paths(plain, creditmap.product.id, depth)
             _assert_close(next(allocations).shares, oracle)
     rankings = iter(ranks)
     for scope in RankScope:

@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import pytest
 
 from credit_ledger import (
-    EntityId,
     Registry,
     parse_creditmap,
     serialize_creditmap,
@@ -54,14 +53,16 @@ def registry(tmp_path: Path) -> Registry:
 
 def test_ingest_returns_canonical_id_and_get_round_trips(registry: Registry) -> None:
     product_id = registry.ingest(_doc("alpha"))
-    assert product_id.text == "doi:10.1000/alpha"
+    assert product_id == "doi:10.1000/alpha"
     expected, _ = parse_creditmap(_doc("alpha"))
     assert registry.get(product_id) == expected
+    with pytest.raises(NotFound):  # get takes the canonical text only
+        registry.get("doi:10.1000/ALPHA")
 
 
 def test_objects_are_stored_under_digest_of_the_id(registry: Registry) -> None:
     product_id = registry.ingest(_doc("alpha"))
-    digest = hashlib.sha256(product_id.text.encode()).hexdigest()
+    digest = hashlib.sha256(product_id.encode()).hexdigest()
     stored = registry.root / "objects" / f"{digest}.jsonld"
     assert stored.is_file()
     creditmap, _ = parse_creditmap(_doc("alpha"))
@@ -83,7 +84,7 @@ def test_invalid_document_is_rejected_with_violations(registry: Registry) -> Non
         registry.ingest(bad)
     assert [v.code for v in excinfo.value.violations] == ["WeightSum"]
     with pytest.raises(NotFound):
-        registry.get(EntityId.from_text("doi:10.1000/alpha"))
+        registry.get("doi:10.1000/alpha")
 
 
 def test_unparseable_document_raises_parse_error(registry: Registry) -> None:
@@ -98,7 +99,7 @@ def test_listing_is_sorted_and_survives_restart(registry: Registry) -> None:
     registry.ingest(_doc("alpha"))
     reopened = Registry(registry.root)
     maps = reopened.load_all()
-    ids = [m.product.id.text for m in maps]
+    ids = [m.product.id for m in maps]
     assert ids == ["doi:10.1000/alpha", "doi:10.1000/zeta"]
     headlines = [m.product.headline for m in maps]
     assert headlines == ["Package alpha", "Package zeta"]
@@ -107,12 +108,12 @@ def test_listing_is_sorted_and_survives_restart(registry: Registry) -> None:
 def test_load_all_returns_maps_in_id_order(registry: Registry) -> None:
     registry.ingest(_doc("zeta"))
     registry.ingest(_doc("alpha"))
-    ids = [m.product.id.text for m in registry.load_all()]
+    ids = [m.product.id for m in registry.load_all()]
     assert ids == sorted(ids)
 
 
-def _object_file(registry: Registry, product_id: EntityId) -> Path:
-    digest = hashlib.sha256(product_id.text.encode()).hexdigest()
+def _object_file(registry: Registry, product_id: str) -> Path:
+    digest = hashlib.sha256(product_id.encode()).hexdigest()
     return registry.root / "objects" / f"{digest}.jsonld"
 
 
@@ -170,7 +171,7 @@ def test_unparseable_object_file_is_a_storage_error(registry: Registry) -> None:
 def test_leftover_temp_file_is_ignored(registry: Registry) -> None:
     registry.ingest(_doc("alpha"))
     (registry.root / "objects" / ".tmp-interrupted").write_bytes(_doc("beta")[:40])
-    assert [m.product.id.text for m in registry.load_all()] == ["doi:10.1000/alpha"]
+    assert [m.product.id for m in registry.load_all()] == ["doi:10.1000/alpha"]
 
 
 @pytest.mark.parametrize("failing", ["fsync", "replace"])
@@ -187,7 +188,7 @@ def test_a_failed_object_write_leaves_no_temp_file(
         registry.ingest(_doc("beta"))
     monkeypatch.undo()
     assert sorted(p.name for p in (registry.root / "objects").iterdir()) == [
-        _object_file(registry, EntityId.from_text("doi:10.1000/alpha")).name
+        _object_file(registry, "doi:10.1000/alpha").name
     ]
 
 
@@ -197,7 +198,7 @@ def test_ingest_writes_only_objects_and_the_lock(registry: Registry) -> None:
     registry.ingest(_doc("beta"))
     assert sorted(p.name for p in registry.root.iterdir()) == [".lock", "objects"]
     assert sorted(p.name for p in (registry.root / "objects").iterdir()) == sorted(
-        _object_file(registry, EntityId.from_text(f"doi:10.1000/{s}")).name
+        _object_file(registry, f"doi:10.1000/{s}").name
         for s in ("alpha", "beta")
     )
 

@@ -26,7 +26,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from credit_ledger import CreditMap, EntityId, NotFound, Registry, build_graph, parse_creditmap
+from credit_ledger import CreditMap, NotFound, Registry, build_graph, parse_creditmap
 from credit_ledger import registry as registry_module
 from credit_ledger.registry import DuplicateProduct, _object_name
 
@@ -34,8 +34,8 @@ PRODUCTS = 5
 WEIGHTS = (("0.6", "0.4"), ("0.7", "0.3"), ("0.25", "0.75"))
 
 
-def _id(i: int) -> EntityId:
-    return EntityId.from_text(f"doi:10.1000/m{i}")
+def _id(i: int) -> str:
+    return f"doi:10.1000/m{i}"
 
 
 def _doc(i: int, weights: tuple[str, str]) -> bytes:
@@ -100,7 +100,7 @@ class RegistryMachine(RuleBasedStateMachine):
 
     def _stray(self) -> Path:
         """A name that is no registered product's digest."""
-        return self.root / "objects" / _object_name(EntityId.from_text("doi:10.1000/stray"))
+        return self.root / "objects" / _object_name("doi:10.1000/stray")
 
     @rule(i=st.integers(0, PRODUCTS - 1))
     def copy_object_file_to_a_stray_name(self, i: int) -> None:
@@ -123,9 +123,9 @@ class RegistryMachine(RuleBasedStateMachine):
     @rule(damage=st.sampled_from(["truncate", "flip a byte", "empty"]), at=st.integers(0, 10**6))
     def damage_snapshot(self, damage: str, at: int) -> None:
         snapshot = self.root / "graph.json"
-        if not snapshot.exists():
+        data = snapshot.read_bytes() if snapshot.exists() else b""
+        if not data:  # missing, or emptied by an earlier damage: nothing to damage
             return
-        data = snapshot.read_bytes()
         i = at % len(data)
         if damage == "truncate":
             data = data[:i]
@@ -148,7 +148,7 @@ class RegistryMachine(RuleBasedStateMachine):
         assert maps == [self.model[i] for i in sorted(self.model)]
         graph = registry.load_graph()
         assert graph == build_graph(maps)
-        assert graph.ids[: len(graph.products)] == [_id(i).text for i in sorted(self.model)]
+        assert graph.ids[: len(graph.products)] == [_id(i) for i in sorted(self.model)]
         assert registry.load_graph() == graph
 
     @invariant()
@@ -162,3 +162,23 @@ RegistryMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=12, deadline=None
 )
 test_registry_agrees_with_a_dict_model = RegistryMachine.TestCase
+
+
+def test_damaging_an_emptied_snapshot_again_is_a_no_op() -> None:
+    """A read of the registry emptied by a delete writes no snapshot, so
+    the graph.json that a truncation emptied stays empty, and the next
+    damage finds nothing to damage."""
+    machine = RegistryMachine()
+    try:
+        for step in (
+            lambda: machine.ingest(0, WEIGHTS[0], False),
+            lambda: machine.delete_object_file(0),
+            lambda: machine.damage_snapshot("truncate", 0),
+            lambda: machine.damage_snapshot("truncate", 7),
+        ):
+            step()
+            machine.reads_agree_with_the_model()
+            machine.no_temp_file_is_left()
+        assert (machine.root / "graph.json").read_bytes() == b""
+    finally:
+        machine.teardown()

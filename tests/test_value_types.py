@@ -16,9 +16,7 @@ from credit_ledger import (
     CreditEntry,
     CreditGraph,
     CreditMap,
-    EntityId,
     EntryDisplay,
-    IdScheme,
     ParseWarning,
     ProductKind,
     ProductMeta,
@@ -29,12 +27,12 @@ from credit_ledger import (
 )
 from credit_ledger.model import NO_EXTRA
 
-DOI = EntityId(IdScheme.DOI, "10.1000/x")
+DOI = "doi:10.1000/x"
 
 
 def _entry(weight: float = 0.5) -> CreditEntry:
     return CreditEntry(
-        EntityId(IdScheme.NAME, "A  Person"),
+        "name:a person",
         Category.AUTHOR,
         weight,
         EntryDisplay(name="A Person", extra={"affiliation": "Lab"}),
@@ -49,7 +47,6 @@ def _meta(headline: str = "X") -> ProductMeta:
 
 #: Per type, a factory and a second value that differs from the first.
 VALUES = {
-    "EntityId": (lambda: EntityId(IdScheme.DOI, " 10.1000/X "), EntityId(IdScheme.DOI, "10.1000/y")),
     "EntryDisplay": (lambda: EntryDisplay(name="n", extra={"k": [1]}), EntryDisplay(name="m")),
     "CreditEntry": (_entry, _entry(0.25)),
     "ProductMeta": (_meta, _meta("Y")),
@@ -57,7 +54,7 @@ VALUES = {
     "Violation": (lambda: Violation("WeightSum", "m"), Violation("NoAuthor", "m")),
     "ParseWarning": (lambda: ParseWarning("UnknownKey", "m"), ParseWarning("UnknownType", "m")),
     "Allocation": (
-        lambda: Allocation(DOI.text, {"name:a": 1.0}, 2), Allocation(DOI.text, {"name:a": 1.0})
+        lambda: Allocation(DOI, {"name:a": 1.0}, 2), Allocation(DOI, {"name:a": 1.0})
     ),
     "CreditGraph": (
         lambda: CreditGraph(["doi:10.1000/x", "name:a"], "rp", [[0, 1, 1.0]], ("w",)),
@@ -93,7 +90,7 @@ def test_equal_values_hash_equal_unless_they_hold_a_mapping(name: str) -> None:
 @pytest.mark.parametrize("name", sorted(set(VALUES) - {"CreditGraph"}))
 def test_fields_cannot_be_assigned(name: str) -> None:
     value = VALUES[name][0]()
-    field = "scheme" if name == "EntityId" else type(value)._fields[0]
+    field = type(value)._fields[0]
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
@@ -114,12 +111,6 @@ def test_pickle_and_deepcopy_round_trip(name: str) -> None:
     assert copy.copy(value) == value
 
 
-def test_an_unpickled_id_is_canonical_and_hashes_as_its_value() -> None:
-    eid = pickle.loads(pickle.dumps(EntityId(IdScheme.NAME, "  Ada   Lovelace ")))
-    assert eid.value == "ada lovelace"
-    assert hash(eid) == hash("ada lovelace")
-
-
 def test_a_graph_with_its_views_built_still_pickles_as_its_tables() -> None:
     graph = VALUES["CreditGraph"][0]()
     assert graph.nodes == {"doi:10.1000/x": "r", "name:a": "p"}
@@ -133,7 +124,7 @@ def test_a_graph_with_its_views_built_still_pickles_as_its_tables() -> None:
 def test_a_depth_limit_below_one_is_refused(depth: int) -> None:
     graph = build_graph([CreditMap(_meta(), (_entry(1.0),))])
     with pytest.raises(ValueError, match=f"max_depth must be >= 1, got {depth}"):
-        transitive_credit(graph, DOI.text, max_depth=depth)
+        transitive_credit(graph, DOI, max_depth=depth)
     with pytest.raises(ValueError, match=f"max_depth must be >= 1, got {depth}"):
         aggregate_rank(graph, max_depth=depth)
 
@@ -155,7 +146,6 @@ def test_value_types_are_tuples_that_unpack() -> None:
     assert Violation("NoAuthor", "m") == ("NoAuthor", "m")
     assert str(Violation("NoAuthor", "m")) == "NoAuthor: m"
     assert str(ParseWarning("UnknownKey", "m")) == "UnknownKey: m"
-    assert repr(DOI) == "EntityId(scheme=<IdScheme.DOI: 'doi'>, value='10.1000/x')"
 
 
 def test_every_export_resolves_to_the_object_its_module_defines() -> None:
@@ -178,7 +168,7 @@ def test_dir_lists_every_export_and_star_import_binds_them() -> None:
 def test_an_unknown_name_raises_attribute_error() -> None:
     with pytest.raises(AttributeError, match="no_such_name"):
         credit_ledger.no_such_name  # noqa: B018
-    for name in ("GraphEdges", "GraphEdge", "NodeKind", "PropagationOptions"):
+    for name in ("EntityId", "GraphEdges", "GraphEdge", "NodeKind", "PropagationOptions"):
         assert not hasattr(credit_ledger, name)
     with pytest.raises(ImportError):
         exec("from credit_ledger import no_such_name", {})
