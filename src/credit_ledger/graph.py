@@ -1,13 +1,14 @@
 """Weighted citation graph built from a corpus of credit maps.
 
-The graph keeps what propagation needs, in the layout of the registry
-snapshot's graph line: a table of node id texts, one kind code per node,
-and per registered product its outgoing edges (target index and weight,
-in entry order), so reading a snapshot builds no object per node. Past
-build_graph, an entity is its canonical id text. The build is
-deterministic for a given corpus regardless of input order, and any
-directed cycle among registered products is rejected with a witness path,
-so every CreditGraph is acyclic.
+The graph keeps what propagation needs: a table of node id texts, one
+kind code per node, and per registered product its outgoing edges (target
+index and weight, in entry order). A CreditGraph is a NamedTuple of these
+tables, and the registry snapshot's graph line is that tuple as a JSON
+array, so reading a snapshot builds no object per node. Past build_graph,
+an entity is its canonical id text. The build is deterministic for a
+given corpus regardless of input order, and any directed cycle among
+registered products is rejected with a witness path, so every
+CreditGraph is acyclic.
 
 One depth-first search serves both the cycle check and the order in which
 propagation visits products: its post-order puts every product after the
@@ -17,7 +18,7 @@ products it cites, in time linear in the edges it follows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import Category, CreditLedgerError, CreditMap
 
@@ -42,7 +43,7 @@ class CycleError(GraphError):
         super().__init__(f"citation cycle: {' -> '.join(witness)}")
 
 
-class CreditGraph:
+class CreditGraph(NamedTuple):
     """Citation graph as an id-text table with int edges, read-only once built.
 
     ids holds every node's canonical id text, the registered products
@@ -51,34 +52,17 @@ class CreditGraph:
     product, "p" terminal person, "t" terminal product. products[i] is
     product i's row: i, then the target index and weight of each entry of
     its map, in entry order. warnings records non-fatal classification
-    anomalies found during the build. Graphs compare equal when these four
-    are equal.
+    anomalies found during the build.
 
     nodes and edges give the same graph keyed by id text. Nothing in the
     package reads them: they stay only for the benchmark's tracer
     (perfbench/tracing.py), which counts nodes and edges through them.
     """
 
-    def __init__(
-        self, ids: list[str], kinds: str, products: list[list], warnings: tuple[str, ...] = ()
-    ) -> None:
-        self.ids = ids
-        self.kinds = kinds
-        self.products = products
-        self.warnings = warnings
-
-    def _tables(self) -> tuple:
-        return self.ids, self.kinds, self.products, self.warnings
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._tables() == other._tables()
-
-    def __repr__(self) -> str:
-        return "CreditGraph(ids={!r}, kinds={!r}, products={!r}, warnings={!r})".format(
-            *self._tables()
-        )
+    ids: list[str]
+    kinds: str
+    products: list[list]
+    warnings: tuple[str, ...] = ()
 
     def product_index(self, product: str) -> int | None:
         """The index of a registered product's id text, or None if it is not one."""
@@ -208,7 +192,7 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
     if witness is not None:
         raise CycleError([ids[i] for i in witness])
 
-    return CreditGraph(ids=ids, kinds="".join(kinds), products=rows, warnings=tuple(warnings))
+    return CreditGraph(ids, "".join(kinds), rows, tuple(warnings))
 
 
 def topological_order(graph: CreditGraph, start: Iterable[int] | None = None) -> list[int]:

@@ -30,11 +30,11 @@ from .graph import CreditGraph, build_graph
 from .model import CreditLedgerError, CreditMap, Violation, validate_creditmap
 
 
-#: Leads the stamp line, so a snapshot of another layout never matches. A
-#: hit serves the graph line's id texts without parsing them again, so the
-#: tag also stands for the id rules they were made under: it changes
-#: whenever the id rules refuse a text they used to accept, and a snapshot
-#: of the old tag is rebuilt from objects/.
+#: Leads the stamp line, so a snapshot of another layout never matches: it
+#: changes whenever CreditGraph's fields change, as the graph line is that
+#: tuple. A hit serves the graph line's id texts without parsing them
+#: again, so it also changes whenever the id rules refuse a text they used
+#: to accept. A snapshot of an old tag is rebuilt from objects/.
 _SNAPSHOT_FORMAT = "credit-ledger graph snapshot 7"
 #: How far a file timestamp may lag the clock, so that a snapshot vouches
 #: only for files older than its scan by more: two ticks of the kernel's
@@ -158,8 +158,10 @@ class Registry:
         """Hold the write lock across several ingests.
 
         The lock is taken once, without blocking, and then every .tmp-*
-        file in objects/ is removed. That lists objects/, so a loop of
-        library ingests should share one batch. On exit, normal or not,
+        file in objects/ and in the root is removed. That lists objects/,
+        so a loop of library ingests should share one batch. A reader
+        whose graph.json temp file goes this way fails only its rename,
+        which it ignores, and still answers. On exit, normal or not,
         objects/ is fsynced once if any object was renamed into place, and
         then the lock is released. Re-entrant: a nested batch joins the
         open one.
@@ -188,8 +190,9 @@ class Registry:
                     f"registry at {self.root} is locked by another writer"
                 ) from exc
             # Only the lock holder writes into objects/, so a temp file
-            # there now was left by a writer that died.
-            for path in self._objects.glob(".tmp-*"):
+            # there now was left by a writer that died. One in the root is
+            # a reader's graph.json, whose failed rename it ignores.
+            for path in [*self._objects.glob(".tmp-*"), *self.root.glob(".tmp-*")]:
                 with suppress(OSError):
                     path.unlink()
             self._in_batch, self._renamed = True, False
@@ -346,10 +349,11 @@ class Registry:
 
         Stats every object file. If every stat is the one graph.json
         vouches for under that name, and no file is new or gone, the read
-        is a hit: it returns the stored graph and writes nothing. Anything
-        else is a miss, which returns build_graph(load_all()) and writes
-        the snapshot of it. A failed build raises as those two do and
-        writes nothing; a failed write is ignored.
+        is a hit: it returns the graph line decoded as a CreditGraph and
+        writes nothing. Anything else, a graph line of other than four
+        tables too, is a miss, which returns build_graph(load_all()) and
+        writes the snapshot of it. A failed build raises as those two do
+        and writes nothing; a failed write is ignored.
 
         Raises:
             StorageError: an object file cannot be read, is not a regular
@@ -369,9 +373,12 @@ class Registry:
         except OSError as exc:
             raise StorageError(f"cannot stat in {self._objects}: {exc}") from exc
         graph_line = self._read_snapshot(names, stats)
-        graph = None if graph_line is None else _decode_graph(graph_line)
-        if graph is not None:
-            return graph
+        if graph_line is not None:
+            # The line passed its check, so it is this program's output
+            # and is taken as it stands.
+            with suppress(*_SNAPSHOT_ERRORS):
+                ids, kinds, products, warnings = json.loads(graph_line)
+                return CreditGraph(ids, kinds, products, tuple(warnings))
         graph = build_graph(self.load_all())
         (scan_start, names, stats), self._loaded = self._loaded, None
         self._write_snapshot(scan_start, names, stats, graph)
@@ -405,16 +412,15 @@ class Registry:
         that began at scan_start saw them; or null if any file's mtime or
         ctime is not older than scan_start by a tick, as a change within
         that tick could keep its stat (git's racy-git rule). The graph line
-        holds graph's tables as they are (json writes each weight as
-        repr(weight), which reads back exactly). The file is derived, so it
-        is not fsynced, and its check is for a torn or lost write, which
-        fails it or the parse on the next read and is rebuilt.
+        is the CreditGraph as a JSON array, its tables as they are (json
+        writes each weight as repr(weight), which reads back exactly). The
+        file is derived, so it is not fsynced, and its check is for a torn
+        or lost write, which fails it or the parse on the next read and is
+        rebuilt.
         """
         if not graph.products:
             return
-        graph_line = json.dumps(
-            [graph.ids, graph.kinds, graph.products, list(graph.warnings)], separators=(",", ":")
-        ).encode()
+        graph_line = json.dumps(graph, separators=(",", ":")).encode()
         settled = all(
             max(mtime, ctime) + (_FINE_TICK_NS if mtime % 1_000_000_000 else _COARSE_TICK_NS)
             < scan_start
@@ -427,16 +433,3 @@ class Registry:
         with suppress(OSError):
             data = b"\n".join([stamp.encode(), graph_line, b""])
             _replace_file(self.root / "graph.json", data, sync=False)
-
-
-def _decode_graph(graph_line: bytes) -> CreditGraph | None:
-    """The graph a snapshot's graph line holds, or None if it does not decode.
-
-    The line passed its check, so it is this program's output and is
-    taken as it stands.
-    """
-    try:
-        ids, kinds, products, warnings = json.loads(graph_line)
-    except _SNAPSHOT_ERRORS:
-        return None
-    return CreditGraph(ids=ids, kinds=kinds, products=products, warnings=tuple(warnings))

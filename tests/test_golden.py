@@ -9,8 +9,11 @@ fixtures/*.jsonld and fixtures/invalid/*.jsonld, named relative to the
 repository root, which exits 1. Each file under fixtures/golden/objects/
 is serialize_creditmap(parse_creditmap(f)), the bytes the registry stores,
 of the fixture of that name in fixtures/, fixtures/invalid/ or
-fixtures/stored/. A change that alters any byte of `credit`, `rank`,
-`graph` or `validate` output, or of a stored document, fails here. To
+fixtures/stored/. graph-line.json is line 2 of the registry's graph.json
+after one `rank`: the snapshot's graph line, whose layout is the field
+order of CreditGraph under an unchanged format tag. A change that alters
+any byte of `credit`, `rank`, `graph` or `validate` output, of a stored
+document or of the graph line, fails here. To
 rewrite the files after an intended output change, run
 `PYTHONPATH=src python tests/test_golden.py` from the repository root.
 """
@@ -56,6 +59,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
 CASES = _cases()
 ROOT = GOLDEN.parents[2]
 VALIDATE_CASES = {"validate.txt": ("validate",), "validate-strict.txt": ("validate", "--strict")}
+GRAPH_LINE = "graph-line.json"
 
 
 def _validate_files() -> list[str]:
@@ -122,9 +126,21 @@ def test_stored_bytes_match_golden_file(name: str) -> None:
     assert STORED[name] == (OBJECTS / name).read_bytes()
 
 
+def _graph_line(registry: str) -> bytes:
+    """Line 2 of graph.json, with its newline, after one `rank`."""
+    Path(registry, "graph.json").unlink(missing_ok=True)
+    code, _ = _run(["rank", "--registry", registry])
+    assert code == 0
+    return Path(registry, "graph.json").read_bytes().split(b"\n")[1] + b"\n"
+
+
+def test_snapshot_graph_line_matches_golden_file(corpus_registry: str) -> None:
+    assert _graph_line(corpus_registry) == (GOLDEN / GRAPH_LINE).read_bytes()
+
+
 def test_every_golden_file_has_a_case() -> None:
     outputs = sorted(p.name for p in GOLDEN.iterdir() if p.is_file())
-    assert outputs == sorted([*CASES, *VALIDATE_CASES])
+    assert outputs == sorted([*CASES, *VALIDATE_CASES, GRAPH_LINE])
     assert sorted(p.name for p in OBJECTS.iterdir()) == sorted(STORED)
 
 
@@ -138,6 +154,7 @@ if __name__ == "__main__":
             if code != 0:
                 sys.exit(f"{name}: exit {code}")
             (GOLDEN / name).write_text(out, encoding="utf-8")
+        (GOLDEN / GRAPH_LINE).write_bytes(_graph_line(registry))
     OBJECTS.mkdir(exist_ok=True)
     for name, data in STORED.items():
         (OBJECTS / name).write_bytes(data)

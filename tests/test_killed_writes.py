@@ -9,7 +9,8 @@ are .tmp-* files; rank, graph and credit exit 0 with an empty stderr and
 print what they print for the registry holding the batch's first k-1
 documents; and running the ingest again completes the batch and removes
 the .tmp-* files. A rank whose
-snapshot rewrite is killed before its rename is checked the same way.
+snapshot rewrite is killed before its rename is checked the same way, and
+the next ingest removes the temp file it left in the registry root.
 
 A rename lost after the process has ended (power loss) needs a
 fault-injecting filesystem, and is not tested here.
@@ -174,3 +175,6 @@ def test_a_rank_killed_before_its_snapshot_rename_leaves_the_stale_snapshot_unse
     assert (root / "graph.json").read_bytes() != stale
     registry = Registry(root)
     assert registry.load_graph() == build_graph(registry.load_all())
+    # The next writer's batch removes the dead reader's temp file.
+    assert run_cli("ingest", "--force", "--registry", str(root), *batch)[0] == 0
+    assert _temp_files(root, objects) == []

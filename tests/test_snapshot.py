@@ -233,6 +233,30 @@ def test_a_failed_snapshot_write_still_answers(root: Path, monkeypatch) -> None:
     assert not list(root.glob(".tmp-*"))
 
 
+def test_a_miss_whose_temp_file_a_writer_swept_still_answers(
+    root: Path, settled, monkeypatch
+) -> None:
+    """A writer's batch removes every .tmp-* in the root, so a reader's
+    graph.json temp file may go just before its rename: the reader still
+    returns its graph, and graph.json stays as it was."""
+    registry = registry_module.Registry(root)
+    before = registry.load_graph()
+    _rewrite_in_place(_object(root, 2))
+    stale = (root / "graph.json").read_bytes()
+    replace = os.replace
+
+    def swept_first(src, dst):
+        with registry_module.Registry(root).batch():
+            pass
+        return replace(src, dst)
+
+    monkeypatch.setattr(registry_module.os, "replace", swept_first)
+    graph = registry.load_graph()
+    assert graph == build_graph(registry.load_all()) != before
+    assert (root / "graph.json").read_bytes() == stale
+    assert sorted(p.name for p in root.iterdir()) == [".lock", "graph.json", "objects"]
+
+
 def test_reads_of_a_missing_registry_create_nothing(tmp_path: Path) -> None:
     root = tmp_path / "missing"
     for code, out, err in _reads(root):

@@ -87,7 +87,7 @@ def test_equal_values_hash_equal_unless_they_hold_a_mapping(name: str) -> None:
         assert {make(): 1}[make()] == 1
 
 
-@pytest.mark.parametrize("name", sorted(set(VALUES) - {"CreditGraph"}))
+@pytest.mark.parametrize("name", VALUES)
 def test_fields_cannot_be_assigned(name: str) -> None:
     value = VALUES[name][0]()
     field = type(value)._fields[0]
@@ -115,7 +115,8 @@ def test_a_graph_with_its_views_built_still_pickles_as_its_tables() -> None:
     graph = VALUES["CreditGraph"][0]()
     assert graph.nodes == {"doi:10.1000/x": "r", "name:a": "p"}
     assert graph.edges == {"doi:10.1000/x": [("name:a", 1.0)]}
-    assert vars(graph).keys() == {"ids", "kinds", "products", "warnings"}
+    tables = (["doi:10.1000/x", "name:a"], "rp", [[0, 1, 1.0]], ("w",))
+    assert graph == tables and len(graph) == 4
     assert pickle.loads(pickle.dumps(graph)) == graph
     assert copy.deepcopy(graph).edges == graph.edges
 
@@ -146,6 +147,14 @@ def test_value_types_are_tuples_that_unpack() -> None:
     assert Violation("NoAuthor", "m") == ("NoAuthor", "m")
     assert str(Violation("NoAuthor", "m")) == "NoAuthor: m"
     assert str(ParseWarning("UnknownKey", "m")) == "UnknownKey: m"
+    graph = VALUES["CreditGraph"][0]()
+    ids, kinds, products, warnings = graph
+    assert (ids, kinds, products, warnings) == (graph.ids, graph.kinds, graph.products, graph.warnings)
+    assert VALUES["CreditGraph"][1].warnings == ()
+    assert repr(graph) == (
+        "CreditGraph(ids=['doi:10.1000/x', 'name:a'], kinds='rp', "
+        "products=[[0, 1, 1.0]], warnings=('w',))"
+    )
 
 
 def test_every_export_resolves_to_the_object_its_module_defines() -> None:
