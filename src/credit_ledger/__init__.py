@@ -14,8 +14,7 @@ from importlib import import_module
 #: Every public name, and the module that defines it.
 _MODULES = {
     "Allocation": "engine",
-    "CATEGORY_ORDER": "model",
-    "Category": "model",
+    "CATEGORIES": "model",
     "CreditEntry": "model",
     "CreditGraph": "graph",
     "CreditLedgerError": "model",
@@ -25,15 +24,13 @@ _MODULES = {
     "DuplicateProductId": "graph",
     "EntryDisplay": "model",
     "GraphError": "graph",
-    "IdScheme": "model",
+    "ID_SCHEMES": "model",
     "InvalidIdentifier": "model",
     "NotFound": "registry",
+    "PRODUCT_TYPES": "model",
     "ParseError": "jsonld",
-    "ParseMode": "jsonld",
     "ParseWarning": "jsonld",
-    "ProductKind": "model",
     "ProductMeta": "model",
-    "RankScope": "engine",
     "Registry": "registry",
     "RegistryError": "registry",
     "StorageError": "registry",

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable
 
-from .engine import RankScope, aggregate_rank, transitive_credit
+from .engine import aggregate_rank, transitive_credit
 from .graph import CreditGraph, build_graph
 from .model import (
     CreditLedgerError,
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="total credit per entity across the registry")
     add_registry_arg(p)
-    p.add_argument("--scope", choices=[scope.value for scope in RankScope], default="all")
+    p.add_argument("--scope", choices=("all", "roots"), default="all")
     p.add_argument("--max-depth", type=int)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -133,12 +133,10 @@ def _each_file(paths: list[str], handle: Callable[[str, bytes], None]) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .jsonld import ParseMode, parse_creditmap
-
-    mode = ParseMode.STRICT if args.strict else ParseMode.LENIENT
+    from .jsonld import parse_creditmap
 
     def check(path: str, data: bytes) -> None:
-        creditmap, warnings = parse_creditmap(data, mode)
+        creditmap, warnings = parse_creditmap(data, strict=args.strict)
         for warning in warnings:
             print(f"{path}:{warning.code}:{warning.message}")
         violations = validate_creditmap(creditmap)
@@ -220,11 +218,10 @@ def cmd_credit(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    scope = RankScope(args.scope)
     max_depth = _max_depth(args)
-    rows = aggregate_rank(_warn(Registry(args.registry).load_graph()), scope, max_depth)
+    rows = aggregate_rank(_warn(Registry(args.registry).load_graph()), args.scope, max_depth)
     if args.format == "json":
-        print(_rank_json(scope.value, max_depth, rows))
+        print(_rank_json(args.scope, max_depth, rows))
     else:
         rank_width = len(str(len(rows))) if rows else 1
         id_width = max((len(text) for text, _ in rows), default=0)

@@ -22,7 +22,6 @@ canonical id text.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .graph import CreditGraph, GraphError, topological_order
@@ -43,13 +42,6 @@ class Allocation(NamedTuple):
     product: str
     shares: Mapping[str, float]
     truncated_at: int | None = None
-
-
-class RankScope(Enum):
-    """Which registered products aggregate_rank sums over."""
-
-    ALL_PRODUCTS = "all"
-    ROOTS_ONLY = "roots"
 
 
 def _sweep(
@@ -125,19 +117,22 @@ def transitive_credit(
 
 
 def aggregate_rank(
-    graph: CreditGraph,
-    scope: RankScope = RankScope.ALL_PRODUCTS,
-    max_depth: int | None = None,
+    graph: CreditGraph, scope: str = "all", max_depth: int | None = None
 ) -> list[tuple[str, float]]:
     """Total credit per entity id text, summed over products in scope, descending.
 
-    Scope ALL_PRODUCTS sums every registered product's allocation;
-    ROOTS_ONLY sums only products nothing else cites. Ties are ordered by
-    canonical id text. max_depth is as for transitive_credit.
+    Scope "all" sums every registered product's allocation; "roots" sums
+    only products nothing else cites. Ties are ordered by canonical id
+    text. max_depth is as for transitive_credit.
+
+    Raises:
+        ValueError: scope is neither "all" nor "roots", or max_depth is below 1.
     """
-    if scope is RankScope.ALL_PRODUCTS:
+    if scope == "all":
         in_scope: Sequence[int] = range(len(graph.products))
-    else:
+    elif scope == "roots":
         in_scope = graph.root_indexes()
+    else:
+        raise ValueError(f"scope must be 'all' or 'roots', got {scope!r}")
     totals, _ = _sweep(graph, in_scope, max_depth)
     return _ranked(graph, totals)

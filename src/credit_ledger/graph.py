@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
-from .model import Category, CreditLedgerError, CreditMap
+from .model import CreditLedgerError, CreditMap
 
 
 class GraphError(CreditLedgerError):
@@ -164,14 +164,13 @@ def build_graph(maps: Iterable[CreditMap]) -> CreditGraph:
             t = index.get(target)
             if t is None or t >= count:
                 category = entry.category
-                # By identity: `in` a set of members calls Enum.__hash__ in Python.
-                if category is Category.AUTHOR or category is Category.ACKNOWLEDGMENT:
+                if category == "author" or category == "acknowledgment":
                     kind = "p"
                 elif target.startswith("orcid:"):
                     kind = "p"
                     warnings.append(
                         f"{ids[i]}: ORCID {target} cited in product category "
-                        f"{category.value!r}; treating it as a person"
+                        f"{category!r}; treating it as a person"
                     )
                 else:
                     kind = "t"

@@ -11,34 +11,23 @@ from __future__ import annotations
 
 import json
 from datetime import date
-from enum import Enum
 from functools import lru_cache, partial
 from typing import Any, NamedTuple
 
 from . import model
 from .model import (
-    CATEGORY_ORDER,
-    Category,
+    PRODUCT_TYPES,
     CreditEntry,
     CreditLedgerError,
     CreditMap,
     EntryDisplay,
-    IdScheme,
     MalformedDoi,
-    ProductKind,
     ProductMeta,
     canonical_id,
 )
 
 #: The only @context this profile accepts.
 SCHEMA_ORG_CONTEXT = "http://schema.org"
-
-class ParseMode(Enum):
-    """Strict rejects anything outside the profile; lenient preserves and warns."""
-
-    STRICT = "strict"
-    LENIENT = "lenient"
-
 
 class ParseWarning(NamedTuple):
     """A non-fatal anomaly found while parsing in lenient mode."""
@@ -91,15 +80,7 @@ class WeightParseError(ParseError):
     """creditWeight is non-numeric or outside (0, 1]."""
 
 
-_PRODUCT_TYPE_TO_KIND = {
-    "ScholarlyArticle": ProductKind.SCHOLARLY_ARTICLE,
-    "Code": ProductKind.CODE,
-    "Dataset": ProductKind.DATASET,
-    "BlogPosting": ProductKind.BLOG_POSTING,
-    "CreativeWork": ProductKind.OTHER,
-}
-_KIND_TO_PRODUCT_TYPE = {v: k for k, v in _PRODUCT_TYPE_TO_KIND.items()}
-_ENTRY_TYPE_TAGS = frozenset({"Person", *_PRODUCT_TYPE_TO_KIND})
+_ENTRY_TYPE_TAGS = frozenset({"Person", *PRODUCT_TYPES})
 
 _TOP_KEYS = frozenset(
     {"@context", "@type", "@id", "doi", "url", "headline", "dateCreated",
@@ -113,25 +94,26 @@ _ENTRY_KEYS = frozenset(
 #: Deepest nesting of an unrecognized value that parsing preserves.
 _MAX_KEPT_DEPTH = 100
 
+#: Each member of citation and the category of its entries, in the order
+#: of CATEGORIES.
 _CITATION_KEY_TO_CATEGORY = {
-    "articles": Category.ARTICLE,
-    "software": Category.SOFTWARE,
-    "acknowledgment": Category.ACKNOWLEDGMENT,
-    "other": Category.OTHER,
+    "articles": "article",
+    "software": "software",
+    "acknowledgment": "acknowledgment",
+    "other": "other",
 }
-_CATEGORY_TO_CITATION_KEY = {v: k for k, v in _CITATION_KEY_TO_CATEGORY.items()}
 
 
 def _outside_profile(
-    mode: ParseMode,
+    strict: bool,
     warnings: list[ParseWarning],
     error: type[ParseError],
     code: str,
     message: str,
 ) -> None:
-    """Something outside the profile: strict mode raises error(message),
-    lenient mode records a warning under code."""
-    if mode is ParseMode.STRICT:
+    """Something outside the profile: strict parsing raises error(message),
+    lenient parsing records a warning under code."""
+    if strict:
         raise error(message) from None
     warnings.append(ParseWarning(code, message))
 
@@ -204,9 +186,17 @@ def _canonical_id(raw: str) -> str:
 
 
 # canonical_id(scheme, raw) per scheme, computed once per distinct raw text.
-_url_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, IdScheme.URL))
-_email_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, IdScheme.EMAIL))
-_name_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, IdScheme.NAME))
+_url_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, "url"))
+_email_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, "email"))
+_name_id = lru_cache(maxsize=_ID_CACHE_SIZE)(partial(canonical_id, "name"))
+
+
+def _doi_id(raw: str, where: str) -> str:
+    """The id under a doi key, which must be a DOI; where begins the message."""
+    entity = _canonical_id(raw)
+    if not entity.startswith("doi:"):
+        raise MalformedDoi(f"{where}: doi key holds {raw!r}, which is not a DOI")
+    return entity
 
 
 #: Entry keys that name the entity directly, after @id and doi, strongest
@@ -237,10 +227,7 @@ def _entry_identity(obj: dict[str, Any], group: str, i: int) -> tuple[str, str]:
         raw = obj["doi"]
         if raw.__class__ is not str:
             _require_str(raw, f"{group}[{i}].doi")
-        entity = _canonical_id(raw)
-        if not entity.startswith("doi:"):
-            raise MalformedDoi(f"{group}[{i}]: doi key holds {raw!r}, which is not a DOI")
-        return entity, "doi"
+        return _doi_id(raw, f"{group}[{i}]"), "doi"
     for key, make_id in _ENTRY_ID_KEYS:
         if key in obj:
             return make_id(obj[key]), key
@@ -249,8 +236,8 @@ def _entry_identity(obj: dict[str, Any], group: str, i: int) -> tuple[str, str]:
 
 def _parse_entry(
     obj: Any,
-    category: Category,
-    mode: ParseMode,
+    category: str,
+    strict: bool,
     warnings: list[ParseWarning],
     group: str,
     i: int,
@@ -270,7 +257,7 @@ def _parse_entry(
         for key, value in obj.items():
             if key not in _ENTRY_KEYS:
                 message = f"unrecognized key {group}[{i}].{key}"
-                _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
+                _outside_profile(strict, warnings, UnknownKey, UNKNOWN_KEY, message)
                 extra[key] = _kept(value, f"{group}[{i}].{key}")
 
     # A value that is not a str is rare (numeric weights, kept extras);
@@ -283,7 +270,7 @@ def _parse_entry(
     )
     if type_tag is not None and type_tag not in _ENTRY_TYPE_TAGS:
         message = f"{group}[{i}]: unrecognized @type {type_tag!r}"
-        _outside_profile(mode, warnings, UnknownType, UNKNOWN_TYPE, message)
+        _outside_profile(strict, warnings, UnknownType, UNKNOWN_TYPE, message)
     if not checked:
         for key in _ENTRY_TEXT_KEYS[1:]:
             if key in obj:
@@ -310,14 +297,14 @@ def _parse_entry(
 
 def _parse_entry_group(
     value: Any,
-    category: Category,
-    mode: ParseMode,
+    category: str,
+    strict: bool,
     warnings: list[ParseWarning],
     group: str,
 ) -> list[CreditEntry]:
     items = value if isinstance(value, list) else [value]
     return [
-        _parse_entry(item, category, mode, warnings, group, i) for i, item in enumerate(items)
+        _parse_entry(item, category, strict, warnings, group, i) for i, item in enumerate(items)
     ]
 
 
@@ -326,11 +313,7 @@ def _product_identity(doc: dict[str, Any]) -> str:
     if "@id" in doc:
         return _canonical_id(_require_str(doc["@id"], "@id"))
     if "doi" in doc:
-        raw = _require_str(doc["doi"], "doi")
-        entity = _canonical_id(raw)
-        if not entity.startswith("doi:"):
-            raise MalformedDoi(f"doi: doi key holds {raw!r}, which is not a DOI")
-        return entity
+        return _doi_id(_require_str(doc["doi"], "doi"), "doi")
     if "url" in doc:
         return _url_id(_require_str(doc["url"], "url"))
     headline = _require_str(doc.get("headline", ""), "headline")
@@ -340,36 +323,35 @@ def _product_identity(doc: dict[str, Any]) -> str:
 
 
 def parse_creditmap(
-    text: str | bytes,
-    mode: ParseMode = ParseMode.LENIENT,
+    text: str | bytes, *, strict: bool = False
 ) -> tuple[CreditMap, list[ParseWarning]]:
-    """Parse a creditmap document into a CreditMap plus lenient-mode warnings.
+    """Parse a creditmap document into a CreditMap plus lenient-parsing warnings.
 
     Args:
         text: document bytes (UTF-8) or string.
-        mode: STRICT fails on anything outside the profile; LENIENT keeps
-            unrecognized keys (reported as warnings) and maps unrecognized
-            product types to ProductKind.OTHER.
+        strict: fail on anything outside the profile. Lenient parsing (the
+            default) keeps unrecognized keys, reported as warnings, and
+            reads an unrecognized product @type as "CreativeWork".
 
     Returns:
-        The parsed CreditMap and the list of warnings (always empty in
-        strict mode, because strict raises instead).
+        The parsed CreditMap and the list of warnings (always empty when
+        strict, because strict parsing raises instead).
 
     Raises:
         CreditmapSyntaxError: malformed JSON or malformed field values.
         MissingContext: @context absent or not the schema.org string.
         MissingCreditWeight, MissingIdentifier, WeightParseError: bad entries.
         MissingProductId: no way to identify the product.
-        UnknownKey, UnknownType: strict-mode profile violations.
+        UnknownKey, UnknownType: strict profile violations.
     """
     try:
-        return _parse_document(text, mode)
+        return _parse_document(text, strict)
     except RecursionError:  # json.loads and repr recurse once per level of nesting
         raise CreditmapSyntaxError("document nests too deeply") from None
 
 
 def _parse_document(
-    text: str | bytes, mode: ParseMode
+    text: str | bytes, strict: bool
 ) -> tuple[CreditMap, list[ParseWarning]]:
     if isinstance(text, bytes):
         try:
@@ -394,13 +376,11 @@ def _parse_document(
             f"@context must be exactly {SCHEMA_ORG_CONTEXT!r}, got {doc.get('@context')!r}"
         )
 
-    kind = ProductKind.OTHER
-    raw_type = doc.get("@type")
-    if isinstance(raw_type, str) and raw_type in _PRODUCT_TYPE_TO_KIND:
-        kind = _PRODUCT_TYPE_TO_KIND[raw_type]
-    else:
-        message = f"unrecognized product @type {raw_type!r}"
-        _outside_profile(mode, warnings, UnknownType, UNKNOWN_TYPE, message)
+    kind = doc.get("@type")
+    if kind not in PRODUCT_TYPES:
+        message = f"unrecognized product @type {kind!r}"
+        _outside_profile(strict, warnings, UnknownType, UNKNOWN_TYPE, message)
+        kind = "CreativeWork"
 
     headline = _require_str(doc["headline"], "headline") if "headline" in doc else ""
 
@@ -411,7 +391,7 @@ def _parse_document(
             date_created = date.fromisoformat(_require_str(raw_date, "dateCreated"))
         except (CreditmapSyntaxError, ValueError):
             message = f"dateCreated {raw_date!r} is not an ISO-8601 date"
-            _outside_profile(mode, warnings, CreditmapSyntaxError, INVALID_DATE, message)
+            _outside_profile(strict, warnings, CreditmapSyntaxError, INVALID_DATE, message)
 
     keywords: tuple[str, ...] = ()
     if "keywords" in doc:
@@ -431,13 +411,13 @@ def _parse_document(
                 raise CreditmapSyntaxError(f"top-level key {key} is reserved for citation members")
             if key not in _TOP_KEYS:
                 message = f"unrecognized key {key}"
-                _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
+                _outside_profile(strict, warnings, UnknownKey, UNKNOWN_KEY, message)
                 extra[key] = _kept(doc[key], key)
 
     entries: list[CreditEntry] = []
     if "author" in doc:
         entries.extend(
-            _parse_entry_group(doc["author"], Category.AUTHOR, mode, warnings, "author")
+            _parse_entry_group(doc["author"], "author", strict, warnings, "author")
         )
 
     if "citation" in doc:
@@ -447,13 +427,13 @@ def _parse_document(
         for key in citation:
             if key not in _CITATION_KEY_TO_CATEGORY:
                 message = f"unrecognized key citation.{key}"
-                _outside_profile(mode, warnings, UnknownKey, UNKNOWN_KEY, message)
+                _outside_profile(strict, warnings, UnknownKey, UNKNOWN_KEY, message)
                 extra[f"citation.{key}"] = _kept(citation[key], f"citation.{key}")
         for key, category in _CITATION_KEY_TO_CATEGORY.items():
             if key in citation:
                 entries.extend(
                     _parse_entry_group(
-                        citation[key], category, mode, warnings, f"citation.{key}"
+                        citation[key], category, strict, warnings, f"citation.{key}"
                     )
                 )
 
@@ -484,7 +464,7 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
     elif scheme == "doi":
         obj["doi"] = value
     elif scheme == "url" and d.repository is None:
-        if entry.category is Category.SOFTWARE or d.url is not None:
+        if entry.category == "software" or d.url is not None:
             obj["codeRepository"] = value
         else:
             obj["url"] = value
@@ -528,7 +508,7 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
     """
     meta = creditmap.product
     doc: dict[str, Any] = {"@context": SCHEMA_ORG_CONTEXT}
-    doc["@type"] = _KIND_TO_PRODUCT_TYPE[meta.kind]
+    doc["@type"] = meta.kind
 
     scheme, _, value = meta.id.partition(":")
     if scheme == "orcid":
@@ -558,19 +538,15 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
         if not key.startswith("citation."):
             doc[key] = val
 
-    authors = [e for e in creditmap.entries if e.category is Category.AUTHOR]
+    authors = [e for e in creditmap.entries if e.category == "author"]
     if authors:
         doc["author"] = [_entry_to_obj(e) for e in authors]
 
     citation: dict[str, Any] = {}
-    for category in CATEGORY_ORDER:
-        if category is Category.AUTHOR:
-            continue
-        group = [e for e in creditmap.entries if e.category is category]
+    for key, category in _CITATION_KEY_TO_CATEGORY.items():
+        group = [e for e in creditmap.entries if e.category == category]
         if group:
-            citation[_CATEGORY_TO_CITATION_KEY[category]] = [
-                _entry_to_obj(e) for e in group
-            ]
+            citation[key] = [_entry_to_obj(e) for e in group]
     for key, val in meta.extra.items():
         if key.startswith("citation."):
             citation[key[len("citation."):]] = val

@@ -3,8 +3,10 @@
 A credit map assigns fractional weights to everything that contributed to a
 scholarly product. Weights within one map sum to 1, and every contribution
 is identified by its canonical id text `<scheme>:<value>`, a str
-(canonical_id, canonicalize_id and id_from_text make one). Downstream
-modules (graph, engine) treat these values as immutable.
+(canonical_id, canonicalize_id and id_from_text make one). Schemes,
+categories and product kinds are the document's own words, listed in
+ID_SCHEMES, CATEGORIES and PRODUCT_TYPES. Downstream modules (graph,
+engine) treat these values as immutable.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping
-from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -39,44 +40,14 @@ class MalformedDoi(InvalidIdentifier):
     """The value was declared a DOI but is not one."""
 
 
-class IdScheme(Enum):
-    """Identifier schemes, strongest first: orcid, doi, url, email, name."""
+#: Identifier schemes, strongest first: the `<scheme>` of an id text.
+ID_SCHEMES = ("orcid", "doi", "url", "email", "name")
 
-    ORCID = "orcid"
-    DOI = "doi"
-    URL = "url"
-    EMAIL = "email"
-    NAME = "name"
+#: Entry categories: "author", then the citation groups, in document order.
+CATEGORIES = ("author", "article", "software", "acknowledgment", "other")
 
-
-class Category(Enum):
-    """Contribution category of a credit entry."""
-
-    AUTHOR = "author"
-    ARTICLE = "article"
-    SOFTWARE = "software"
-    ACKNOWLEDGMENT = "acknowledgment"
-    OTHER = "other"
-
-
-#: Serialization order for categories.
-CATEGORY_ORDER: tuple[Category, ...] = (
-    Category.AUTHOR,
-    Category.ARTICLE,
-    Category.SOFTWARE,
-    Category.ACKNOWLEDGMENT,
-    Category.OTHER,
-)
-
-
-class ProductKind(Enum):
-    """Kind of scholarly product a credit map describes."""
-
-    SCHOLARLY_ARTICLE = "scholarly_article"
-    CODE = "code"
-    DATASET = "dataset"
-    BLOG_POSTING = "blog_posting"
-    OTHER = "other"
+#: The product @types of the profile; any other @type reads as "CreativeWork".
+PRODUCT_TYPES = ("ScholarlyArticle", "Code", "Dataset", "BlogPosting", "CreativeWork")
 
 
 #: Tolerance for "weights sum to one" checks.
@@ -114,32 +85,34 @@ class IdText(str):
     text = property(str.__str__)
 
 
-def canonical_id(scheme: IdScheme, value: str) -> str:
-    """The canonical id text `<scheme>:<value>` of value under scheme.
+def canonical_id(scheme: str, value: str) -> str:
+    """The canonical id text `<scheme>:<value>` of value, scheme in ID_SCHEMES.
 
     The value is normalized (DOIs lowercased, URLs stripped of trailing
     slashes, names lowercased with whitespace collapsed) and then
     validated, so a text returned here is canonical: no value holds a
     control character, and only a name holds whitespace.
     """
+    if scheme not in ID_SCHEMES:
+        raise InvalidIdentifier(f"unknown scheme {scheme!r}")
     raw = value.strip()
     if not raw:
-        raise EmptyIdentifier(f"empty {scheme.value} identifier")
-    if scheme is IdScheme.ORCID:
+        raise EmptyIdentifier(f"empty {scheme} identifier")
+    if scheme == "orcid":
         raw = raw.upper()
         if not _ORCID_RE.fullmatch(raw):
             raise MalformedOrcid(f"not a hyphenated ORCID: {raw!r}")
         if not validate_orcid_checksum(raw):
             raise MalformedOrcid(f"ORCID checksum failure: {raw!r}")
-    elif scheme is IdScheme.DOI:
+    elif scheme == "doi":
         raw = raw.lower()
         if not raw.startswith("10.") or "/" not in raw or _SPACE_OR_CONTROL.search(raw):
             raise MalformedDoi(f"not a DOI: {raw!r}")
-    elif scheme is IdScheme.URL:
+    elif scheme == "url":
         raw = raw.rstrip("/")
         if not raw.lower().startswith(("http://", "https://")) or _SPACE_OR_CONTROL.search(raw):
             raise InvalidIdentifier(f"not an absolute http(s) URL: {raw!r}")
-    elif scheme is IdScheme.EMAIL:
+    elif scheme == "email":
         raw = raw.lower()
         if "@" not in raw or _SPACE_OR_CONTROL.search(raw):
             raise InvalidIdentifier(f"not an email address: {raw!r}")
@@ -147,7 +120,7 @@ def canonical_id(scheme: IdScheme, value: str) -> str:
         raw = " ".join(raw.lower().split())
         if _CONTROL.search(raw):
             raise InvalidIdentifier(f"control character in name: {raw!r}")
-    return IdText(f"{scheme.value}:{raw}")
+    return IdText(f"{scheme}:{raw}")
 
 
 def id_from_text(text: str) -> str:
@@ -155,11 +128,9 @@ def id_from_text(text: str) -> str:
     scheme_name, sep, value = text.partition(":")
     if not sep:
         raise InvalidIdentifier(f"missing scheme prefix: {text!r}")
-    try:
-        scheme = IdScheme(scheme_name)
-    except ValueError:
-        raise InvalidIdentifier(f"unknown scheme {scheme_name!r} in {text!r}") from None
-    return canonical_id(scheme, value)
+    if scheme_name not in ID_SCHEMES:
+        raise InvalidIdentifier(f"unknown scheme {scheme_name!r} in {text!r}")
+    return canonical_id(scheme_name, value)
 
 
 def canonicalize_id(raw: str) -> str:
@@ -181,30 +152,23 @@ def canonicalize_id(raw: str) -> str:
     if not text:
         raise EmptyIdentifier(f"empty identifier: {raw!r}")
 
-    lowered = text.lower()
-    for prefix, scheme in (
-        ("orcid:", IdScheme.ORCID),
-        ("doi:", IdScheme.DOI),
-        ("url:", IdScheme.URL),
-        ("email:", IdScheme.EMAIL),
-        ("name:", IdScheme.NAME),
-    ):
-        if lowered.startswith(prefix):
-            return canonical_id(scheme, text[len(prefix):])
+    scheme, sep, value = text.partition(":")
+    if sep and scheme.lower() in ID_SCHEMES:
+        return canonical_id(scheme.lower(), value)
 
     if m := _ORCID_URI_RE.fullmatch(text):
-        return canonical_id(IdScheme.ORCID, m.group(1))
+        return canonical_id("orcid", m.group(1))
     if _ORCID_RE.fullmatch(text.upper()):
-        return canonical_id(IdScheme.ORCID, text)
+        return canonical_id("orcid", text)
     if m := _DOI_URI_RE.fullmatch(text):
-        return canonical_id(IdScheme.DOI, m.group(1))
+        return canonical_id("doi", m.group(1))
     if text.startswith("10.") and "/" in text:
-        return canonical_id(IdScheme.DOI, text)
-    if lowered.startswith(("http://", "https://")):
-        return canonical_id(IdScheme.URL, text)
+        return canonical_id("doi", text)
+    if text.lower().startswith(("http://", "https://")):
+        return canonical_id("url", text)
     if "@" in text and not any(c.isspace() for c in text):
-        return canonical_id(IdScheme.EMAIL, text)
-    return canonical_id(IdScheme.NAME, text)
+        return canonical_id("email", text)
+    return canonical_id("name", text)
 
 
 class _Empty(Mapping):
@@ -256,22 +220,27 @@ class EntryDisplay(NamedTuple):
 class CreditEntry(NamedTuple):
     """One weighted contribution: who or what, in which category, how much.
 
-    The weight invariant (0 < weight <= 1) is enforced at system boundaries
-    (parsing) and reported by validate_creditmap, not raised here,
-    so that broken states remain representable as violation values.
+    category is one of CATEGORIES: "author", or the citation group the
+    entry is listed under ("article" for citation.articles). The weight
+    invariant (0 < weight <= 1) is enforced at system boundaries (parsing)
+    and reported by validate_creditmap, not raised here, so that broken
+    states remain representable as violation values.
     """
 
     entity: str
-    category: Category
+    category: str
     weight: float
     display: EntryDisplay = EntryDisplay()
 
 
 class ProductMeta(NamedTuple):
-    """Identity and descriptive fields of the product a map belongs to."""
+    """Identity and descriptive fields of the product a map belongs to.
+
+    kind is the document's @type, one of PRODUCT_TYPES.
+    """
 
     id: str
-    kind: ProductKind
+    kind: str
     headline: str = ""
     date_created: date | None = None
     keywords: tuple[str, ...] = ()
@@ -332,6 +301,6 @@ def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
         if count > 1:
             violations.append(Violation(DUPLICATE_ENTITY, f"{entity} appears {count} times"))
 
-    if not any(e.category is Category.AUTHOR for e in creditmap.entries):
+    if not any(e.category == "author" for e in creditmap.entries):
         violations.append(Violation(NO_AUTHOR, "no author entry"))
     return violations

@@ -13,11 +13,9 @@ import random
 from hypothesis import strategies as st
 
 from credit_ledger import (
-    Category,
     CreditEntry,
     CreditGraph,
     CreditMap,
-    ProductKind,
     ProductMeta,
 )
 
@@ -53,22 +51,22 @@ def make_corpus(
                 j = rng.randrange(i) if i > 0 else -1
                 if j >= 0 and j not in cited:
                     cited.add(j)
-                    category = rng.choice([Category.ARTICLE, Category.SOFTWARE])
+                    category = rng.choice(["article", "software"])
                     entries.append(CreditEntry(_product_id(j), category, weight))
                     continue
                 slot = "external"
             if slot == "author":
                 entity = f"name:person {i} {serial}"
-                entries.append(CreditEntry(entity, Category.AUTHOR, weight))
+                entries.append(CreditEntry(entity, "author", weight))
             elif slot == "person":
                 entity = f"email:p{i}x{serial}@example.org"
-                entries.append(CreditEntry(entity, Category.ACKNOWLEDGMENT, weight))
+                entries.append(CreditEntry(entity, "acknowledgment", weight))
             else:
                 entity = f"url:https://example.org/ext/{i}/{serial}"
-                category = rng.choice([Category.SOFTWARE, Category.OTHER])
+                category = rng.choice(["software", "other"])
                 entries.append(CreditEntry(entity, category, weight))
             serial += 1
-        meta = ProductMeta(id=_product_id(i), kind=ProductKind.CODE, headline=f"Product {i}")
+        meta = ProductMeta(id=_product_id(i), kind="Code", headline=f"Product {i}")
         maps.append(CreditMap(meta, tuple(entries)))
     return maps
 
@@ -109,14 +107,14 @@ def dags(draw, max_products: int, chain: bool = False, max_cites: int = 2) -> li
         else:
             cited = set(draw(st.lists(st.integers(0, i - 1), max_size=max_cites))) if i else set()
         people = draw(st.sets(st.integers(0, 7), min_size=1, max_size=3))
-        targets = [(_dag_product_id(j), Category.ARTICLE) for j in sorted(cited)]
-        targets += [(f"name:person {k}", Category.AUTHOR) for k in sorted(people)]
+        targets = [(_dag_product_id(j), "article") for j in sorted(cited)]
+        targets += [(f"name:person {k}", "author") for k in sorted(people)]
         raw = draw(st.lists(st.integers(1, 20), min_size=len(targets), max_size=len(targets)))
         entries = tuple(
             CreditEntry(entity, category, part / sum(raw))
             for (entity, category), part in zip(targets, raw)
         )
-        maps.append(CreditMap(ProductMeta(_dag_product_id(i), ProductKind.CODE, f"D{i}"), entries))
+        maps.append(CreditMap(ProductMeta(_dag_product_id(i), "Code", f"D{i}"), entries))
     return maps
 
 
@@ -132,12 +130,12 @@ def make_chain(
     lead = "name:chain lead author"
     lead_weight = rng.uniform(0.1, 0.9)
     first = CreditMap(
-        ProductMeta(_chain_id(0), ProductKind.CODE, "Chain 0"),
+        ProductMeta(_chain_id(0), "Code", "Chain 0"),
         (
-            CreditEntry(lead, Category.AUTHOR, lead_weight),
+            CreditEntry(lead, "author", lead_weight),
             CreditEntry(
                 "name:chain co author",
-                Category.AUTHOR,
+                "author",
                 1.0 - lead_weight,
             ),
         ),
@@ -149,14 +147,14 @@ def make_chain(
         hop_weights.append(hop)
         maps.append(
             CreditMap(
-                ProductMeta(_chain_id(k), ProductKind.SCHOLARLY_ARTICLE, f"Chain {k}"),
+                ProductMeta(_chain_id(k), "ScholarlyArticle", f"Chain {k}"),
                 (
                     CreditEntry(
                         f"name:chain author {k}",
-                        Category.AUTHOR,
+                        "author",
                         1.0 - hop,
                     ),
-                    CreditEntry(_chain_id(k - 1), Category.ARTICLE, hop),
+                    CreditEntry(_chain_id(k - 1), "article", hop),
                 ),
             )
         )

@@ -9,7 +9,6 @@ import pytest
 
 from credit_ledger import (
     Allocation,
-    RankScope,
     aggregate_rank,
     build_graph,
     transitive_credit,
@@ -131,7 +130,7 @@ def test_depth_limit_must_be_positive(corpus_maps, bad_depth: int) -> None:
     with pytest.raises(ValueError, match=message):
         transitive_credit(graph, PRODUCT_C, bad_depth)
     with pytest.raises(ValueError, match=message):
-        aggregate_rank(graph, RankScope.ROOTS_ONLY, bad_depth)
+        aggregate_rank(graph, "roots", bad_depth)
     with pytest.raises(ValueError, match=message):
         aggregate_rank(build_graph([]), max_depth=bad_depth)
 
@@ -155,6 +154,17 @@ def test_rank_over_all_fixture_products(corpus_maps) -> None:
         assert got == pytest.approx(want, abs=1e-12), name
 
 
+def test_rank_scope_is_all_or_roots(corpus_maps) -> None:
+    graph = build_graph(corpus_maps)
+    every = aggregate_rank(graph, "all")
+    assert every == aggregate_rank(graph)
+    assert math.fsum(total for _, total in every) == pytest.approx(3.0, abs=1e-9)
+    roots = aggregate_rank(graph, "roots")
+    assert math.fsum(total for _, total in roots) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="scope must be 'all' or 'roots', got 'everything'"):
+        aggregate_rank(graph, "everything")
+
+
 def test_rank_without_the_second_paper_favors_dev1(corpus_maps) -> None:
     # with only A and B registered, dev1's total is 0.5 + 0.125 = 0.625, but
     # B's author leads with 0.75; over the roots (B alone) dev1 holds 0.125
@@ -163,14 +173,14 @@ def test_rank_without_the_second_paper_favors_dev1(corpus_maps) -> None:
     assert ranking[0][0] == AUTHOR_B
     totals = dict(ranking)
     assert totals[DEV1] == pytest.approx(0.625, abs=1e-12)
-    roots_only = aggregate_rank(graph, RankScope.ROOTS_ONLY)
+    roots_only = aggregate_rank(graph, "roots")
     roots_totals = dict(roots_only)
     assert roots_totals[DEV1] == pytest.approx(0.125, abs=1e-12)
 
 
 def test_rank_roots_only_sums_root_allocations(corpus_maps) -> None:
     graph = build_graph(corpus_maps)
-    ranking = dict(aggregate_rank(graph, RankScope.ROOTS_ONLY))
+    ranking = dict(aggregate_rank(graph, "roots"))
     allocation = transitive_credit(graph, PRODUCT_C).shares
     assert ranking.keys() == allocation.keys()
     for key, value in allocation.items():
@@ -243,5 +253,5 @@ def test_deep_chain_depth_limits_need_no_recursion() -> None:
     huge = transitive_credit(graph, end, max_depth=10**9)
     assert huge == unlimited
 
-    ranking = aggregate_rank(graph, RankScope.ROOTS_ONLY, max_depth=1200)
+    ranking = aggregate_rank(graph, "roots", max_depth=1200)
     assert dict(ranking) == cut.shares

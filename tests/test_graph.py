@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credit_ledger import (
-    Category,
     CreditEntry,
     CreditGraph,
     CreditMap,
     CycleError,
-    ProductKind,
     ProductMeta,
     Registry,
     build_graph,
@@ -36,8 +34,8 @@ from conftest import (
 from corpus import adjacency, make_corpus
 
 
-def _map(pid: str, *entries: tuple[str, Category, float]) -> CreditMap:
-    meta = ProductMeta(id=id_from_text(pid), kind=ProductKind.CODE, headline=pid)
+def _map(pid: str, *entries: tuple[str, str, float]) -> CreditMap:
+    meta = ProductMeta(id=id_from_text(pid), kind="Code", headline=pid)
     return CreditMap(
         meta,
         tuple(CreditEntry(id_from_text(t), c, w) for t, c, w in entries),
@@ -87,7 +85,7 @@ def test_random_corpora_build_deterministically() -> None:
 
 
 def test_duplicate_product_id_is_rejected() -> None:
-    a = _map("doi:10.1/a", ("name:someone", Category.AUTHOR, 1.0))
+    a = _map("doi:10.1/a", ("name:someone", "author", 1.0))
     with pytest.raises(DuplicateProductId):
         build_graph([a, a])
 
@@ -95,8 +93,8 @@ def test_duplicate_product_id_is_rejected() -> None:
 def test_orcid_cited_as_software_is_classified_as_person() -> None:
     m = _map(
         "doi:10.1/a",
-        ("name:someone", Category.AUTHOR, 0.5),
-        ("orcid:0000-0002-1825-0097", Category.SOFTWARE, 0.5),
+        ("name:someone", "author", 0.5),
+        ("orcid:0000-0002-1825-0097", "software", 0.5),
     )
     graph = build_graph([m])
     assert graph.kinds[graph.ids.index("orcid:0000-0002-1825-0097")] == "p"
@@ -108,13 +106,13 @@ def test_person_classification_wins_over_product() -> None:
     shared = "url:https://example.org/ambiguous"
     a = _map(
         "doi:10.1/a",
-        ("name:author a", Category.AUTHOR, 0.5),
-        (shared, Category.ACKNOWLEDGMENT, 0.5),
+        ("name:author a", "author", 0.5),
+        (shared, "acknowledgment", 0.5),
     )
     b = _map(
         "doi:10.1/b",
-        ("name:author b", Category.AUTHOR, 0.5),
-        (shared, Category.SOFTWARE, 0.5),
+        ("name:author b", "author", 0.5),
+        (shared, "software", 0.5),
     )
     for ordering in ([a, b], [b, a]):
         graph = build_graph(ordering)
@@ -144,16 +142,16 @@ def test_topological_order_puts_cited_before_citing(corpus_maps) -> None:
 
 
 def test_topological_order_is_the_same_for_every_input_order() -> None:
-    a = _map("doi:10.1/a", ("name:author a", Category.AUTHOR, 1.0))
+    a = _map("doi:10.1/a", ("name:author a", "author", 1.0))
     b = _map(
         "doi:10.1/b",
-        ("name:author b", Category.AUTHOR, 0.5),
-        ("doi:10.1/a", Category.ARTICLE, 0.5),
+        ("name:author b", "author", 0.5),
+        ("doi:10.1/a", "article", 0.5),
     )
     c = _map(
         "doi:10.1/c",
-        ("name:author c", Category.AUTHOR, 0.5),
-        ("doi:10.1/a", Category.ARTICLE, 0.5),
+        ("name:author c", "author", 0.5),
+        ("doi:10.1/a", "article", 0.5),
     )
     orders = {
         tuple(topological_order(build_graph(maps)))
@@ -232,7 +230,7 @@ def _with_back_edges(rng: random.Random, maps: list[CreditMap], count: int) -> l
     result = list(maps)
     for i, targets in added.items():
         extra = tuple(
-            CreditEntry(maps[j].product.id, Category.ARTICLE, 0.01) for j in sorted(targets)
+            CreditEntry(maps[j].product.id, "article", 0.01) for j in sorted(targets)
         )
         result[i] = CreditMap(maps[i].product, maps[i].entries + extra)
     return result
@@ -262,13 +260,13 @@ def test_build_refuses_exactly_the_cyclic_corpora(seed: int, back_edges: int) ->
 def test_two_product_cycle_is_detected_with_witness() -> None:
     x = _map(
         "doi:10.1/x",
-        ("name:author x", Category.AUTHOR, 0.5),
-        ("doi:10.1/y", Category.ARTICLE, 0.5),
+        ("name:author x", "author", 0.5),
+        ("doi:10.1/y", "article", 0.5),
     )
     y = _map(
         "doi:10.1/y",
-        ("name:author y", Category.AUTHOR, 0.5),
-        ("doi:10.1/x", Category.ARTICLE, 0.5),
+        ("name:author y", "author", 0.5),
+        ("doi:10.1/x", "article", 0.5),
     )
     with pytest.raises(CycleError) as excinfo:
         build_graph([x, y])
@@ -280,8 +278,8 @@ def test_two_product_cycle_is_detected_with_witness() -> None:
 def test_self_citation_is_detected() -> None:
     a = _map(
         "doi:10.1/a",
-        ("name:someone", Category.AUTHOR, 0.5),
-        ("doi:10.1/a", Category.ARTICLE, 0.5),
+        ("name:someone", "author", 0.5),
+        ("doi:10.1/a", "article", 0.5),
     )
     with pytest.raises(CycleError) as excinfo:
         build_graph([a])
@@ -292,8 +290,8 @@ def test_three_product_cycle_is_detected() -> None:
     maps = [
         _map(
             f"doi:10.1/{here}",
-            (f"name:author {here}", Category.AUTHOR, 0.5),
-            (f"doi:10.1/{there}", Category.ARTICLE, 0.5),
+            (f"name:author {here}", "author", 0.5),
+            (f"doi:10.1/{there}", "article", 0.5),
         )
         for here, there in [("a", "b"), ("b", "c"), ("c", "a")]
     ]
@@ -307,13 +305,13 @@ def test_cycle_through_terminal_nodes_is_fine() -> None:
     # two products naming the same external dependency is a diamond, not a cycle
     a = _map(
         "doi:10.1/a",
-        ("name:author a", Category.AUTHOR, 0.5),
-        ("url:https://example.org/dep", Category.SOFTWARE, 0.5),
+        ("name:author a", "author", 0.5),
+        ("url:https://example.org/dep", "software", 0.5),
     )
     b = _map(
         "doi:10.1/b",
-        ("name:author b", Category.AUTHOR, 0.5),
-        ("url:https://example.org/dep", Category.SOFTWARE, 0.5),
+        ("name:author b", "author", 0.5),
+        ("url:https://example.org/dep", "software", 0.5),
     )
     graph = build_graph([a, b])
     assert _order(graph) == ["doi:10.1/a", "doi:10.1/b"]
@@ -337,13 +335,13 @@ def test_dangling_references_sorts_citers() -> None:
     dep = "doi:10.1/dep"
     a = _map(
         "doi:10.1/a",
-        ("name:author a", Category.AUTHOR, 0.5),
-        (dep, Category.ARTICLE, 0.5),
+        ("name:author a", "author", 0.5),
+        (dep, "article", 0.5),
     )
     b = _map(
         "doi:10.1/b",
-        ("name:author b", Category.AUTHOR, 0.5),
-        (dep, Category.ARTICLE, 0.5),
+        ("name:author b", "author", 0.5),
+        (dep, "article", 0.5),
     )
     graph = build_graph([b, a])
     dangling = dangling_references(graph)

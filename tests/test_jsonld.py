@@ -11,14 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credit_ledger import (
-    Category,
+    CATEGORIES,
+    PRODUCT_TYPES,
     CreditEntry,
     CreditMap,
     EntryDisplay,
-    IdScheme,
     InvalidIdentifier,
-    ParseMode,
-    ProductKind,
     ProductMeta,
     canonical_id,
     parse_creditmap,
@@ -38,7 +36,6 @@ from credit_ledger.jsonld import (
     WeightParseError,
     _MAX_KEPT_DEPTH,
 )
-from credit_ledger.model import CATEGORY_ORDER
 from conftest import fixture_bytes
 
 GOLDEN_WEIGHTS = [0.25, 0.25, 0.3, 0.04, 0.01, 0.15]
@@ -55,7 +52,7 @@ def test_golden_document_product_metadata(golden_bytes: bytes) -> None:
     creditmap, _ = parse_creditmap(golden_bytes)
     meta = creditmap.product
     assert meta.id == "name:implementing transitive credit with json-ld"
-    assert meta.kind is ProductKind.SCHOLARLY_ARTICLE
+    assert meta.kind == "ScholarlyArticle"
     assert meta.headline == "Implementing Transitive Credit with JSON-LD"
     assert meta.date_created == date(2014, 7, 10)
     assert meta.keywords == (
@@ -70,14 +67,14 @@ def test_golden_document_entries(golden_bytes: bytes) -> None:
     creditmap, _ = parse_creditmap(golden_bytes)
     triples = [(e.entity, e.category, e.weight) for e in creditmap.entries]
     assert triples == [
-        ("orcid:0000-0001-5934-7525", Category.AUTHOR, 0.25),
-        ("orcid:0000-0002-7217-4494", Category.AUTHOR, 0.25),
-        ("doi:10.5334/jors.be", Category.ARTICLE, 0.3),
-        ("url:https://github.com/arfon/fidgit", Category.SOFTWARE, 0.04),
-        ("orcid:0000-0002-5702-149X", Category.ACKNOWLEDGMENT, 0.01),
+        ("orcid:0000-0001-5934-7525", "author", 0.25),
+        ("orcid:0000-0002-7217-4494", "author", 0.25),
+        ("doi:10.5334/jors.be", "article", 0.3),
+        ("url:https://github.com/arfon/fidgit", "software", 0.04),
+        ("orcid:0000-0002-5702-149X", "acknowledgment", 0.01),
         (
             "url:http://www.arfon.org/json-ld-for-software-discovery-reuse-and-credit",
-            Category.OTHER,
+            "other",
             0.15,
         ),
     ]
@@ -100,7 +97,7 @@ def test_golden_document_entries(golden_bytes: bytes) -> None:
 def test_golden_document_serializes_byte_stably(golden_bytes: bytes) -> None:
     first, _ = parse_creditmap(golden_bytes)
     once = serialize_creditmap(first)
-    again, warnings = parse_creditmap(once, mode=ParseMode.STRICT)
+    again, warnings = parse_creditmap(once, strict=True)
     assert warnings == []
     assert again == first
     assert serialize_creditmap(again) == once
@@ -115,7 +112,7 @@ def test_person_snippet_identity_is_the_orcid() -> None:
 
     creditmap, warnings = parse_creditmap(data)
     assert creditmap.product.id == "orcid:0000-0001-5934-7525"
-    assert creditmap.product.kind is ProductKind.OTHER  # Person is not a product type
+    assert creditmap.product.kind == "CreativeWork"  # Person is not a product type
     assert creditmap.entries == ()
     assert sorted(w.code for w in warnings) == ["UnknownKey", "UnknownType"]
 
@@ -137,11 +134,11 @@ def _doc(**overrides: object) -> bytes:
 
 
 def test_single_author_object_is_accepted() -> None:
-    creditmap, warnings = parse_creditmap(_doc(), mode=ParseMode.STRICT)
+    creditmap, warnings = parse_creditmap(_doc(), strict=True)
     assert warnings == []
     assert len(creditmap.entries) == 1
     entry = creditmap.entries[0]
-    assert entry.category is Category.AUTHOR
+    assert entry.category == "author"
     assert entry.weight == 1.0
     assert entry.entity == "name:solo author"
 
@@ -213,7 +210,7 @@ def test_malformed_documents_raise_syntax_errors(payload: bytes) -> None:
 def test_unknown_top_level_key_strict_vs_lenient() -> None:
     data = _doc(publisher="Example Press")
     with pytest.raises(UnknownKey):
-        parse_creditmap(data, mode=ParseMode.STRICT)
+        parse_creditmap(data, strict=True)
     creditmap, warnings = parse_creditmap(data)
     assert [w.code for w in warnings] == ["UnknownKey"]
     assert creditmap.product.extra == {"publisher": "Example Press"}
@@ -222,7 +219,7 @@ def test_unknown_top_level_key_strict_vs_lenient() -> None:
 def test_unknown_entry_key_is_preserved_in_lenient_mode() -> None:
     data = _doc(author={"name": "Solo Author", "creditWeight": "1", "affiliation": "Lab"})
     with pytest.raises(UnknownKey):
-        parse_creditmap(data, mode=ParseMode.STRICT)
+        parse_creditmap(data, strict=True)
     creditmap, warnings = parse_creditmap(data)
     assert [w.code for w in warnings] == ["UnknownKey"]
     assert creditmap.entries[0].display.extra == {"affiliation": "Lab"}
@@ -243,7 +240,7 @@ TOO_DEEP = json.loads("[" * 200 + "]" * 200)
 def test_strict_mode_rejects_an_unknown_key_before_measuring_its_value(overrides) -> None:
     data = _doc(**overrides)
     with pytest.raises(UnknownKey):
-        parse_creditmap(data, mode=ParseMode.STRICT)
+        parse_creditmap(data, strict=True)
     with pytest.raises(CreditmapSyntaxError, match="nests more than"):
         parse_creditmap(data)
 
@@ -251,16 +248,16 @@ def test_strict_mode_rejects_an_unknown_key_before_measuring_its_value(overrides
 def test_unknown_type_strict_vs_lenient() -> None:
     data = _doc(**{"@type": "Sculpture"})
     with pytest.raises(UnknownType):
-        parse_creditmap(data, mode=ParseMode.STRICT)
+        parse_creditmap(data, strict=True)
     creditmap, warnings = parse_creditmap(data)
     assert [w.code for w in warnings] == ["UnknownType"]
-    assert creditmap.product.kind is ProductKind.OTHER
+    assert creditmap.product.kind == "CreativeWork"
 
 
 def test_invalid_date_strict_vs_lenient() -> None:
     data = _doc(dateCreated="not-a-date")
     with pytest.raises(CreditmapSyntaxError):
-        parse_creditmap(data, mode=ParseMode.STRICT)
+        parse_creditmap(data, strict=True)
     creditmap, warnings = parse_creditmap(data)
     assert [w.code for w in warnings] == ["InvalidDate"]
     assert creditmap.product.date_created is None
@@ -294,8 +291,9 @@ def test_lenient_extras_survive_a_round_trip() -> None:
     assert serialize_creditmap(again) == data
 
 
-@pytest.mark.parametrize("mode", list(ParseMode))
-def test_a_top_level_key_named_like_a_citation_member_is_refused(mode: ParseMode) -> None:
+# The ids are the ones the suite has always printed for these two cases.
+@pytest.mark.parametrize("strict", [True, False], ids=["ParseMode.STRICT", "ParseMode.LENIENT"])
+def test_a_top_level_key_named_like_a_citation_member_is_refused(strict: bool) -> None:
     # Kept as an extra, it shared the stored name of a citation member and
     # was written back as the articles group, citing doi:10.1/z.
     doc = {
@@ -307,9 +305,9 @@ def test_a_top_level_key_named_like_a_citation_member_is_refused(mode: ParseMode
         "citation.articles": [{"doi": "10.1/z", "creditWeight": "0.5"}],
     }
     with pytest.raises(CreditmapSyntaxError, match="citation.articles"):
-        parse_creditmap(json.dumps(doc).encode(), mode=mode)
+        parse_creditmap(json.dumps(doc).encode(), strict=strict)
     del doc["citation.articles"]
-    creditmap, _ = parse_creditmap(json.dumps(doc).encode(), mode=mode)
+    creditmap, _ = parse_creditmap(json.dumps(doc).encode(), strict=strict)
     assert [e.entity for e in creditmap.entries] == ["name:solo author", "doi:10.1/y"]
 
 
@@ -329,7 +327,7 @@ nonblank = st.text(min_size=1, max_size=24).filter(lambda s: s.split())
 
 def _is_name(text: str) -> bool:
     try:
-        canonical_id(IdScheme.NAME, text)
+        canonical_id("name", text)
     except InvalidIdentifier:
         return False
     return True
@@ -348,7 +346,7 @@ def profile_entries(draw) -> list[CreditEntry]:
     entries: list[CreditEntry] = []
     for i in range(n):
         weight = parts[i] / total
-        category = Category.AUTHOR if i == 0 else draw(st.sampled_from(list(Category)))
+        category = "author" if i == 0 else draw(st.sampled_from(CATEGORIES))
         scheme = draw(st.sampled_from(["orcid", "doi", "url", "email", "name"]))
         type_tag = draw(st.none() | st.sampled_from(RECOGNIZED_TAGS))
         license_ = draw(st.none() | nonblank)
@@ -356,19 +354,19 @@ def profile_entries(draw) -> list[CreditEntry]:
         name = email = repository = url = None
         if scheme == "name":
             name = f"{draw(name_text)} {i}"
-            entity = canonical_id(IdScheme.NAME, name)
+            entity = canonical_id("name", name)
         else:
             name = draw(st.none() | nonblank)
             if scheme == "email":
                 value = f"user{i}@example.org"
-                entity = canonical_id(IdScheme.EMAIL, value)
+                entity = canonical_id("email", value)
                 email = value
             elif scheme == "orcid":
-                entity = canonical_id(IdScheme.ORCID, ORCID_POOL[i])
+                entity = canonical_id("orcid", ORCID_POOL[i])
             elif scheme == "doi":
-                entity = canonical_id(IdScheme.DOI, f"10.2000/e{i}")
+                entity = canonical_id("doi", f"10.2000/e{i}")
             else:
-                entity = canonical_id(IdScheme.URL, f"https://example.org/ref/{i}")
+                entity = canonical_id("url", f"https://example.org/ref/{i}")
             if scheme in ("orcid", "doi"):
                 # display-only links; for weaker schemes these keys would
                 # take over as the identity on reparse
@@ -387,25 +385,25 @@ def profile_entries(draw) -> list[CreditEntry]:
             url=url,
         )
         entries.append(CreditEntry(entity, category, weight, display))
-    entries.sort(key=lambda e: CATEGORY_ORDER.index(e.category))
+    entries.sort(key=lambda e: CATEGORIES.index(e.category))
     return entries
 
 
 @st.composite
 def profile_maps(draw) -> CreditMap:
     entries = draw(profile_entries())
-    kind = draw(st.sampled_from(list(ProductKind)))
+    kind = draw(st.sampled_from(PRODUCT_TYPES))
     id_kind = draw(st.sampled_from(["doi", "url", "name", "orcid", "email"]))
     if id_kind == "name":
         headline = draw(name_text)
-        product_id = canonical_id(IdScheme.NAME, headline)
+        product_id = canonical_id("name", headline)
     else:
         headline = draw(st.just("") | nonblank)
         product_id = {
-            "doi": canonical_id(IdScheme.DOI, "10.2000/self"),
-            "url": canonical_id(IdScheme.URL, "https://example.org/self"),
-            "orcid": canonical_id(IdScheme.ORCID, "0000-0003-0204-8772"),
-            "email": canonical_id(IdScheme.EMAIL, "owner@example.org"),
+            "doi": canonical_id("doi", "10.2000/self"),
+            "url": canonical_id("url", "https://example.org/self"),
+            "orcid": canonical_id("orcid", "0000-0003-0204-8772"),
+            "email": canonical_id("email", "owner@example.org"),
         }[id_kind]
     date_created = draw(st.none() | st.dates(date(1900, 1, 1), date(2100, 12, 31)))
     keywords = tuple(draw(st.lists(keyword, max_size=4)))
@@ -422,7 +420,7 @@ def profile_maps(draw) -> CreditMap:
 @given(profile_maps())
 def test_profile_maps_round_trip_exactly(creditmap: CreditMap) -> None:
     data = serialize_creditmap(creditmap)
-    parsed, warnings = parse_creditmap(data, mode=ParseMode.STRICT)
+    parsed, warnings = parse_creditmap(data, strict=True)
     assert warnings == []
     assert parsed == creditmap
     assert serialize_creditmap(parsed) == data
@@ -581,9 +579,9 @@ def _entries_doc(authors: list, **top: object) -> str:
     return json.dumps({**MINIMAL, "author": authors, **top})
 
 
-def _failure(text: str, mode: ParseMode = ParseMode.LENIENT) -> tuple[str, str]:
+def _failure(text: str, strict: bool = False) -> tuple[str, str]:
     with pytest.raises((ParseError, InvalidIdentifier)) as caught:
-        parse_creditmap(text, mode)
+        parse_creditmap(text, strict=strict)
     return type(caught.value).__name__, str(caught.value)
 
 
@@ -621,7 +619,7 @@ def test_of_two_bad_keys_the_first_in_the_fixed_order_is_reported(entry, reporte
 
 def test_unknown_entry_keys_raise_or_warn_in_document_order() -> None:
     text = _entries_doc([{"zeta": 1, "name": "A", "alpha": [2], "creditWeight": "1"}])
-    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key author[0].zeta")
+    assert _failure(text, strict=True) == ("UnknownKey", "unrecognized key author[0].zeta")
     creditmap, warnings = parse_creditmap(text)
     assert [str(w) for w in warnings] == [
         "UnknownKey: unrecognized key author[0].zeta",
@@ -632,9 +630,9 @@ def test_unknown_entry_keys_raise_or_warn_in_document_order() -> None:
 
 def test_an_unknown_entry_key_is_reported_before_the_entry_values_are_checked() -> None:
     text = _entries_doc([{"name": 1, "zeta": 1, "creditWeight": "1"}])
-    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key author[0].zeta")
+    assert _failure(text, strict=True) == ("UnknownKey", "unrecognized key author[0].zeta")
     text = _entries_doc([{"@type": "Robot", "zeta": 1, "name": "A", "creditWeight": "1"}])
-    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key author[0].zeta")
+    assert _failure(text, strict=True) == ("UnknownKey", "unrecognized key author[0].zeta")
     _, warnings = parse_creditmap(text)
     assert [str(w) for w in warnings] == [
         "UnknownKey: unrecognized key author[0].zeta",
@@ -644,7 +642,7 @@ def test_an_unknown_entry_key_is_reported_before_the_entry_values_are_checked() 
 
 def test_unknown_top_level_keys_warn_in_document_order() -> None:
     text = json.dumps({"zeta": 1, **MINIMAL, "alpha": 2})
-    assert _failure(text, ParseMode.STRICT) == ("UnknownKey", "unrecognized key zeta")
+    assert _failure(text, strict=True) == ("UnknownKey", "unrecognized key zeta")
     creditmap, warnings = parse_creditmap(text)
     assert [str(w) for w in warnings] == [
         "UnknownKey: unrecognized key zeta",
@@ -689,7 +687,7 @@ def test_a_doi_key_holding_a_url_is_refused_where_it_stands() -> None:
 
 def test_an_unknown_entry_type_is_reported_before_the_other_values_are_checked() -> None:
     text = _entries_doc([{"@type": "Robot", "name": 1, "creditWeight": "1"}])
-    assert _failure(text, ParseMode.STRICT) == (
+    assert _failure(text, strict=True) == (
         "UnknownType", "author[0]: unrecognized @type 'Robot'"
     )
     assert _failure(text) == ("CreditmapSyntaxError", "author[0].name must be a string, got int")

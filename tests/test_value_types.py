@@ -12,13 +12,11 @@ import pytest
 import credit_ledger
 from credit_ledger import (
     Allocation,
-    Category,
     CreditEntry,
     CreditGraph,
     CreditMap,
     EntryDisplay,
     ParseWarning,
-    ProductKind,
     ProductMeta,
     Violation,
     aggregate_rank,
@@ -33,7 +31,7 @@ DOI = "doi:10.1000/x"
 def _entry(weight: float = 0.5) -> CreditEntry:
     return CreditEntry(
         "name:a person",
-        Category.AUTHOR,
+        "author",
         weight,
         EntryDisplay(name="A Person", extra={"affiliation": "Lab"}),
     )
@@ -41,7 +39,7 @@ def _entry(weight: float = 0.5) -> CreditEntry:
 
 def _meta(headline: str = "X") -> ProductMeta:
     return ProductMeta(
-        DOI, ProductKind.CODE, headline, datetime.date(2014, 7, 18), ("a", "b")
+        DOI, "Code", headline, datetime.date(2014, 7, 18), ("a", "b")
     )
 
 
@@ -131,7 +129,7 @@ def test_a_depth_limit_below_one_is_refused(depth: int) -> None:
 
 
 def test_the_default_extra_is_one_empty_mapping_that_cannot_be_filled() -> None:
-    display, meta = EntryDisplay(), ProductMeta(DOI, ProductKind.OTHER)
+    display, meta = EntryDisplay(), ProductMeta(DOI, "CreativeWork")
     assert display.extra is NO_EXTRA and meta.extra is NO_EXTRA
     assert display.extra == {} and len(display.extra) == 0 and "k" not in display.extra
     with pytest.raises(TypeError):
