@@ -22,7 +22,6 @@ _MODULES = {
     "CycleError": "graph",
     "DuplicateProduct": "registry",
     "DuplicateProductId": "graph",
-    "EntryDisplay": "model",
     "GraphError": "graph",
     "ID_SCHEMES": "model",
     "InvalidIdentifier": "model",

@@ -16,11 +16,11 @@ from typing import Any, NamedTuple
 
 from . import model
 from .model import (
+    CATEGORIES,
     PRODUCT_TYPES,
     CreditEntry,
     CreditLedgerError,
     CreditMap,
-    EntryDisplay,
     MalformedDoi,
     ProductMeta,
     canonical_id,
@@ -209,7 +209,12 @@ _ENTRY_ID_KEYS = (
     ("headline", _name_id),
 )
 #: Entry keys whose values must be strings, in the order they are checked.
+#: Each is a key of the entry's display, but a codeRepository or url that
+#: names the entity.
 _ENTRY_TEXT_KEYS = ("@type", "name", "headline", "email", "license", "codeRepository", "url")
+#: The entry keys that a display leaves out, by the key that names the entity.
+_NOT_DISPLAYED = frozenset({"creditWeight", "@id", "doi"})
+_NOT_DISPLAYED_BY_ID_KEY = {key: _NOT_DISPLAYED | {key} for key in ("codeRepository", "url")}
 
 
 def _entry_identity(obj: dict[str, Any], group: str, i: int) -> tuple[str, str]:
@@ -248,26 +253,24 @@ def _parse_entry(
     depend on the order of the keys: unknown keys (in document order),
     @type and its tag, the other text keys, the identity, the weight. A
     path such as author[0].name is built only for a message that names it.
+    The display is the object but its weight and id keys, in document order.
     """
     if not isinstance(obj, dict):
         raise CreditmapSyntaxError(f"{group}[{i}] must be an object")
 
-    extra: dict[str, Any] = {}
     if obj.keys() - _ENTRY_KEYS:
         for key, value in obj.items():
             if key not in _ENTRY_KEYS:
                 message = f"unrecognized key {group}[{i}].{key}"
                 _outside_profile(strict, warnings, UnknownKey, UNKNOWN_KEY, message)
-                extra[key] = _kept(value, f"{group}[{i}].{key}")
+                _kept(value, f"{group}[{i}].{key}")
 
     # A value that is not a str is rare (numeric weights, kept extras);
     # only then is each text key checked, in the fixed order.
     checked = all(map(str.__instancecheck__, obj.values()))
     if not checked and "@type" in obj:
         _require_str(obj["@type"], f"{group}[{i}].@type")
-    type_tag, name, headline, email, license_, repository_raw, url_raw = map(
-        obj.get, _ENTRY_TEXT_KEYS
-    )
+    type_tag = obj.get("@type")
     if type_tag is not None and type_tag not in _ENTRY_TYPE_TAGS:
         message = f"{group}[{i}]: unrecognized @type {type_tag!r}"
         _outside_profile(strict, warnings, UnknownType, UNKNOWN_TYPE, message)
@@ -282,16 +285,8 @@ def _parse_entry(
         raise MissingCreditWeight(f"{group}[{i}] has no creditWeight")
     weight = _parse_weight(obj["creditWeight"], group, i)
 
-    display = EntryDisplay(
-        type_tag,
-        name,
-        headline,
-        email,
-        license_,
-        None if id_key == "codeRepository" else repository_raw,
-        None if id_key == "url" else url_raw,
-        extra,
-    )
+    hidden = _NOT_DISPLAYED_BY_ID_KEY.get(id_key, _NOT_DISPLAYED)
+    display = {key: value for key, value in obj.items() if key not in hidden}
     return CreditEntry(entity, category, weight, display)
 
 
@@ -437,48 +432,33 @@ def _parse_document(
                     )
                 )
 
-    product = ProductMeta(
-        id=_product_identity(doc),
-        kind=kind,
-        headline=headline,
-        date_created=date_created,
-        keywords=keywords,
-        extra=extra,
-    )
+    product = ProductMeta(_product_identity(doc), kind, headline, date_created, keywords, extra)
     return CreditMap(product, tuple(entries)), warnings
 
 
 def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
+    """The document object of entry: its display's keys in the profile's
+    order around its id key, then its display's unrecognized keys."""
     d = entry.display
-    obj: dict[str, Any] = {}
-    if d.type_tag is not None:
-        obj["@type"] = d.type_tag
-    if d.name is not None:
-        obj["name"] = d.name
-    if d.headline is not None:
-        obj["headline"] = d.headline
+    obj = {key: d[key] for key in ("@type", "name", "headline") if key in d}
 
     scheme, _, value = entry.entity.partition(":")
     if scheme == "orcid":
         obj["@id"] = f"http://orcid.org/{value}"
     elif scheme == "doi":
         obj["doi"] = value
-    elif scheme == "url" and d.repository is None:
-        if entry.category == "software" or d.url is not None:
+    elif scheme == "url" and "codeRepository" not in d:
+        if entry.category == "software" or "url" in d:
             obj["codeRepository"] = value
         else:
             obj["url"] = value
 
-    if d.repository is not None:
-        obj["codeRepository"] = d.repository
-    if d.url is not None:
-        obj["url"] = d.url
-    if d.email is not None:
-        obj["email"] = d.email
-    if d.license is not None:
-        obj["license"] = d.license
-    for key, val in d.extra.items():
-        obj[key] = val
+    for key in ("codeRepository", "url", "email", "license"):
+        if key in d:
+            obj[key] = d[key]
+    for key, val in d.items():
+        if key not in _ENTRY_KEYS:
+            obj[key] = val
     # An ORCID or DOI sits under @id or doi, the two strongest keys; any
     # other id may be hidden behind a descriptive key written above.
     if scheme not in ("orcid", "doi"):
@@ -504,7 +484,8 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
     codeRepository, url or email), an explicit "@id" holding the canonical
     text is written too, so every map parses back to the same ids.
     Keywords are joined with ", ", or kept as a list where one of them
-    holds a comma.
+    holds a comma. An entry whose category is outside CATEGORIES raises
+    ValueError.
     """
     meta = creditmap.product
     doc: dict[str, Any] = {"@context": SCHEMA_ORG_CONTEXT}
@@ -538,15 +519,15 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
         if not key.startswith("citation."):
             doc[key] = val
 
-    authors = [e for e in creditmap.entries if e.category == "author"]
-    if authors:
-        doc["author"] = [_entry_to_obj(e) for e in authors]
+    groups: dict[str, list[dict[str, Any]]] = {category: [] for category in CATEGORIES}
+    for entry in creditmap.entries:
+        if entry.category not in groups:
+            raise ValueError(f"entry {entry.entity} has unknown category {entry.category!r}")
+        groups[entry.category].append(_entry_to_obj(entry))
+    if groups["author"]:
+        doc["author"] = groups["author"]
 
-    citation: dict[str, Any] = {}
-    for key, category in _CITATION_KEY_TO_CATEGORY.items():
-        group = [e for e in creditmap.entries if e.category == category]
-        if group:
-            citation[key] = [_entry_to_obj(e) for e in group]
+    citation = {key: groups[c] for key, c in _CITATION_KEY_TO_CATEGORY.items() if groups[c]}
     for key, val in meta.extra.items():
         if key.startswith("citation."):
             citation[key[len("citation."):]] = val

@@ -5,8 +5,9 @@ scholarly product. Weights within one map sum to 1, and every contribution
 is identified by its canonical id text `<scheme>:<value>`, a str
 (canonical_id, canonicalize_id and id_from_text make one). Schemes,
 categories and product kinds are the document's own words, listed in
-ID_SCHEMES, CATEGORIES and PRODUCT_TYPES. Downstream modules (graph,
-engine) treat these values as immutable.
+ID_SCHEMES, CATEGORIES and PRODUCT_TYPES, and an entry's descriptive keys
+are its document's keys and values. Downstream modules (graph, engine)
+treat these values as immutable.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def canonicalize_id(raw: str) -> str:
 
 class _Empty(Mapping):
     """An empty mapping that cannot be filled, so one instance can be every
-    value's default extra. It pickles and copies as that instance."""
+    value's default mapping. It pickles and copies as that instance."""
 
     __slots__ = ()
 
@@ -193,28 +194,12 @@ class _Empty(Mapping):
         return "NO_EXTRA"
 
 
-#: The default extra of EntryDisplay and ProductMeta.
+#: The default display of CreditEntry and extra of ProductMeta.
 NO_EXTRA: Mapping[str, object] = _Empty()
 
 
 # The value types below are NamedTuples: immutable, compared by value, and
 # cheaper to define and to build than dataclasses.
-
-
-class EntryDisplay(NamedTuple):
-    """Descriptive metadata carried alongside an entry, never used for identity.
-
-    extra holds unrecognized document keys preserved by lenient parsing.
-    """
-
-    type_tag: str | None = None
-    name: str | None = None
-    headline: str | None = None
-    email: str | None = None
-    license: str | None = None
-    repository: str | None = None
-    url: str | None = None
-    extra: Mapping[str, object] = NO_EXTRA
 
 
 class CreditEntry(NamedTuple):
@@ -225,12 +210,18 @@ class CreditEntry(NamedTuple):
     invariant (0 < weight <= 1) is enforced at system boundaries (parsing)
     and reported by validate_creditmap, not raised here, so that broken
     states remain representable as violation values.
+
+    display maps the entry's own document keys to their values, in
+    document order: every key but "creditWeight", "@id", "doi", and a
+    "codeRepository" or "url" that names the entity. Unrecognized keys
+    that lenient parsing keeps are in it too. It is never used for
+    identity.
     """
 
     entity: str
     category: str
     weight: float
-    display: EntryDisplay = EntryDisplay()
+    display: Mapping[str, object] = NO_EXTRA
 
 
 class ProductMeta(NamedTuple):
@@ -268,31 +259,27 @@ WEIGHT_SUM = "WeightSum"
 NON_POSITIVE_WEIGHT = "NonPositiveWeight"
 DUPLICATE_ENTITY = "DuplicateEntity"
 NO_AUTHOR = "NoAuthor"
+UNKNOWN_CATEGORY = "UnknownCategory"
+UNKNOWN_KIND = "UnknownKind"
 
 
 def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
     """Check the credit map invariants and return one Violation per failure.
 
     Checks, in reporting order: every weight in (0, 1], weights sum to 1
-    within WEIGHT_SUM_TOLERANCE, no duplicate canonical entity ids, and at
-    least one author entry. An empty list means the map is valid.
+    within WEIGHT_SUM_TOLERANCE, no duplicate canonical entity ids, at
+    least one author entry, every category in CATEGORIES, and the kind in
+    PRODUCT_TYPES. An empty list means the map is valid.
     """
     violations: list[Violation] = []
     for position, entry in enumerate(creditmap.entries):
         if not (0.0 < entry.weight <= 1.0):
-            violations.append(
-                Violation(
-                    NON_POSITIVE_WEIGHT,
-                    f"entry {position} ({entry.entity}) has weight "
-                    f"{entry.weight!r}, outside (0, 1]",
-                )
-            )
+            message = f"entry {position} ({entry.entity}) has weight {entry.weight!r}"
+            violations.append(Violation(NON_POSITIVE_WEIGHT, f"{message}, outside (0, 1]"))
 
     total = math.fsum(entry.weight for entry in creditmap.entries)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-        violations.append(
-            Violation(WEIGHT_SUM, f"credit weights sum to {total!r}, not 1")
-        )
+        violations.append(Violation(WEIGHT_SUM, f"credit weights sum to {total!r}, not 1"))
 
     seen: dict[str, int] = {}  # in order of first appearance
     for entry in creditmap.entries:
@@ -303,4 +290,12 @@ def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
 
     if not any(e.category == "author" for e in creditmap.entries):
         violations.append(Violation(NO_AUTHOR, "no author entry"))
+
+    for position, entry in enumerate(creditmap.entries):
+        if entry.category not in CATEGORIES:
+            message = f"entry {position} ({entry.entity}) has unknown category {entry.category!r}"
+            violations.append(Violation(UNKNOWN_CATEGORY, message))
+    if creditmap.product.kind not in PRODUCT_TYPES:
+        message = f"unknown product kind {creditmap.product.kind!r}"
+        violations.append(Violation(UNKNOWN_KIND, message))
     return violations

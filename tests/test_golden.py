@@ -48,6 +48,7 @@ def _cases() -> dict[str, tuple[str, ...]]:
                 name = f"credit-{tag}{suffix}.{'json' if fmt == 'json' else 'txt'}"
                 cases[name] = ("credit", "--product", product, *limit, "--format", fmt)
     cases["credit-c-entity-dev1.txt"] = ("credit", "--product", PRODUCT_C, "--entity", DEV1)
+    cases["credit-c-entity-dev1.json"] = (*cases["credit-c-entity-dev1.txt"], "--format", "json")
     for scope in ("all", "roots"):
         cases[f"rank-{scope}.txt"] = ("rank", "--scope", scope)
         cases[f"rank-{scope}.json"] = ("rank", "--scope", scope, "--format", "json")

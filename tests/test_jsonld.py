@@ -15,7 +15,6 @@ from credit_ledger import (
     PRODUCT_TYPES,
     CreditEntry,
     CreditMap,
-    EntryDisplay,
     InvalidIdentifier,
     ProductMeta,
     canonical_id,
@@ -80,18 +79,18 @@ def test_golden_document_entries(golden_bytes: bytes) -> None:
     ]
 
     first_author = creditmap.entries[0].display
-    assert first_author.type_tag == "Person"
-    assert first_author.name == "Daniel S. Katz"
-    assert first_author.email == "d.katz@ieee.org"
+    assert first_author == {
+        "@type": "Person", "name": "Daniel S. Katz", "email": "d.katz@ieee.org"
+    }
 
     fidgit = creditmap.entries[3].display
-    assert fidgit.name == "Fidgit"
-    assert fidgit.license == "http://opensource.org/licenses/MIT"
-    assert fidgit.repository is None  # the repository URL is the identity
+    assert fidgit.get("name") == "Fidgit"
+    assert fidgit["license"] == "http://opensource.org/licenses/MIT"
+    assert "codeRepository" not in fidgit  # the repository URL is the identity
 
     post = creditmap.entries[5].display
-    assert post.url is None  # likewise consumed as the identity
-    assert post.license == "http://creativecommons.org/licenses/by/4.0/"
+    assert "url" not in post  # likewise consumed as the identity
+    assert post["license"] == "http://creativecommons.org/licenses/by/4.0/"
 
 
 def test_golden_document_serializes_byte_stably(golden_bytes: bytes) -> None:
@@ -207,6 +206,27 @@ def test_malformed_documents_raise_syntax_errors(payload: bytes) -> None:
         parse_creditmap(payload)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("keywords", 5, "keywords must be a string or an array of strings"),
+        ("citation", [1], "citation must be an object"),
+    ],
+)
+def test_a_malformed_keywords_or_citation_value_is_refused(key, value, message, strict) -> None:
+    text = json.dumps({**MINIMAL, key: value})
+    assert _failure(text, strict) == ("CreditmapSyntaxError", message)
+
+
+def test_keywords_holding_a_comma_are_written_as_a_list() -> None:
+    creditmap, _ = parse_creditmap(_doc(keywords=["a, b", "c"]), strict=True)
+    assert creditmap.product.keywords == ("a, b", "c")
+    data = serialize_creditmap(creditmap)
+    assert json.loads(data)["keywords"] == ["a, b", "c"]
+    assert parse_creditmap(data, strict=True) == (creditmap, [])
+
+
 def test_unknown_top_level_key_strict_vs_lenient() -> None:
     data = _doc(publisher="Example Press")
     with pytest.raises(UnknownKey):
@@ -222,7 +242,7 @@ def test_unknown_entry_key_is_preserved_in_lenient_mode() -> None:
         parse_creditmap(data, strict=True)
     creditmap, warnings = parse_creditmap(data)
     assert [w.code for w in warnings] == ["UnknownKey"]
-    assert creditmap.entries[0].display.extra == {"affiliation": "Lab"}
+    assert creditmap.entries[0].display == {"name": "Solo Author", "affiliation": "Lab"}
 
 
 TOO_DEEP = json.loads("[" * 200 + "]" * 200)
@@ -375,15 +395,13 @@ def profile_entries(draw) -> list[CreditEntry]:
                 email = draw(st.none() | st.just(f"extra{i}@example.org"))
             elif scheme == "url":
                 email = draw(st.none() | st.just(f"extra{i}@example.org"))
-        display = EntryDisplay(
-            type_tag=type_tag,
-            name=name,
-            headline=headline,
-            email=email,
-            license=license_,
-            repository=repository,
-            url=url,
-        )
+        keys = {
+            "@type": type_tag, "name": name, "headline": headline, "email": email,
+            "license": license_, "codeRepository": repository, "url": url,
+        }
+        # The serializer writes the profile's key order, whatever the display's.
+        order = draw(st.permutations(list(keys)))
+        display = {key: keys[key] for key in order if keys[key] is not None}
         entries.append(CreditEntry(entity, category, weight, display))
     entries.sort(key=lambda e: CATEGORIES.index(e.category))
     return entries
@@ -625,7 +643,8 @@ def test_unknown_entry_keys_raise_or_warn_in_document_order() -> None:
         "UnknownKey: unrecognized key author[0].zeta",
         "UnknownKey: unrecognized key author[0].alpha",
     ]
-    assert list(creditmap.entries[0].display.extra.items()) == [("zeta", 1), ("alpha", [2])]
+    display = creditmap.entries[0].display
+    assert list(display.items()) == [("zeta", 1), ("name", "A"), ("alpha", [2])]
 
 
 def test_an_unknown_entry_key_is_reported_before_the_entry_values_are_checked() -> None:

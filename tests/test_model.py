@@ -14,6 +14,7 @@ from credit_ledger import (
     canonical_id,
     canonicalize_id,
     id_from_text,
+    serialize_creditmap,
     validate_creditmap,
     validate_orcid_checksum,
 )
@@ -109,6 +110,11 @@ def test_minted_orcids_are_accepted(base: str) -> None:
 def test_empty_identifier_is_rejected(raw: str) -> None:
     with pytest.raises(EmptyIdentifier):
         canonicalize_id(raw)
+
+
+def test_a_blank_value_under_an_explicit_scheme_is_empty() -> None:
+    with pytest.raises(EmptyIdentifier, match="^empty doi identifier$"):
+        canonical_id("doi", "   ")
 
 
 def test_orcid_with_wrong_check_digit_is_rejected() -> None:
@@ -255,3 +261,30 @@ def test_weight_sum_tolerance_admits_rounding_noise() -> None:
         _entry("name:B", "author", 0.7),
     )
     assert validate_creditmap(m) == []
+
+
+def test_a_category_outside_the_profile_is_flagged_and_never_serialized() -> None:
+    m = _creditmap(
+        _entry("name:Solo Author", "author", 0.5),
+        _entry("doi:10.1000/dep", "articles", 0.5),  # the document key, not the category
+    )
+    assert validate_creditmap(m) == [
+        Violation("UnknownCategory", "entry 1 (doi:10.1000/dep) has unknown category 'articles'")
+    ]
+    with pytest.raises(ValueError, match="doi:10.1000/dep has unknown category 'articles'"):
+        serialize_creditmap(m)
+
+
+def test_a_kind_outside_the_profile_is_flagged() -> None:
+    m = _creditmap(_entry("name:Solo Author", "author", 1.0))
+    m = m._replace(product=m.product._replace(kind="Thing"))
+    assert validate_creditmap(m) == [Violation("UnknownKind", "unknown product kind 'Thing'")]
+
+
+def test_category_and_kind_violations_are_reported_after_the_others() -> None:
+    m = _creditmap(
+        _entry("name:Solo Author", "author", 0.5),
+        _entry("name:Helper", "helper", 0.25),
+    )
+    m = m._replace(product=m.product._replace(kind="Thing"))
+    assert _codes(validate_creditmap(m)) == ["WeightSum", "UnknownCategory", "UnknownKind"]

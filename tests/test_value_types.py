@@ -15,7 +15,6 @@ from credit_ledger import (
     CreditEntry,
     CreditGraph,
     CreditMap,
-    EntryDisplay,
     ParseWarning,
     ProductMeta,
     Violation,
@@ -33,7 +32,7 @@ def _entry(weight: float = 0.5) -> CreditEntry:
         "name:a person",
         "author",
         weight,
-        EntryDisplay(name="A Person", extra={"affiliation": "Lab"}),
+        {"@type": "Person", "name": "A Person", "affiliation": "Lab"},
     )
 
 
@@ -45,7 +44,6 @@ def _meta(headline: str = "X") -> ProductMeta:
 
 #: Per type, a factory and a second value that differs from the first.
 VALUES = {
-    "EntryDisplay": (lambda: EntryDisplay(name="n", extra={"k": [1]}), EntryDisplay(name="m")),
     "CreditEntry": (_entry, _entry(0.25)),
     "ProductMeta": (_meta, _meta("Y")),
     "CreditMap": (lambda: CreditMap(_meta(), (_entry(1.0),)), CreditMap(_meta(), ())),
@@ -60,7 +58,7 @@ VALUES = {
     ),
 }
 #: Types whose values hold a mapping, and so have no hash.
-UNHASHABLE = {"EntryDisplay", "CreditEntry", "ProductMeta", "CreditMap", "Allocation", "CreditGraph"}
+UNHASHABLE = {"CreditEntry", "ProductMeta", "CreditMap", "Allocation", "CreditGraph"}
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -129,14 +127,14 @@ def test_a_depth_limit_below_one_is_refused(depth: int) -> None:
 
 
 def test_the_default_extra_is_one_empty_mapping_that_cannot_be_filled() -> None:
-    display, meta = EntryDisplay(), ProductMeta(DOI, "CreativeWork")
-    assert display.extra is NO_EXTRA and meta.extra is NO_EXTRA
-    assert display.extra == {} and len(display.extra) == 0 and "k" not in display.extra
+    entry, meta = CreditEntry(DOI, "author", 1.0), ProductMeta(DOI, "CreativeWork")
+    assert entry.display is NO_EXTRA and meta.extra is NO_EXTRA
+    assert entry.display == {} and len(entry.display) == 0 and "k" not in entry.display
     with pytest.raises(TypeError):
-        display.extra["k"] = 1  # type: ignore[index]
+        entry.display["k"] = 1  # type: ignore[index]
     assert pickle.loads(pickle.dumps(meta)).extra is NO_EXTRA
-    assert copy.deepcopy(display).extra is NO_EXTRA
-    assert repr(display).endswith("extra={})")
+    assert copy.deepcopy(entry).display is NO_EXTRA
+    assert repr(entry).endswith("display={})")
 
 
 def test_value_types_are_tuples_that_unpack() -> None:
@@ -175,7 +173,9 @@ def test_dir_lists_every_export_and_star_import_binds_them() -> None:
 def test_an_unknown_name_raises_attribute_error() -> None:
     with pytest.raises(AttributeError, match="no_such_name"):
         credit_ledger.no_such_name  # noqa: B018
-    for name in ("EntityId", "GraphEdges", "GraphEdge", "NodeKind", "PropagationOptions"):
+    retired = ("EntityId", "GraphEdges", "GraphEdge", "NodeKind", "PropagationOptions", "EntryDisplay")
+    for name in retired:
         assert not hasattr(credit_ledger, name)
+    assert not hasattr(credit_ledger.model, "EntryDisplay")
     with pytest.raises(ImportError):
         exec("from credit_ledger import no_such_name", {})
