@@ -28,7 +28,6 @@ _MODULES = {
     "NotFound": "registry",
     "PRODUCT_TYPES": "model",
     "ParseError": "jsonld",
-    "ParseWarning": "jsonld",
     "ProductMeta": "model",
     "Registry": "registry",
     "RegistryError": "registry",

@@ -1,8 +1,8 @@
 """Command line interface: validate, ingest, credit, rank, graph.
 
-Exit codes: 0 success, 1 domain error (validation, cycles, duplicates,
-unknown products), 2 I/O or usage error. Stdout stays machine-readable;
-warnings and error explanations go to stderr.
+Exit codes: 0 success, 1 domain error (parse, validation, cycles, duplicates,
+unknown products), 2 I/O or usage error. Stdout stays machine-readable, a
+FILE:CODE:MESSAGE line per finding; other warnings and errors go to stderr.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from .model import (
     id_from_text,
     validate_creditmap,
 )
-from .registry import (
-    DuplicateProduct,
-    Registry,
-    StorageError,
-    ValidationFailed,
-)
+from .registry import Registry, StorageError, ValidationFailed
 
 # The exit's full collections walk every object this process made, though
 # none is in a cycle; frozen, they are freed by reference counts alone.
@@ -110,9 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _each_file(paths: list[str], handle: Callable[[str, bytes], None]) -> int:
     """Call handle(path, bytes) for each file, report each failure, and
-    return the worst exit code."""
-    from .jsonld import ParseError  # each command that calls this parses documents
-
+    return the worst exit code. A domain error prints a path:code:message
+    line per violation it holds, or else one line under its class name."""
     worst = 0
     for path in paths:
         try:
@@ -122,12 +116,9 @@ def _each_file(paths: list[str], handle: Callable[[str, bytes], None]) -> int:
         except (OSError, StorageError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             worst = 2
-        except ValidationFailed as exc:
-            for violation in exc.violations:
-                print(f"{path}:{violation.code}:{violation.message}")
-            worst = max(worst, 1)
-        except (ParseError, InvalidIdentifier, DuplicateProduct) as exc:
-            print(f"{path}:{type(exc).__name__}:{exc}")
+        except CreditLedgerError as exc:
+            for code, message in getattr(exc, "violations", [(type(exc).__name__, exc)]):
+                print(f"{path}:{code}:{message}")
             worst = max(worst, 1)
     return worst
 
@@ -137,8 +128,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     def check(path: str, data: bytes) -> None:
         creditmap, warnings = parse_creditmap(data, strict=args.strict)
-        for warning in warnings:
-            print(f"{path}:{warning.code}:{warning.message}")
+        for code, message in warnings:
+            print(f"{path}:{code}:{message}")
         violations = validate_creditmap(creditmap)
         if violations:
             raise ValidationFailed(violations)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from datetime import date
 from functools import lru_cache, partial
-from typing import Any, NamedTuple
+from typing import Any
 
 from . import model
 from .model import (
@@ -23,25 +23,12 @@ from .model import (
     CreditMap,
     MalformedDoi,
     ProductMeta,
+    Violation,
     canonical_id,
 )
 
 #: The only @context this profile accepts.
 SCHEMA_ORG_CONTEXT = "http://schema.org"
-
-class ParseWarning(NamedTuple):
-    """A non-fatal anomaly found while parsing in lenient mode."""
-
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.message}"
-
-
-UNKNOWN_KEY = "UnknownKey"
-UNKNOWN_TYPE = "UnknownType"
-INVALID_DATE = "InvalidDate"
 
 
 class ParseError(CreditLedgerError):
@@ -106,16 +93,17 @@ _CITATION_KEY_TO_CATEGORY = {
 
 def _outside_profile(
     strict: bool,
-    warnings: list[ParseWarning],
+    warnings: list[Violation],
     error: type[ParseError],
-    code: str,
     message: str,
+    code: str = "",
 ) -> None:
     """Something outside the profile: strict parsing raises error(message),
-    lenient parsing records a warning under code."""
+    lenient parsing records a warning under code, by default the error's
+    name."""
     if strict:
         raise error(message) from None
-    warnings.append(ParseWarning(code, message))
+    warnings.append(Violation(code or error.__name__, message))
 
 
 def _kept(value: Any, where: str) -> Any:
@@ -243,7 +231,7 @@ def _parse_entry(
     obj: Any,
     category: str,
     strict: bool,
-    warnings: list[ParseWarning],
+    warnings: list[Violation],
     group: str,
     i: int,
 ) -> CreditEntry:
@@ -262,7 +250,7 @@ def _parse_entry(
         for key, value in obj.items():
             if key not in _ENTRY_KEYS:
                 message = f"unrecognized key {group}[{i}].{key}"
-                _outside_profile(strict, warnings, UnknownKey, UNKNOWN_KEY, message)
+                _outside_profile(strict, warnings, UnknownKey, message)
                 _kept(value, f"{group}[{i}].{key}")
 
     # A value that is not a str is rare (numeric weights, kept extras);
@@ -273,7 +261,7 @@ def _parse_entry(
     type_tag = obj.get("@type")
     if type_tag is not None and type_tag not in _ENTRY_TYPE_TAGS:
         message = f"{group}[{i}]: unrecognized @type {type_tag!r}"
-        _outside_profile(strict, warnings, UnknownType, UNKNOWN_TYPE, message)
+        _outside_profile(strict, warnings, UnknownType, message)
     if not checked:
         for key in _ENTRY_TEXT_KEYS[1:]:
             if key in obj:
@@ -294,7 +282,7 @@ def _parse_entry_group(
     value: Any,
     category: str,
     strict: bool,
-    warnings: list[ParseWarning],
+    warnings: list[Violation],
     group: str,
 ) -> list[CreditEntry]:
     items = value if isinstance(value, list) else [value]
@@ -319,7 +307,7 @@ def _product_identity(doc: dict[str, Any]) -> str:
 
 def parse_creditmap(
     text: str | bytes, *, strict: bool = False
-) -> tuple[CreditMap, list[ParseWarning]]:
+) -> tuple[CreditMap, list[Violation]]:
     """Parse a creditmap document into a CreditMap plus lenient-parsing warnings.
 
     Args:
@@ -329,8 +317,9 @@ def parse_creditmap(
             reads an unrecognized product @type as "CreativeWork".
 
     Returns:
-        The parsed CreditMap and the list of warnings (always empty when
-        strict, because strict parsing raises instead).
+        The parsed CreditMap and its warnings as Violations, each coded
+        UnknownKey, UnknownType or InvalidDate (always empty when strict,
+        because strict parsing raises instead).
 
     Raises:
         CreditmapSyntaxError: malformed JSON or malformed field values.
@@ -347,7 +336,7 @@ def parse_creditmap(
 
 def _parse_document(
     text: str | bytes, strict: bool
-) -> tuple[CreditMap, list[ParseWarning]]:
+) -> tuple[CreditMap, list[Violation]]:
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -364,7 +353,7 @@ def _parse_document(
     if not isinstance(doc, dict):
         raise CreditmapSyntaxError("top-level value must be an object")
 
-    warnings: list[ParseWarning] = []
+    warnings: list[Violation] = []
 
     if doc.get("@context") != SCHEMA_ORG_CONTEXT:
         raise MissingContext(
@@ -374,7 +363,7 @@ def _parse_document(
     kind = doc.get("@type")
     if kind not in PRODUCT_TYPES:
         message = f"unrecognized product @type {kind!r}"
-        _outside_profile(strict, warnings, UnknownType, UNKNOWN_TYPE, message)
+        _outside_profile(strict, warnings, UnknownType, message)
         kind = "CreativeWork"
 
     headline = _require_str(doc["headline"], "headline") if "headline" in doc else ""
@@ -386,7 +375,7 @@ def _parse_document(
             date_created = date.fromisoformat(_require_str(raw_date, "dateCreated"))
         except (CreditmapSyntaxError, ValueError):
             message = f"dateCreated {raw_date!r} is not an ISO-8601 date"
-            _outside_profile(strict, warnings, CreditmapSyntaxError, INVALID_DATE, message)
+            _outside_profile(strict, warnings, CreditmapSyntaxError, message, "InvalidDate")
 
     keywords: tuple[str, ...] = ()
     if "keywords" in doc:
@@ -406,7 +395,7 @@ def _parse_document(
                 raise CreditmapSyntaxError(f"top-level key {key} is reserved for citation members")
             if key not in _TOP_KEYS:
                 message = f"unrecognized key {key}"
-                _outside_profile(strict, warnings, UnknownKey, UNKNOWN_KEY, message)
+                _outside_profile(strict, warnings, UnknownKey, message)
                 extra[key] = _kept(doc[key], key)
 
     entries: list[CreditEntry] = []
@@ -422,7 +411,7 @@ def _parse_document(
         for key in citation:
             if key not in _CITATION_KEY_TO_CATEGORY:
                 message = f"unrecognized key citation.{key}"
-                _outside_profile(strict, warnings, UnknownKey, UNKNOWN_KEY, message)
+                _outside_profile(strict, warnings, UnknownKey, message)
                 extra[f"citation.{key}"] = _kept(citation[key], f"citation.{key}")
         for key, category in _CITATION_KEY_TO_CATEGORY.items():
             if key in citation:
@@ -440,6 +429,9 @@ def _entry_to_obj(entry: CreditEntry) -> dict[str, Any]:
     """The document object of entry: its display's keys in the profile's
     order around its id key, then its display's unrecognized keys."""
     d = entry.display
+    for key in _ENTRY_TEXT_KEYS:
+        if key in d and not isinstance(d[key], str):
+            raise ValueError(f"entry {entry.entity} has a non-string {key!r}: {d[key]!r}")
     obj = {key: d[key] for key in ("@type", "name", "headline") if key in d}
 
     scheme, _, value = entry.entity.partition(":")
@@ -484,8 +476,8 @@ def serialize_creditmap(creditmap: CreditMap) -> bytes:
     codeRepository, url or email), an explicit "@id" holding the canonical
     text is written too, so every map parses back to the same ids.
     Keywords are joined with ", ", or kept as a list where one of them
-    holds a comma. An entry whose category is outside CATEGORIES raises
-    ValueError.
+    holds a comma. An entry whose category is outside CATEGORIES, or whose
+    display holds a non-string under a profile text key, raises ValueError.
     """
     meta = creditmap.product
     doc: dict[str, Any] = {"@context": SCHEMA_ORG_CONTEXT}

@@ -246,21 +246,13 @@ class CreditMap(NamedTuple):
 
 
 class Violation(NamedTuple):
-    """One failed validation check, as a value rather than an exception."""
+    """One finding about a document: a failed check or a lenient-parse warning."""
 
     code: str
     message: str
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
-
-
-WEIGHT_SUM = "WeightSum"
-NON_POSITIVE_WEIGHT = "NonPositiveWeight"
-DUPLICATE_ENTITY = "DuplicateEntity"
-NO_AUTHOR = "NoAuthor"
-UNKNOWN_CATEGORY = "UnknownCategory"
-UNKNOWN_KIND = "UnknownKind"
 
 
 def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
@@ -275,27 +267,27 @@ def validate_creditmap(creditmap: CreditMap) -> list[Violation]:
     for position, entry in enumerate(creditmap.entries):
         if not (0.0 < entry.weight <= 1.0):
             message = f"entry {position} ({entry.entity}) has weight {entry.weight!r}"
-            violations.append(Violation(NON_POSITIVE_WEIGHT, f"{message}, outside (0, 1]"))
+            violations.append(Violation("NonPositiveWeight", f"{message}, outside (0, 1]"))
 
     total = math.fsum(entry.weight for entry in creditmap.entries)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-        violations.append(Violation(WEIGHT_SUM, f"credit weights sum to {total!r}, not 1"))
+        violations.append(Violation("WeightSum", f"credit weights sum to {total!r}, not 1"))
 
     seen: dict[str, int] = {}  # in order of first appearance
     for entry in creditmap.entries:
         seen[entry.entity] = seen.get(entry.entity, 0) + 1
     for entity, count in seen.items():
         if count > 1:
-            violations.append(Violation(DUPLICATE_ENTITY, f"{entity} appears {count} times"))
+            violations.append(Violation("DuplicateEntity", f"{entity} appears {count} times"))
 
     if not any(e.category == "author" for e in creditmap.entries):
-        violations.append(Violation(NO_AUTHOR, "no author entry"))
+        violations.append(Violation("NoAuthor", "no author entry"))
 
     for position, entry in enumerate(creditmap.entries):
         if entry.category not in CATEGORIES:
             message = f"entry {position} ({entry.entity}) has unknown category {entry.category!r}"
-            violations.append(Violation(UNKNOWN_CATEGORY, message))
+            violations.append(Violation("UnknownCategory", message))
     if creditmap.product.kind not in PRODUCT_TYPES:
         message = f"unknown product kind {creditmap.product.kind!r}"
-        violations.append(Violation(UNKNOWN_KIND, message))
+        violations.append(Violation("UnknownKind", message))
     return violations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from datetime import date
 
 import pytest
@@ -309,6 +310,20 @@ def test_lenient_extras_survive_a_round_trip() -> None:
     again, _ = parse_creditmap(data)
     assert again == first
     assert serialize_creditmap(again) == data
+
+
+@pytest.mark.parametrize("entity", ["name:a", "orcid:0000-0002-1825-0097"])
+def test_a_non_string_display_value_under_a_profile_key_is_never_serialized(entity: str) -> None:
+    # Built by hand, the map validates; its bytes would not parse back, and
+    # under a name id they could not be written at all.
+    product = ProductMeta("doi:10.1000/x", "Code")
+    creditmap = CreditMap(product, (CreditEntry(entity, "author", 1.0, {"name": 5}),))
+    assert validate_creditmap(creditmap) == []
+    with pytest.raises(ValueError, match=re.escape(f"entry {entity} has a non-string 'name': 5")):
+        serialize_creditmap(creditmap)
+    # A key outside the profile may hold any JSON value.
+    kept = CreditMap(product, (CreditEntry(entity, "author", 1.0, {"name": "A", "rank": 5}),))
+    assert parse_creditmap(serialize_creditmap(kept))[0] == kept
 
 
 # The ids are the ones the suite has always printed for these two cases.

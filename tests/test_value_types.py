@@ -15,11 +15,11 @@ from credit_ledger import (
     CreditEntry,
     CreditGraph,
     CreditMap,
-    ParseWarning,
     ProductMeta,
     Violation,
     aggregate_rank,
     build_graph,
+    parse_creditmap,
     transitive_credit,
 )
 from credit_ledger.model import NO_EXTRA
@@ -48,7 +48,6 @@ VALUES = {
     "ProductMeta": (_meta, _meta("Y")),
     "CreditMap": (lambda: CreditMap(_meta(), (_entry(1.0),)), CreditMap(_meta(), ())),
     "Violation": (lambda: Violation("WeightSum", "m"), Violation("NoAuthor", "m")),
-    "ParseWarning": (lambda: ParseWarning("UnknownKey", "m"), ParseWarning("UnknownType", "m")),
     "Allocation": (
         lambda: Allocation(DOI, {"name:a": 1.0}, 2), Allocation(DOI, {"name:a": 1.0})
     ),
@@ -142,7 +141,6 @@ def test_value_types_are_tuples_that_unpack() -> None:
     assert (code, message) == ("NoAuthor", "no author entry")
     assert Violation("NoAuthor", "m") == ("NoAuthor", "m")
     assert str(Violation("NoAuthor", "m")) == "NoAuthor: m"
-    assert str(ParseWarning("UnknownKey", "m")) == "UnknownKey: m"
     graph = VALUES["CreditGraph"][0]()
     ids, kinds, products, warnings = graph
     assert (ids, kinds, products, warnings) == (graph.ids, graph.kinds, graph.products, graph.warnings)
@@ -173,9 +171,28 @@ def test_dir_lists_every_export_and_star_import_binds_them() -> None:
 def test_an_unknown_name_raises_attribute_error() -> None:
     with pytest.raises(AttributeError, match="no_such_name"):
         credit_ledger.no_such_name  # noqa: B018
-    retired = ("EntityId", "GraphEdges", "GraphEdge", "NodeKind", "PropagationOptions", "EntryDisplay")
+    retired = (
+        "EntityId", "GraphEdges", "GraphEdge", "NodeKind", "PropagationOptions", "EntryDisplay",
+        "ParseWarning",
+    )
     for name in retired:
         assert not hasattr(credit_ledger, name)
     assert not hasattr(credit_ledger.model, "EntryDisplay")
+    jsonld = importlib.import_module("credit_ledger.jsonld")
+    assert not hasattr(jsonld, "ParseWarning")
+    # Each finding's code is written where the finding is made.
+    codes = (
+        "UNKNOWN_KEY", "UNKNOWN_TYPE", "INVALID_DATE", "WEIGHT_SUM", "NON_POSITIVE_WEIGHT",
+        "DUPLICATE_ENTITY", "NO_AUTHOR", "UNKNOWN_CATEGORY", "UNKNOWN_KIND",
+    )
+    for name in codes:
+        assert not hasattr(jsonld, name) and not hasattr(credit_ledger.model, name)
+    # A lenient parse's warnings are Violations.
+    doc = b'''{"@context": "http://schema.org", "@type": "Code", "doi": "10.1000/x", "publisher": "P",
+        "author": {"name": "A", "creditWeight": "1"}}'''
+    _, warnings = parse_creditmap(doc)
+    assert warnings == [Violation("UnknownKey", "unrecognized key publisher")]
+    assert [type(w) for w in warnings] == [Violation]
+    assert str(warnings[0]) == "UnknownKey: unrecognized key publisher"
     with pytest.raises(ImportError):
         exec("from credit_ledger import no_such_name", {})
